@@ -9,19 +9,24 @@
 //! multi-core host for the scaling columns (results are bit-identical
 //! at any width).
 //!
+//! `maxcut_diag_n1024_b1024` times the Max-Cut diagonal alone (the
+//! sample-tiled signed-sum kernel) at the shape behind the benchmark's
+//! `hamiltonian.diag_ms`, one thread.
+//!
 //! Run with `BENCH_JSON=BENCH_kernels.json cargo bench --bench
 //! bench_local_energy` to refresh the machine-readable medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use vqmc_hamiltonian::{
-    local_energies_into, LocalEnergyConfig, LocalEnergyScratch, TransverseFieldIsing,
+    local_energies_into, LocalEnergyConfig, LocalEnergyScratch, MaxCut, SparseRowHamiltonian,
+    TransverseFieldIsing,
 };
 use vqmc_nn::{made_hidden_size, Made, WaveFunction};
 use vqmc_sampler::MadeBatchSampler;
-use vqmc_tensor::{par, SpinBatch, Vector};
+use vqmc_tensor::{par, SpinBatch, Vector, Workspace};
 
 fn bench_local_energy(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_energy");
@@ -54,6 +59,21 @@ fn bench_local_energy(c: &mut Criterion) {
             })
         });
     }
+
+    let (n, batch_size) = (1024, 1024);
+    let h = MaxCut::random(n, 11);
+    let mut rng = StdRng::seed_from_u64(11);
+    let batch = SpinBatch::from_fn(batch_size, n, |_, _| rng.gen_range(0..2u32) as u8);
+    group.bench_function("maxcut_diag_n1024_b1024", |b| {
+        par::with_threads(1, || {
+            let mut ws = Workspace::new();
+            let mut out = Vector::default();
+            b.iter(|| {
+                h.diagonal_batch_into(&batch, &mut ws, &mut out);
+                black_box(out.as_slice()[0])
+            })
+        })
+    });
     group.finish();
 }
 

@@ -132,9 +132,9 @@ pub(crate) mod alloc_counter {
 /// update all run out of reused buffers.
 #[cfg(test)]
 mod alloc_test {
-    use crate::alloc_counter::current_thread_allocs;
+    use crate::alloc_counter::{current_thread_allocs, global_allocs};
     use crate::trainer::{OptimizerChoice, Trainer, TrainerConfig};
-    use vqmc_hamiltonian::{LocalEnergyConfig, TransverseFieldIsing};
+    use vqmc_hamiltonian::{LocalEnergyConfig, MaxCut, SparseRowHamiltonian, TransverseFieldIsing};
     use vqmc_nn::Made;
     use vqmc_sampler::{AutoSampler, IncrementalAutoSampler};
 
@@ -150,7 +150,7 @@ mod alloc_test {
 
     fn assert_steady_state_alloc_free(
         mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
-        h: &TransverseFieldIsing,
+        h: &dyn SparseRowHamiltonian,
         label: &str,
     ) {
         let mut opt = t.make_optimizer();
@@ -170,6 +170,49 @@ mod alloc_test {
             "{label}: {} heap allocations in 4 steady-state iterations",
             after - before
         );
+    }
+
+    /// With the worker pool active (4 threads, batch big enough that the
+    /// kernels actually dispatch to workers), steady-state
+    /// `Trainer::step` still performs **zero** heap allocations —
+    /// measured with the *process-wide* counter, so worker threads are
+    /// in scope.  Pool dispatch borrows the caller's job closure (no
+    /// boxing), workers are spawned during warm-up, and every kernel
+    /// runs out of buffers sized on the first iterations.
+    ///
+    /// Other tests in this binary run concurrently and also allocate, so
+    /// a single global-delta reading can be polluted.  A step that
+    /// itself allocates does so on *every* round; we therefore require
+    /// at least one clean round out of several, which is immune to
+    /// transient pollution but still fails reliably on a real
+    /// regression.
+    fn assert_pool_active_alloc_free(
+        mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
+        h: &dyn SparseRowHamiltonian,
+        label: &str,
+    ) {
+        vqmc_tensor::par::with_threads(4, || {
+            let mut opt = t.make_optimizer();
+            // Warm-up: sizes every buffer *and* spawns the pool workers
+            // (their stacks and TLS are one-time costs, not steady state).
+            for _ in 0..2 {
+                t.step(h, opt.as_mut());
+            }
+            let mut best = u64::MAX;
+            for _ in 0..8 {
+                let before = global_allocs();
+                t.step(h, opt.as_mut());
+                let after = global_allocs();
+                best = best.min(after - before);
+                if best == 0 {
+                    break;
+                }
+            }
+            assert_eq!(
+                best, 0,
+                "{label}: pool-active steady state: best round still made {best} heap allocations"
+            );
+        });
     }
 
     #[test]
@@ -238,26 +281,29 @@ mod alloc_test {
         assert_steady_state_alloc_free(t, &h, "depth-2 AUTO-incremental + Adam");
     }
 
-    /// With the worker pool active (4 threads, batch big enough that the
-    /// sampler panels and slice kernels actually dispatch to workers),
-    /// steady-state `Trainer::step` still performs **zero** heap
-    /// allocations — measured with the *process-wide* counter, so worker
-    /// threads are in scope.  Pool dispatch borrows the caller's job
-    /// closure (no boxing), workers are spawned during warm-up, and
-    /// every kernel runs out of buffers sized on the first iterations.
-    ///
-    /// Other tests in this binary run concurrently and also allocate, so
-    /// a single global-delta reading can be polluted.  A step that
-    /// itself allocates does so on *every* round; we therefore require
-    /// at least one clean round out of several, which is immune to
-    /// transient pollution but still fails reliably on a real
-    /// regression.
+    /// Max-Cut's diagonal runs the sample-tiled sparse kernel: 70 spins
+    /// (not a multiple of 64) and 40 samples (two full tiles of 16 plus a
+    /// partial one).
+    #[test]
+    fn maxcut_step_is_allocation_free_at_steady_state() {
+        let n = 70;
+        let h = MaxCut::random(n, 3);
+        let t = Trainer::new(
+            Made::new(n, 16, 7),
+            IncrementalAutoSampler::new(),
+            TrainerConfig {
+                batch_size: 40,
+                ..config(OptimizerChoice::paper_default())
+            },
+        );
+        assert_steady_state_alloc_free(t, &h, "Max-Cut AUTO-incremental + Adam");
+    }
+
     #[test]
     fn pool_active_trainer_step_is_allocation_free_at_steady_state() {
-        use crate::alloc_counter::global_allocs;
         let n = 16;
         let h = TransverseFieldIsing::random(n, 5);
-        let mut t = Trainer::new(
+        let t = Trainer::new(
             Made::new(n, 32, 9),
             AutoSampler::new(),
             TrainerConfig {
@@ -268,28 +314,25 @@ mod alloc_test {
                 seed: 13,
             },
         );
-        vqmc_tensor::par::with_threads(4, || {
-            let mut opt = t.make_optimizer();
-            // Warm-up: sizes every buffer *and* spawns the pool workers
-            // (their stacks and TLS are one-time costs, not steady state).
-            for _ in 0..2 {
-                t.step(&h, opt.as_mut());
-            }
-            let mut best = u64::MAX;
-            for _ in 0..8 {
-                let before = global_allocs();
-                t.step(&h, opt.as_mut());
-                let after = global_allocs();
-                best = best.min(after - before);
-                if best == 0 {
-                    break;
-                }
-            }
-            assert_eq!(
-                best, 0,
-                "pool-active steady state: best round still made {best} heap allocations"
-            );
-        });
+        assert_pool_active_alloc_free(t, &h, "TIM AUTO + Adam");
+    }
+
+    /// Pool-active Max-Cut: 256 samples × ~600 edges is past the
+    /// parallel threshold, so the diagonal's tiles stripe over 4 workers.
+    #[test]
+    fn pool_active_maxcut_step_is_allocation_free_at_steady_state() {
+        let n = 70;
+        let h = MaxCut::random(n, 5);
+        let t = Trainer::new(
+            Made::new(n, 16, 9),
+            IncrementalAutoSampler::new(),
+            TrainerConfig {
+                batch_size: 256,
+                seed: 13,
+                ..config(OptimizerChoice::paper_default())
+            },
+        );
+        assert_pool_active_alloc_free(t, &h, "Max-Cut AUTO-incremental + Adam");
     }
 }
 

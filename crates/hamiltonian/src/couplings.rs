@@ -8,29 +8,74 @@
 //! * [`Couplings::Dense`] — the literal `n×n` symmetric matrix (zero
 //!   diagonal, `βᵢⱼ` mirrored into both triangles) used up to a few
 //!   thousand spins and shared across device replicas behind an `Arc`.
-//! * [`Couplings::SparseRows`] — a CSR-like structure for graphs /
-//!   diluted disorder, used by Max-Cut (whose adjacency is ~25 % dense
-//!   under the paper's generator, but stored sparsely for uniformity at
-//!   large `n`).
+//! * [`Couplings::SparseRows`] — the strict upper triangle once, as CSR
+//!   ([`UpperCsr`]: row offsets, `u32` columns, `f64` values — 12 B an
+//!   edge), for graphs / diluted disorder.  Used by Max-Cut (whose
+//!   adjacency is ~25 % dense under the paper's generator, but stored
+//!   sparsely for uniformity at large `n`).
 //!
 //! Both expose the two bulk kernels the energy engine needs: the
 //! quadratic form `σᵀ B σ` per batch row, and the *field*
 //! `f_i(σ) = Σ_j B_ij σ_j` used for O(1)-per-flip energy deltas.
+//!
+//! ## The sparse batched diagonal
+//!
+//! The dense backing takes one GEMM.  The sparse one works on tiles of
+//! [`PAIR_TILE`] samples: each tile's spins are written vertex-major as
+//! sign masks `(x as u64) << 63`, and the dispatched
+//! [`signed_pair_sum`](vqmc_tensor::simd::Kernels::signed_pair_sum)
+//! kernel adds `v ⊕ m_i[s] ⊕ m_j[s]` per lane over rows `i` ascending,
+//! then columns ascending.  A ±1 product is an exact sign flip, so per
+//! sample that is the same sequence of operations as the scalar oracle
+//! [`Couplings::pair_energy`]'s `acc += v · σ_i · σ_j`: the two agree
+//! **bit for bit** for any finite weights, at every SIMD arm and thread
+//! count (tiles are striped over the pool; each lane's sum is serial).
 
 use serde::{Deserialize, Serialize};
-use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
+use vqmc_tensor::simd::{self, PAIR_TILE};
+use vqmc_tensor::{par, Matrix, SpinBatch, Vector, Workspace};
 
 /// Symmetric pairwise couplings with a zero diagonal.
 #[derive(Clone, Serialize, Deserialize)]
 pub enum Couplings {
     /// Explicit dense symmetric matrix (both triangles populated).
     Dense(Matrix),
-    /// Sparse rows: `rows[i]` lists `(j, B_ij)` with `j ≠ i`; symmetric
-    /// entries are stored on both rows.
-    SparseRows {
-        /// Per-row adjacency: `rows[i] = [(j, B_ij), ...]`.
-        rows: Vec<Vec<(usize, f64)>>,
-    },
+    /// Sparse strict upper triangle (each edge stored once, on row
+    /// `min(i, j)`).
+    SparseRows(UpperCsr),
+}
+
+/// The strict upper triangle of a sparse symmetric matrix in CSR form:
+/// row `i` holds `(j, B_ij)` for `j > i`, columns ascending.
+#[derive(Clone)]
+pub struct UpperCsr {
+    /// `n + 1` row starts into `cols` / `vals`.
+    offsets: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl UpperCsr {
+    /// Number of rows (spins).
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of stored couplings (edges).
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// Row `i`: its columns (all `> i`, ascending) and their weights.
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let r = self.offsets[i]..self.offsets[i + 1];
+        (&self.cols[r.clone()], &self.vals[r])
+    }
 }
 
 impl Couplings {
@@ -49,30 +94,43 @@ impl Couplings {
     }
 
     /// Builds a sparse backing from an edge list `(i, j, βᵢⱼ)` with
-    /// `i ≠ j`; duplicate edges are rejected by debug assertion.
+    /// `i ≠ j`, in either orientation.  Panics on a self-loop, an
+    /// out-of-range vertex or a duplicate edge.
     pub fn sparse_from_edges(n: usize, edges: &[(usize, usize, f64)]) -> Self {
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        assert!(n <= u32::MAX as usize, "Couplings: n exceeds u32 columns");
+        // Bucket by row, then flatten rows in order, columns sorted.
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
         for &(i, j, v) in edges {
             assert!(i != j, "Couplings: self-loop ({i},{i})");
             assert!(i < n && j < n, "Couplings: vertex out of range");
-            rows[i].push((j, v));
-            rows[j].push((i, v));
+            rows[i.min(j)].push((i.max(j) as u32, v));
         }
-        for r in &mut rows {
-            r.sort_unstable_by_key(|&(j, _)| j);
-            debug_assert!(
-                r.windows(2).all(|w| w[0].0 != w[1].0),
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(edges.len());
+        let mut vals = Vec::with_capacity(edges.len());
+        offsets.push(0);
+        for row in &mut rows {
+            row.sort_unstable_by_key(|&(j, _)| j);
+            assert!(
+                row.windows(2).all(|w| w[0].0 != w[1].0),
                 "Couplings: duplicate edge"
             );
+            cols.extend(row.iter().map(|&(j, _)| j));
+            vals.extend(row.iter().map(|&(_, v)| v));
+            offsets.push(cols.len());
         }
-        Couplings::SparseRows { rows }
+        Couplings::SparseRows(UpperCsr {
+            offsets,
+            cols,
+            vals,
+        })
     }
 
     /// Number of spins.
     pub fn len(&self) -> usize {
         match self {
             Couplings::Dense(m) => m.rows(),
-            Couplings::SparseRows { rows } => rows.len(),
+            Couplings::SparseRows(csr) => csr.len(),
         }
     }
 
@@ -88,10 +146,13 @@ impl Couplings {
         }
         match self {
             Couplings::Dense(m) => m.get(i, j),
-            Couplings::SparseRows { rows } => rows[i]
-                .binary_search_by_key(&j, |&(k, _)| k)
-                .map(|idx| rows[i][idx].1)
-                .unwrap_or(0.0),
+            Couplings::SparseRows(csr) => {
+                let (cols, vals) = csr.row(i.min(j));
+                u32::try_from(i.max(j))
+                    .ok()
+                    .and_then(|hi| cols.binary_search(&hi).ok())
+                    .map_or(0.0, |idx| vals[idx])
+            }
         }
     }
 
@@ -100,14 +161,27 @@ impl Couplings {
     pub fn field(&self, sigma: &[f64]) -> Vector {
         match self {
             Couplings::Dense(m) => m.matvec(&Vector(sigma.to_vec())),
-            Couplings::SparseRows { rows } => Vector::from_fn(rows.len(), |i| {
-                rows[i].iter().map(|&(j, v)| v * sigma[j]).sum()
-            }),
+            Couplings::SparseRows(csr) => {
+                // Scattering each edge to both ends in row order visits
+                // every f_i's terms in ascending j, as a full row would;
+                // -0.0 is the neutral start `Iterator::sum` uses.
+                let mut f = Vector::full(csr.len(), -0.0);
+                for i in 0..csr.len() {
+                    let (cols, vals) = csr.row(i);
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        let j = j as usize;
+                        f[i] += v * sigma[j];
+                        f[j] += v * sigma[i];
+                    }
+                }
+                f
+            }
         }
     }
 
     /// Quadratic pair energy `Σ_{i<j} B_ij σ_i σ_j = ½ σᵀ B σ` for one
-    /// configuration.
+    /// configuration.  The sparse arm is the scalar oracle of the tiled
+    /// batch kernel.
     pub fn pair_energy(&self, sigma: &[f64]) -> f64 {
         match self {
             Couplings::Dense(m) => {
@@ -123,13 +197,12 @@ impl Couplings {
                 }
                 acc
             }
-            Couplings::SparseRows { rows } => {
+            Couplings::SparseRows(csr) => {
                 let mut acc = 0.0;
-                for (i, row) in rows.iter().enumerate() {
-                    for &(j, v) in row {
-                        if j > i {
-                            acc += v * sigma[i] * sigma[j];
-                        }
+                for i in 0..csr.len() {
+                    let (cols, vals) = csr.row(i);
+                    for (&j, &v) in cols.iter().zip(vals) {
+                        acc += v * sigma[i] * sigma[j as usize];
                     }
                 }
                 acc
@@ -138,8 +211,8 @@ impl Couplings {
     }
 
     /// Batched pair energies `½ diag(Σ B Σᵀ)` where `Σ` is the batch of
-    /// Ising rows.  Dense backing uses one GEMM (the vectorised path the
-    /// GPU would take); sparse loops rows.
+    /// Ising rows.  Dense backing uses one GEMM; sparse runs the
+    /// sample-tiled signed-sum kernel (module docs).
     pub fn pair_energy_batch(&self, batch: &SpinBatch) -> Vector {
         let mut ws = Workspace::new();
         let mut out = Vector::default();
@@ -165,16 +238,7 @@ impl Couplings {
                 ws.give(sb.into_vec());
                 ws.give(sigma.into_vec());
             }
-            Couplings::SparseRows { .. } => {
-                let mut sigma = ws.take(batch.num_spins());
-                for s in 0..bs {
-                    for (v, &b) in sigma.iter_mut().zip(batch.sample(s)) {
-                        *v = 1.0 - 2.0 * b as f64;
-                    }
-                    out[s] = self.pair_energy(&sigma);
-                }
-                ws.give(sigma);
-            }
+            Couplings::SparseRows(csr) => csr.pair_energy_tiles(batch, ws, out.as_mut_slice()),
         }
     }
 
@@ -182,11 +246,63 @@ impl Couplings {
     pub fn storage_bytes(&self) -> usize {
         match self {
             Couplings::Dense(m) => std::mem::size_of_val(m.as_slice()),
-            Couplings::SparseRows { rows } => rows
-                .iter()
-                .map(|r| r.len() * std::mem::size_of::<(usize, f64)>())
-                .sum(),
+            Couplings::SparseRows(csr) => {
+                std::mem::size_of_val(csr.offsets.as_slice())
+                    + std::mem::size_of_val(csr.cols.as_slice())
+                    + std::mem::size_of_val(csr.vals.as_slice())
+            }
         }
+    }
+}
+
+impl UpperCsr {
+    /// The tiled batch kernel: tiles of [`PAIR_TILE`] samples striped
+    /// over the pool, each worker's sign masks (`n × PAIR_TILE` words)
+    /// carved from one `ws` buffer.  Padding lanes of a partial tile
+    /// read mask 0 and are never written out.
+    fn pair_energy_tiles(&self, batch: &SpinBatch, ws: &mut Workspace, out: &mut [f64]) {
+        let (n, bs) = (self.len(), batch.batch_size());
+        assert_eq!(batch.num_spins(), n, "Couplings: spin-count mismatch");
+        let tiles = bs.div_ceil(PAIR_TILE);
+        let parts = if par::should_parallelize(bs * self.nnz()) {
+            par::active_threads().min(tiles)
+        } else {
+            1
+        };
+        let kernel = simd::kernels().signed_pair_sum;
+        // Masks start on a cache line: a 128-byte mask row then spans two
+        // lines, not three (1.8× on the AVX-512 arm at n = 1024).
+        const LINE: usize = 64 / std::mem::size_of::<f64>();
+        let mut scratch = ws.take(parts * n * PAIR_TILE + LINE);
+        let skip = scratch.as_ptr().align_offset(64).min(LINE);
+        let pmasks = par::SendPtr(scratch[skip..].as_mut_ptr().cast::<[u64; PAIR_TILE]>());
+        let pout = par::SendPtr(out.as_mut_ptr());
+        par::run(parts, &|w| {
+            // SAFETY: worker `w` owns masks `[w·n, (w+1)·n)` of the
+            // `parts·n` rows that follow the `skip ≤ LINE` spare words
+            // (`[u64; 16]` has f64's alignment) and the output samples of
+            // its own tiles; both buffers outlive the region.
+            let masks = unsafe { std::slice::from_raw_parts_mut(pmasks.get().add(w * n), n) };
+            for t in par::stripe(tiles, parts, w) {
+                let s0 = t * PAIR_TILE;
+                let lanes = (bs - s0).min(PAIR_TILE);
+                for lane in 0..PAIR_TILE {
+                    if lane < lanes {
+                        for (m, &x) in masks.iter_mut().zip(batch.sample(s0 + lane)) {
+                            m[lane] = u64::from(x) << 63;
+                        }
+                    } else {
+                        masks.iter_mut().for_each(|m| m[lane] = 0);
+                    }
+                }
+                let mut acc = [0.0; PAIR_TILE];
+                kernel(&self.offsets, &self.cols, &self.vals, masks, &mut acc);
+                // SAFETY: samples `s0..s0 + lanes` belong to tile `t` only.
+                let dst = unsafe { std::slice::from_raw_parts_mut(pout.get().add(s0), lanes) };
+                dst.copy_from_slice(&acc[..lanes]);
+            }
+        });
+        ws.give(scratch);
     }
 }
 
@@ -194,10 +310,12 @@ impl std::fmt::Debug for Couplings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Couplings::Dense(m) => write!(f, "Couplings::Dense({}x{})", m.rows(), m.cols()),
-            Couplings::SparseRows { rows } => {
-                let nnz: usize = rows.iter().map(Vec::len).sum();
-                write!(f, "Couplings::SparseRows(n={}, nnz={})", rows.len(), nnz)
-            }
+            Couplings::SparseRows(csr) => write!(
+                f,
+                "Couplings::SparseRows(n={}, edges={})",
+                csr.len(),
+                csr.nnz()
+            ),
         }
     }
 }
@@ -303,5 +421,25 @@ mod tests {
     #[should_panic(expected = "self-loop")]
     fn sparse_rejects_self_loop() {
         let _ = Couplings::sparse_from_edges(3, &[(1, 1, 1.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate edge")]
+    fn sparse_rejects_duplicate_edge() {
+        // The reversed orientation is the same edge.
+        let _ = Couplings::sparse_from_edges(3, &[(0, 2, 1.0), (2, 0, 1.0)]);
+    }
+
+    #[test]
+    fn sparse_stores_each_edge_once() {
+        let (_, sparse) = both_backings();
+        let Couplings::SparseRows(csr) = &sparse else {
+            unreachable!()
+        };
+        assert_eq!(csr.nnz(), 3);
+        assert_eq!(csr.row(0), (&[1u32, 3][..], &[2.0, 0.5][..]));
+        assert_eq!(csr.row(3), (&[][..], &[][..]));
+        assert_eq!(sparse.storage_bytes(), 5 * 8 + 3 * 12);
+        assert_eq!(format!("{sparse:?}"), "Couplings::SparseRows(n=4, edges=3)");
     }
 }

@@ -72,7 +72,8 @@ pub trait SparseRowHamiltonian: Send + Sync {
     fn sparsity(&self) -> usize;
 
     /// Batched diagonal.  The default loops over samples; models with
-    /// dense couplings override this with a GEMM formulation.
+    /// pairwise couplings override this with the batched
+    /// [`Couplings`] kernel (GEMM when dense, tiled when sparse).
     fn diagonal_batch(&self, batch: &SpinBatch) -> Vector {
         let mut ws = Workspace::new();
         let mut out = Vector::default();

@@ -325,18 +325,14 @@ impl Qubo {
                 acc += li;
             }
         }
-        // Σ_{i<j} Q_ij x_i x_j — only pairs with both bits set count.
-        // Reuse the Ising pair kernel: x_i x_j = (1+σ_i)(1+σ_j)/4 would
-        // be indirect; just iterate the sparse rows via `get` through
-        // pair_energy of a ±1 encoding is wrong here, so do it directly.
+        // Σ_{i<j} Q_ij x_i x_j: add Q_ij for each upper-triangle pair with both bits set.
         match &self.quadratic {
-            Couplings::SparseRows { rows } => {
-                for (i, row) in rows.iter().enumerate() {
-                    if x[i] == 1 {
-                        for &(j, q) in row {
-                            if j > i && x[j] == 1 {
-                                acc += q;
-                            }
+            Couplings::SparseRows(csr) => {
+                for i in (0..csr.len()).filter(|&i| x[i] == 1) {
+                    let (cols, vals) = csr.row(i);
+                    for (&j, &q) in cols.iter().zip(vals) {
+                        if x[j as usize] == 1 {
+                            acc += q;
                         }
                     }
                 }

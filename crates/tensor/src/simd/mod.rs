@@ -14,6 +14,9 @@
 //!   scalar twin of every vector kernel.  This is the production arm
 //!   on non-x86_64 targets and the fallback everywhere else.
 //!
+//! [`signed_sum`] is the exception to hand-written twins: one plain
+//! lane-loop body, stamped under `#[target_feature]` for each arm.
+//!
 //! Fallback policy (first match wins):
 //!
 //! 1. `--features force-scalar`, or a non-x86_64 target → portable arm
@@ -44,6 +47,9 @@ use std::sync::OnceLock;
 pub mod exp;
 pub mod portable;
 pub mod portable32;
+pub mod signed_sum;
+
+pub use signed_sum::PAIR_TILE;
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 pub mod avx2;
@@ -80,6 +86,10 @@ pub type MicroKernel = unsafe fn(kc: usize, ap: *const f64, bp: *const f64, tile
 /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`.
 pub type SampleStepCols =
     fn(&mut [f64], usize, Option<&[f64]>, &[f64], &[f64], f64, &mut [f64], &mut [f64]);
+
+/// Sample-tiled signed pair sum over a strict-upper-triangle CSR:
+/// `(offsets, cols, vals, masks, acc)` — see [`signed_sum`].
+pub type SignedPairSum = fn(&[usize], &[u32], &[f64], &[[u64; PAIR_TILE]], &mut [f64; PAIR_TILE]);
 
 /// The resolved kernel table: one function pointer per hot-path
 /// primitive.  `Copy` — consumers hold `&'static Kernels`.
@@ -124,6 +134,9 @@ pub struct Kernels {
     pub sum_exp_shifted: fn(&[f64], f64) -> f64,
     /// The packed-GEMM 8×4 microkernel.
     pub micro_8x4: MicroKernel,
+    /// `Σ_{i<j} B_ij σ_i σ_j` for [`PAIR_TILE`] samples over an
+    /// upper-triangle CSR, spins as sign masks (one body, all arms).
+    pub signed_pair_sum: SignedPairSum,
 }
 
 /// The portable arm as a constant table.
@@ -143,6 +156,7 @@ static PORTABLE: Kernels = Kernels {
     sq_dev_sum: portable::sq_dev_sum,
     sum_exp_shifted: portable::sum_exp_shifted,
     micro_8x4: portable::micro_8x4 as MicroKernel,
+    signed_pair_sum: signed_sum::portable,
 };
 
 /// The portable-scalar table, regardless of what the production
@@ -208,6 +222,15 @@ mod avx2_table {
     fn sum_exp_shifted(xs: &[f64], m: f64) -> f64 {
         unsafe { avx2::sum_exp_shifted(xs, m) }
     }
+    fn signed_pair_sum(
+        offsets: &[usize],
+        cols: &[u32],
+        vals: &[f64],
+        masks: &[[u64; PAIR_TILE]],
+        acc: &mut [f64; PAIR_TILE],
+    ) {
+        unsafe { signed_sum::avx2(offsets, cols, vals, masks, acc) }
+    }
 
     pub(super) static AVX2: Kernels = Kernels {
         backend: Backend::Avx2Fma,
@@ -225,6 +248,7 @@ mod avx2_table {
         sq_dev_sum,
         sum_exp_shifted,
         micro_8x4: avx2::micro_8x4 as MicroKernel,
+        signed_pair_sum,
     };
 }
 
@@ -247,11 +271,21 @@ mod avx512_table {
     ) {
         unsafe { avx512::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits) }
     }
+    fn signed_pair_sum(
+        offsets: &[usize],
+        cols: &[u32],
+        vals: &[f64],
+        masks: &[[u64; PAIR_TILE]],
+        acc: &mut [f64; PAIR_TILE],
+    ) {
+        unsafe { signed_sum::avx512(offsets, cols, vals, masks, acc) }
+    }
 
     /// The AVX2 table with AVX-512 overrides.
     pub(super) static AVX512: Kernels = Kernels {
         backend: Backend::Avx512,
         sample_step_cols,
+        signed_pair_sum,
         ..avx2_table::AVX2
     };
 }
