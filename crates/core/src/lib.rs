@@ -136,7 +136,10 @@ mod alloc_test {
     use crate::trainer::{OptimizerChoice, Trainer, TrainerConfig};
     use vqmc_hamiltonian::{LocalEnergyConfig, MaxCut, SparseRowHamiltonian, TransverseFieldIsing};
     use vqmc_nn::Made;
-    use vqmc_sampler::{AutoSampler, IncrementalAutoSampler};
+    use vqmc_sampler::{
+        AutoSampler, BatchSampler, IncrementalAutoSampler, MadeBatchSampler, SampleRequest,
+    };
+    use vqmc_tensor::{par, Precision, SpinBatch, Vector};
 
     fn config(opt: OptimizerChoice) -> TrainerConfig {
         TrainerConfig {
@@ -148,60 +151,49 @@ mod alloc_test {
         }
     }
 
-    fn assert_steady_state_alloc_free(
-        mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
-        h: &dyn SparseRowHamiltonian,
-        label: &str,
-    ) {
-        let mut opt = t.make_optimizer();
-        // Warm-up: the first iteration sizes every buffer; the second
-        // catches anything sized lazily off the first iteration's data.
-        for _ in 0..2 {
-            t.step(h, opt.as_mut());
-        }
+    /// After a two-call warm-up (the first call sizes every buffer; the
+    /// second catches anything sized lazily off the first call's data),
+    /// four more calls of `call` make no heap allocation on this thread.
+    fn assert_calls_alloc_free(mut call: impl FnMut(), label: &str) {
+        call();
+        call();
         let before = current_thread_allocs();
         for _ in 0..4 {
-            t.step(h, opt.as_mut());
+            call();
         }
         let after = current_thread_allocs();
         assert_eq!(
             after - before,
             0,
-            "{label}: {} heap allocations in 4 steady-state iterations",
+            "{label}: {} heap allocations in 4 steady-state calls",
             after - before
         );
     }
 
-    /// With the worker pool active (4 threads, batch big enough that the
-    /// kernels actually dispatch to workers), steady-state
-    /// `Trainer::step` still performs **zero** heap allocations —
-    /// measured with the *process-wide* counter, so worker threads are
-    /// in scope.  Pool dispatch borrows the caller's job closure (no
-    /// boxing), workers are spawned during warm-up, and every kernel
-    /// runs out of buffers sized on the first iterations.
+    /// With the worker pool active (4 threads, work big enough that the
+    /// kernels actually dispatch to workers), steady-state calls still
+    /// perform **zero** heap allocations — measured with the
+    /// *process-wide* counter, so worker threads are in scope.  Pool
+    /// dispatch borrows the caller's job closure (no boxing), workers
+    /// are spawned during warm-up, and every kernel runs out of buffers
+    /// sized on the first calls.
     ///
     /// Other tests in this binary run concurrently and also allocate, so
-    /// a single global-delta reading can be polluted.  A step that
+    /// a single global-delta reading can be polluted.  A call that
     /// itself allocates does so on *every* round; we therefore require
     /// at least one clean round out of several, which is immune to
     /// transient pollution but still fails reliably on a real
     /// regression.
-    fn assert_pool_active_alloc_free(
-        mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
-        h: &dyn SparseRowHamiltonian,
-        label: &str,
-    ) {
+    fn assert_pool_calls_alloc_free(mut call: impl FnMut(), label: &str) {
         vqmc_tensor::par::with_threads(4, || {
-            let mut opt = t.make_optimizer();
             // Warm-up: sizes every buffer *and* spawns the pool workers
             // (their stacks and TLS are one-time costs, not steady state).
-            for _ in 0..2 {
-                t.step(h, opt.as_mut());
-            }
+            call();
+            call();
             let mut best = u64::MAX;
             for _ in 0..8 {
                 let before = global_allocs();
-                t.step(h, opt.as_mut());
+                call();
                 let after = global_allocs();
                 best = best.min(after - before);
                 if best == 0 {
@@ -213,6 +205,34 @@ mod alloc_test {
                 "{label}: pool-active steady state: best round still made {best} heap allocations"
             );
         });
+    }
+
+    fn assert_steady_state_alloc_free(
+        mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
+        h: &dyn SparseRowHamiltonian,
+        label: &str,
+    ) {
+        let mut opt = t.make_optimizer();
+        assert_calls_alloc_free(
+            || {
+                t.step(h, opt.as_mut());
+            },
+            label,
+        );
+    }
+
+    fn assert_pool_active_alloc_free(
+        mut t: Trainer<Made, impl vqmc_sampler::Sampler<Made>>,
+        h: &dyn SparseRowHamiltonian,
+        label: &str,
+    ) {
+        let mut opt = t.make_optimizer();
+        assert_pool_calls_alloc_free(
+            || {
+                t.step(h, opt.as_mut());
+            },
+            label,
+        );
     }
 
     #[test]
@@ -333,6 +353,44 @@ mod alloc_test {
             },
         );
         assert_pool_active_alloc_free(t, &h, "Max-Cut AUTO-incremental + Adam");
+    }
+
+    /// The serving shape: a steady-state coalesced f32 `BatchSampler`
+    /// pass allocates nothing, sequentially and with the pool active.
+    fn assert_f32_sampling_alloc_free(wf: &Made, label: &str) {
+        let reqs = [
+            SampleRequest { count: 24, seed: 1 },
+            SampleRequest { count: 40, seed: 2 },
+            SampleRequest { count: 7, seed: 3 },
+        ];
+        let mut bs = BatchSampler::new();
+        bs.set_precision(Precision::F32);
+        let (mut batch, mut log_psi) = (SpinBatch::default(), Vector::default());
+        let mut pass = || {
+            bs.sample_requests(wf, &reqs, &mut batch, &mut log_psi);
+        };
+        par::with_threads(1, || assert_calls_alloc_free(&mut pass, label));
+        assert_pool_calls_alloc_free(&mut pass, label);
+    }
+
+    #[test]
+    fn f32_coalesced_sampling_is_allocation_free_at_steady_state() {
+        assert_f32_sampling_alloc_free(&Made::new(12, 20, 5), "depth-1 f32");
+        assert_f32_sampling_alloc_free(&Made::with_hidden(12, &[20, 10], 5), "depth-2 f32");
+    }
+
+    /// Every trainer builds a `MadeBatchSampler` in its setup; a fresh
+    /// one must not touch the heap (buffers grow on first use).
+    #[test]
+    fn made_batch_sampler_default_allocates_nothing() {
+        let before = current_thread_allocs();
+        let sampler = std::hint::black_box(MadeBatchSampler::default());
+        let made = current_thread_allocs() - before;
+        drop(sampler);
+        assert_eq!(
+            made, 0,
+            "MadeBatchSampler::default made {made} heap allocations"
+        );
     }
 }
 

@@ -92,10 +92,11 @@ impl<W: Autoregressive + ?Sized> Sampler<W> for AutoSampler {
 ///
 /// Draws the same `bs × n` uniform variates in the same order as
 /// [`AutoSampler`], so outputs are bit-identical for a given RNG state
-/// (property-tested) — and since the engine unification, the training
-/// hot path dispatches into the same fused `sample_step_cols` SIMD
-/// kernel that powers coalesced serving, instead of a private row-major
-/// pass.
+/// (property-tested).  Training shares the engine's dispatch with
+/// coalesced serving: batches of 8+ rows whose panel fits the
+/// per-worker L2 cap run the fused `sample_step_cols` panel, the rest
+/// (tiny batches, and large depth-1 panels at few threads — e.g. the
+/// `n = 1024` Max-Cut batch at one thread) run the row-major path.
 ///
 /// The engine's scratch (activation panel, cached `W₁ᵀ` invalidated via
 /// [`Made::params_version`]) is pooled across calls: at steady state

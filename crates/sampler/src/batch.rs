@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! Trainer ─────────┐
-//! DistributedTrainer ├─▶ BatchedSampling ─▶ BatchSampler ─┬▶ MadeBatchSampler (fused panel)
+//! DistributedTrainer ├─▶ BatchedSampling ─▶ BatchSampler ─┬▶ MadeBatchSampler (row path or fused panel)
 //! serve::Engine ───┤       (vqmc-nn)                      ├▶ NadeBatchSampler (native recursion)
 //! CLI evaluate/sample ┘                                   └▶ McmcSampler      (RBM fallback)
 //! ```
@@ -41,13 +41,15 @@ pub struct SampleRequest {
     pub seed: u64,
 }
 
-/// Which activation layout the MADE panel sampler uses.
+/// Which activation layout the MADE sampler uses at depth 1.
 ///
 /// `Auto` (the default) picks by combined row count; the forced
 /// variants exist for the cross-layout bit-identity tests and the
 /// before/after kernel benchmarks — both layouts compute the same
 /// arithmetic in the same per-row accumulation order, so forcing is
-/// observationally invisible apart from speed.
+/// observationally invisible apart from speed.  Deep stacks have only
+/// the panel layout; there, and in the f32 arm at any depth, forcing
+/// `Rows` means "run the f64 arithmetic" (see [`MadeBatchSampler`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PanelLayout {
     /// Dispatch on the combined shape: cols at ≥ 8 rows, unless the
@@ -82,6 +84,58 @@ const PAR_ROW_UNIT: usize = 8;
 /// a pool dispatch per bit cannot amortise over fewer than two stripes.
 const PAR_ROWS_MIN: usize = 16;
 
+/// Bits per `log σ` chunk of the panel path (see [`DrawBufs::ls_buf`]).
+const LS_CHUNK: usize = 512;
+
+/// Which implementation a MADE pass runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum SamplerPath {
+    /// Row-major activations, per-row `relu_dot` + `axpy` (depth 1, f64).
+    Rows,
+    /// The transposed panel pass on f64 panels.
+    PanelF64,
+    /// The transposed panel pass on f32 panels (f64 logits).
+    PanelF32,
+}
+
+/// The MADE path choice — a pure function of the pass's shape, so the
+/// dispatch can be pinned per workload without running it.
+///
+/// The f32 arm rides the panel *unconditionally* unless `Rows` is
+/// forced.  The f64 Auto heuristics must not apply to it: the L2 panel
+/// cap depends on the thread count and the small-batch threshold on the
+/// *combined* row count, and in the f32 arm a layout flip changes
+/// precision (the row path is f64), not just speed — which would break
+/// bit-identity across thread counts and the coalesced≡solo invariant.
+/// Forcing `Rows` under f32 means the f64 arithmetic instead
+/// (documented fallback): the row path at depth 1, the f64 panel deeper.
+/// Deep stacks have no row path.
+fn choose_path(
+    precision: Precision,
+    depth: usize,
+    layout: PanelLayout,
+    rows: usize,
+    h: usize,
+    threads: usize,
+) -> SamplerPath {
+    if precision == Precision::F32 && layout != PanelLayout::Rows {
+        return SamplerPath::PanelF32;
+    }
+    let cols = depth > 1
+        || match layout {
+            PanelLayout::Auto => {
+                rows >= COLS_THRESHOLD && h * rows * 8 <= COLS_PANEL_CAP_BYTES * threads
+            }
+            PanelLayout::Rows => false,
+            PanelLayout::Cols => true,
+        };
+    if cols {
+        SamplerPath::PanelF64
+    } else {
+        SamplerPath::Rows
+    }
+}
+
 /// The coalesced MADE sampler: the incremental AUTO pass, generalised
 /// to draw each row-range of the combined batch from its own
 /// request-seeded RNG — or the whole batch from one external stream
@@ -92,63 +146,83 @@ const PAR_ROWS_MIN: usize = 16;
 /// configurations *and* `logψ` — to a solo
 /// `sample_stream(wf, count_r, StdRng::seed_from_u64(seed_r))`.
 ///
-/// Two layouts, same arithmetic (dispatch on the combined row count):
+/// Two layouts, same arithmetic:
 ///
-/// * **row path** (small batches) — one `rows·h` row-major activation
-///   buffer, per-row `relu_dot` + `axpy`, vectorised along `h`;
-/// * **cols path** (`rows ≥ 8`) — a *transposed* `h·rows` panel driven
-///   by the fused `sample_step_cols` kernel: the deferred `W₁` column
-///   update and the logit reduction happen in **one** memory pass over
-///   the panel, vectorised along the batch, so the per-bit weight rows
-///   (`W₁ᵀ` and `W₂`) are streamed once per *batch* instead of once per
-///   *row*.  That amortisation is where the batched throughput comes
-///   from once the weights outgrow cache — and since the unification it
-///   is the training hot path's layout too (training batches are far
-///   above the threshold).
+/// * **row path** — one `rows·h` row-major activation buffer, per-row
+///   `relu_dot` + `axpy`, vectorised along `h`.  Depth 1, f64 only: it
+///   runs below 8 combined rows and, under `Auto`, whenever the
+///   transposed panel would outgrow `COLS_PANEL_CAP_BYTES` per pool
+///   worker.  That includes large training batches at one thread (the
+///   `n = 1024`, `h = 240`, 1024-row Max-Cut step's 1.97 MB panel), so
+///   training does **not** always run the panel;
+/// * **panel path** — a *transposed* `h·rows` panel per hidden layer
+///   driven by the fused `sample_step_cols` kernel: the deferred `W₁`
+///   column update and the next reduction happen in **one** memory pass
+///   over the panel, vectorised along the batch, so the per-bit weight
+///   rows are streamed once per *batch* instead of once per *row*.  One
+///   generic body serves f64 and f32 panels at every depth; depth 1 is
+///   the case with no hidden-to-hidden layers.
 ///
 /// The kernel reproduces `relu_dot`'s per-row accumulation order
 /// exactly (property-tested in `vqmc-tensor`), so both paths produce
 /// bit-identical output and the solo-identity invariant holds
-/// regardless of which one dispatched.
+/// regardless of which one dispatched.  See `choose_path` for the
+/// dispatch rule.
 #[derive(Debug, Default)]
 pub struct MadeBatchSampler {
     /// Layout override (tests / benchmarks only).
     layout: PanelLayout,
-    /// Execution precision (DESIGN.md §4.1.1).  `F32` runs the cols
-    /// path on the `f32` kernel twins — `f32` panel and weights, `f64`
+    /// Execution precision (DESIGN.md §4.1.1).  `F32` runs the panel
+    /// path on the `f32` kernel twins — `f32` panels and weights, `f64`
     /// logit accumulation, so the RNG draw loop and `logπ` pipeline are
-    /// *shared verbatim* with the f64 arm; the row path (tiny batches)
-    /// stays f64, as do NADE/RBM (no f32 twins — documented fallback).
+    /// *shared verbatim* with the f64 arm; NADE/RBM stay f64 (no f32
+    /// twins — documented fallback).
     precision: Precision,
     /// Per-row hidden pre-activations (`rows · h`, row path).
     z1: Vec<f64>,
-    /// Transposed pre-activation panel (`h · rows`, cols path).
-    z1t: Vec<f64>,
-    /// Which rows drew the previous bit as 1 (`1.0`/`0.0`, cols path —
-    /// the deferred update mask for `sample_step_cols`).
-    prev_mask: Vec<f64>,
-    /// Drawn bits in transposed `n · rows` layout (cols path): the
-    /// per-bit draw loop stores sequentially here instead of striding
-    /// across the row-major output (64 pages touched per bit);
-    /// transposed into the output in one tiled pass at the end.
-    bits_t: Vec<u8>,
-    /// Sign-flipped logits for a chunk of bits (cols path): `log σ` is
-    /// applied to `LS_CHUNK·rows` elements at a time so the
-    /// transcendental kernel runs at vector-friendly slice lengths
-    /// instead of once per bit.  Elementwise results and the ascending
-    /// bit-order accumulation into `log_prob` are unchanged, so this
-    /// stays bit-identical to the per-bit path.
-    ls_buf: Vec<f64>,
-    /// Accumulator stripes plus per-bit mask stash for
-    /// `sample_step_cols` (`6 · rows`; each pool stripe uses its own
-    /// contiguous `6 · bw` slice, honouring the kernel's scratch
-    /// contract per stripe).
-    cols_scratch: Vec<f64>,
-    /// Pre-drawn uniform variates for one bit (`rows`): the RNG streams
-    /// are advanced *sequentially* in the exact (stream, row) order of
-    /// the draw loop before the parallel region consumes them, so the
-    /// variate sequence — and hence every drawn bit — is independent of
-    /// the thread count.
+    /// f64 panel buffers.
+    panel64: PanelBufs<f64>,
+    /// f32 panel buffers.
+    panel32: PanelBufs<f32>,
+    /// Precision-independent per-row state.
+    draw: DrawBufs,
+    /// Per-request row counts (pooled mirror of the request list).
+    counts: Vec<usize>,
+    /// Cached `W₁ᵀ`, invalidated via [`Made::params_version`].
+    w1_t: Matrix,
+    cached_version: Option<u64>,
+    /// Cached narrowed sampler weights (`W₁ᵀ`, deeper layers, biases as
+    /// f32), invalidated via [`MadeF32::version`] against
+    /// [`Made::params_version`].
+    m32: Option<MadeF32>,
+}
+
+/// One element type's panel buffers.  Each is stripe-blocked: pool
+/// stripe `w` owns the contiguous slice at its row offset `start`
+/// (`h·start` for an `h`-wide panel, `[j·bw + local_s]` inside).
+#[derive(Debug, Default)]
+struct PanelBufs<T> {
+    /// Layer-1 transposed pre-activation panel (`h₁ · rows`).
+    z1t: Vec<T>,
+    /// Panels of hidden layers `l ≥ 2`, layer-major (`Σ h_l · rows`;
+    /// offsets are a pure function of the widths).
+    zdeep: Vec<T>,
+    /// Which rows drew the previous bit as 1 (`1`/`0`) — the deferred
+    /// update mask for `sample_step_cols`.
+    prev_mask: Vec<T>,
+    /// Kernel accumulator stripes plus mask stash, honouring the
+    /// kernel's scratch contract per stripe (`SCRATCH_PER_ROW · rows`).
+    scratch: Vec<T>,
+}
+
+/// Precision-independent per-row state of a MADE pass.
+#[derive(Debug, Default)]
+struct DrawBufs {
+    /// Per-request RNG streams (rebuilt each coalesced call; capacity
+    /// reused).
+    rngs: Vec<StdRng>,
+    /// Pre-drawn uniform variates for one bit (`rows`, panel path),
+    /// drawn sequentially before the parallel region consumes them.
     u_buf: Vec<f64>,
     /// Per-row accumulated `log π`.
     log_prob: Vec<f64>,
@@ -156,36 +230,94 @@ pub struct MadeBatchSampler {
     logits: Vec<f64>,
     /// `σ(logits)` scratch.
     probs: Vec<f64>,
-    /// Per-request RNG streams (rebuilt each coalesced call; capacity
-    /// reused).
-    rngs: Vec<StdRng>,
-    /// Per-request row counts (pooled mirror of the request list).
-    counts: Vec<usize>,
-    /// Cached `W₁ᵀ`, invalidated via [`Made::params_version`].
-    w1_t: Matrix,
-    cached_version: Option<u64>,
-    /// f32 transposed pre-activation panel (`h · rows`, f32 cols path).
-    z1t32: Vec<f32>,
-    /// f32 deferred-update mask (f32 cols path).
-    prev_mask32: Vec<f32>,
-    /// f32 kernel scratch (`10 · rows` per the f32 kernel's contract:
-    /// 9 accumulator stripes + the mask stash stripe).
-    cols_scratch32: Vec<f32>,
-    /// Cached narrowed sampler weights (`W₁ᵀ`, `W₂`, biases as f32),
-    /// invalidated via [`MadeF32::version`] against
-    /// [`Made::params_version`].
-    m32: Option<MadeF32>,
-    /// Deeper-layer pre-activation panels (deep stacks only): one flat
-    /// buffer holding a stripe-blocked `h_l · rows` transposed panel
-    /// per hidden layer `l ≥ 2`, laid out layer-major (offsets are a
-    /// pure function of the widths, computed on the stack per call).
-    zdeep: Vec<f64>,
-    /// f32 twin of [`MadeBatchSampler::zdeep`].
-    zdeep32: Vec<f32>,
-    /// Per-unit f64 logit staging for the f32 deep path (`rows`): the
-    /// f32 kernel accumulates each unit's pre-activation in f64, which
-    /// lands here before being narrowed into the f32 panel row.
-    dlog: Vec<f64>,
+    /// Drawn bits in transposed `n · rows` layout (panel path): stored
+    /// sequentially per bit instead of striding across the row-major
+    /// output, then transposed in one tiled pass at the end.
+    bits_t: Vec<u8>,
+    /// Sign-flipped logits for a chunk of bits (panel path): `log σ` is
+    /// applied to `LS_CHUNK·rows` elements at a time so the
+    /// transcendental kernel runs at vector-friendly slice lengths
+    /// instead of once per bit.  Elementwise results and the ascending
+    /// bit-order accumulation into `log_prob` are unchanged, so this
+    /// stays bit-identical to the per-bit path.
+    ls_buf: Vec<f64>,
+}
+
+/// The fused bit-step kernel over a `T` panel, `f64` logits — the
+/// shape shared by `Kernels::sample_step_cols` and its f32 twin.
+type StepCols<T> = fn(&mut [T], usize, Option<&[T]>, &[T], &[T], f64, &mut [T], &mut [f64]);
+
+/// Everything the f64 and f32 panel passes do differently.  The pass
+/// itself ([`panel_pass`]) is written once against this trait.
+trait PanelArm: Sync {
+    /// Panel, mask and weight element.
+    type Elem: Copy + Send + Sync + From<u8> + Into<f64>;
+    /// Kernel scratch per row (the kernel table's contract).
+    const SCRATCH_PER_ROW: usize;
+    /// The dispatched `sample_step_cols` for this element.
+    fn step() -> StepCols<Self::Elem>;
+    /// `W₁ᵀ` row `i` (column `i` of `W₁`).
+    fn w1t_row(&self, i: usize) -> &[Self::Elem];
+    /// Row `k` of layer `l`'s weights (`l ≥ 1`).
+    fn w_row(&self, l: usize, k: usize) -> &[Self::Elem];
+    /// Layer `l`'s bias.
+    fn b(&self, l: usize) -> &[Self::Elem];
+    /// Runs the kernel call `f` for one hidden unit bound for
+    /// `panel_row`: f64 lets it write the row in place, f32 lets it
+    /// write `stage` and narrows the result into the row.
+    fn unit(panel_row: &mut [Self::Elem], stage: &mut [f64], f: impl FnOnce(&mut [f64]));
+}
+
+/// The f64 weight view: the cached `W₁ᵀ` plus the model's own layers.
+struct F64Weights<'a> {
+    w1_t: &'a Matrix,
+    wf: &'a Made,
+}
+
+impl PanelArm for F64Weights<'_> {
+    type Elem = f64;
+    const SCRATCH_PER_ROW: usize = 6;
+    fn step() -> StepCols<f64> {
+        vqmc_tensor::simd::kernels().sample_step_cols
+    }
+    fn w1t_row(&self, i: usize) -> &[f64] {
+        self.w1_t.row(i)
+    }
+    fn w_row(&self, l: usize, k: usize) -> &[f64] {
+        self.wf.layers()[l].w().row(k)
+    }
+    fn b(&self, l: usize) -> &[f64] {
+        self.wf.layers()[l].b().as_slice()
+    }
+    fn unit(panel_row: &mut [f64], _stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
+        f(panel_row)
+    }
+}
+
+/// The f32 weight view: the cached narrowed copy.  The f32 kernel
+/// accumulates each unit in f64, which is staged and narrowed once per
+/// panel row.
+impl PanelArm for MadeF32 {
+    type Elem = f32;
+    const SCRATCH_PER_ROW: usize = 10;
+    fn step() -> StepCols<f32> {
+        vqmc_tensor::simd::kernels_f32().sample_step_cols
+    }
+    fn w1t_row(&self, i: usize) -> &[f32] {
+        MadeF32::w1t_row(self, i)
+    }
+    fn w_row(&self, l: usize, k: usize) -> &[f32] {
+        self.layer_w_row(l, k)
+    }
+    fn b(&self, l: usize) -> &[f32] {
+        self.layer_b(l)
+    }
+    fn unit(panel_row: &mut [f32], stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
+        f(stage);
+        for (dst, &v) in panel_row.iter_mut().zip(&*stage) {
+            *dst = v as f32;
+        }
+    }
 }
 
 impl MadeBatchSampler {
@@ -195,16 +327,18 @@ impl MadeBatchSampler {
     }
 
     /// Overrides the layout dispatch (cross-layout identity tests and
-    /// before/after benchmarks).
+    /// before/after benchmarks).  Only depth-1 f64 passes have a
+    /// layout choice; elsewhere `Rows` only selects the f64 arithmetic
+    /// and `Cols` is the default (see [`PanelLayout`]).
     pub fn force_layout(&mut self, layout: PanelLayout) {
         self.layout = layout;
     }
 
     /// Selects the execution precision for subsequent passes.  `F32`
-    /// affects the cols path only (see the `precision` field docs);
-    /// results within the f32 arm remain bit-identical across SIMD
-    /// arms, thread counts and coalescing, but are only *bound*-close
-    /// to the f64 arm.
+    /// runs the panel path on f32 panels (see the `precision` field
+    /// docs); results within the f32 arm remain bit-identical across
+    /// SIMD arms, thread counts and coalescing, but are only
+    /// *bound*-close to the f64 arm.
     pub fn set_precision(&mut self, precision: Precision) {
         self.precision = precision;
     }
@@ -218,11 +352,11 @@ impl MadeBatchSampler {
         out_batch: &mut SpinBatch,
         out_log_psi: &mut Vector,
     ) {
-        self.rngs.clear();
+        self.draw.rngs.clear();
         let mut counts = std::mem::take(&mut self.counts);
         counts.clear();
         for req in reqs {
-            self.rngs.push(StdRng::seed_from_u64(req.seed));
+            self.draw.rngs.push(StdRng::seed_from_u64(req.seed));
             counts.push(req.count);
         }
         self.sample_core(wf, &counts, None, out_batch, out_log_psi);
@@ -244,7 +378,7 @@ impl MadeBatchSampler {
 
     /// The shared pass.  `counts[q]` rows are drawn for stream `q`; the
     /// RNG of a stream is `external` when given (single caller-owned
-    /// stream), else `self.rngs[q]` (seeded per request).  The draw
+    /// stream), else `draw.rngs[q]` (seeded per request).  The draw
     /// order within a stream is always bit-major then
     /// row-within-stream, so a stream sees the exact variate sequence
     /// it would see alone.
@@ -252,933 +386,320 @@ impl MadeBatchSampler {
         &mut self,
         wf: &Made,
         counts: &[usize],
-        mut external: Option<&mut StdRng>,
-        out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
-    ) {
-        if wf.depth() > 1 {
-            // Deep stacks take the dedicated panel pipeline below; the
-            // depth-1 arms stay verbatim (their bit-for-bit output is
-            // pinned by the golden trace).
-            self.sample_deep(wf, counts, external, out_batch, out_log_psi);
-            return;
-        }
-        let n = wf.num_spins();
-        let h = wf.hidden_size();
-        let rows: usize = counts.iter().sum();
-        out_batch.resize(rows, n);
-        out_batch.fill(0);
-
-        let b1 = wf.b1();
-        let w2 = wf.w2();
-        let b2 = wf.b2();
-        self.log_prob.clear();
-        self.log_prob.resize(rows, 0.0);
-        self.logits.resize(rows, 0.0);
-        self.probs.resize(rows, 0.0);
-        let kern = vqmc_tensor::simd::kernels();
-
-        // The f32 arm rides the cols path *unconditionally* under
-        // Auto.  The f64 Auto heuristics must not apply: the L2 panel
-        // cap depends on the thread count and the small-batch
-        // threshold on the *combined* row count, and in the f32 arm a
-        // layout flip changes precision (the row path is f64), not
-        // just speed — which would break bit-identity across thread
-        // counts and the coalesced≡solo invariant.  Forcing `Rows`
-        // still means the f64 row path (documented fallback).
-        let use_cols_f32 = self.precision == Precision::F32
-            && self.layout != PanelLayout::Rows
-            && rows > 0;
-        let use_cols = !use_cols_f32
-            && match self.layout {
-                PanelLayout::Auto => {
-                    rows >= COLS_THRESHOLD
-                        && h * rows * 8 <= COLS_PANEL_CAP_BYTES * par::active_threads()
-                }
-                PanelLayout::Rows => false,
-                PanelLayout::Cols => true,
-            };
-        if use_cols_f32 {
-            if self.m32.as_ref().map(|m| m.version()) != Some(wf.params_version()) {
-                self.m32 = Some(MadeF32::for_sampling(wf));
-            }
-        } else if self.cached_version != Some(wf.params_version()) {
-            wf.w1().transpose_into(&mut self.w1_t);
-            self.cached_version = Some(wf.params_version());
-        }
-        if use_cols_f32 {
-            // f32 cols path: same structure as the f64 cols path below
-            // — transposed panel, deferred prev-bit update, fused
-            // per-bit kernel — with the panel, weights and mask in f32
-            // (half the streamed bytes, twice the lanes).  The kernel
-            // still returns **f64 logits** (f64-widened combine), and
-            // everything downstream of the logits — `σ`, the RNG draw
-            // loop, the `log σ` chunks, `logπ` accumulation — is the
-            // f64 pipeline *verbatim*, so draw order and stream
-            // semantics are shared with the f64 arm and output is
-            // bit-identical at any thread count within the f32 arm.
-            let MadeBatchSampler {
-                z1t32,
-                prev_mask32,
-                bits_t,
-                cols_scratch32,
-                ls_buf,
-                u_buf,
-                log_prob,
-                logits,
-                probs,
-                rngs,
-                m32,
-                ..
-            } = self;
-            let m32 = m32.as_ref().expect("f32 weights cached above");
-            let kern32 = vqmc_tensor::simd::kernels_f32();
-            bits_t.resize(n * rows, 0);
-            bits_t.truncate(n * rows);
-            let units = rows.div_ceil(PAR_ROW_UNIT);
-            let parts = if rows >= PAR_ROWS_MIN {
-                par::active_threads().min(units.max(1))
-            } else {
-                1
-            };
-            let stripe = |w: usize| {
-                let u = par::stripe(units, parts, w);
-                (
-                    (u.start * PAR_ROW_UNIT).min(rows),
-                    (u.end * PAR_ROW_UNIT).min(rows),
-                )
-            };
-            z1t32.clear();
-            z1t32.reserve(h * rows);
-            for w in 0..parts {
-                let (start, end) = stripe(w);
-                for &bj in m32.b1() {
-                    z1t32.extend(std::iter::repeat_n(bj, end - start));
-                }
-            }
-            prev_mask32.clear();
-            prev_mask32.resize(rows, 0.0);
-            cols_scratch32.resize(10 * rows, 0.0);
-            const LS_CHUNK: usize = 512;
-            ls_buf.clear();
-            ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
-            u_buf.clear();
-            u_buf.resize(rows, 0.0);
-            for i in 0..n {
-                // Pre-draw sequentially — identical to the f64 path.
-                let mut s = 0;
-                for (q, &count) in counts.iter().enumerate() {
-                    let rng: &mut StdRng = match external.as_deref_mut() {
-                        Some(r) => r,
-                        None => &mut rngs[q],
-                    };
-                    for _ in 0..count {
-                        u_buf[s] = rng.gen::<f64>();
-                        s += 1;
-                    }
-                }
-                let w_prev = (i > 0).then(|| m32.w1t_row(i - 1));
-                let w2_row = m32.w2_row(i);
-                let b2_i = m32.b2()[i] as f64;
-                let c = i % LS_CHUNK;
-                let pz = par::SendPtr(z1t32.as_mut_ptr());
-                let pscratch = par::SendPtr(cols_scratch32.as_mut_ptr());
-                let plogits = par::SendPtr(logits.as_mut_ptr());
-                let pprobs = par::SendPtr(probs.as_mut_ptr());
-                let pmask = par::SendPtr(prev_mask32.as_mut_ptr());
-                let pbits = par::SendPtr(bits_t[i * rows..(i + 1) * rows].as_mut_ptr());
-                let psigned = par::SendPtr(ls_buf[c * rows..(c + 1) * rows].as_mut_ptr());
-                let u_ref: &[f64] = u_buf;
-                par::run(parts, &|w| {
-                    let (start, end) = stripe(w);
-                    if start >= end {
-                        return;
-                    }
-                    let bw = end - start;
-                    // SAFETY: same disjoint-stripe argument as the f64
-                    // path; the f32 scratch is 10 elements per row.
-                    unsafe {
-                        use std::slice::from_raw_parts_mut;
-                        let zt = from_raw_parts_mut(pz.get().add(h * start), h * bw);
-                        let scratch =
-                            from_raw_parts_mut(pscratch.get().add(10 * start), 10 * bw);
-                        let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
-                        let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
-                        let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
-                        let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
-                        let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                        (kern32.sample_step_cols)(
-                            zt, bw, w_prev, &*mask_s, w2_row, b2_i, scratch, logits_s,
-                        );
-                        probs_s.copy_from_slice(logits_s);
-                        (kern.sigmoid_slice)(probs_s);
-                        for s in 0..bw {
-                            let u = u_ref[start + s];
-                            let p = probs_s[s];
-                            debug_assert!(
-                                (0.0..=1.0).contains(&p),
-                                "conditional out of range"
-                            );
-                            let bit = (u < p) as u8;
-                            bits_s[s] = bit;
-                            mask_s[s] = bit as f32;
-                            signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
-                        }
-                    }
-                });
-                if c + 1 == LS_CHUNK || i + 1 == n {
-                    let filled = (c + 1) * rows;
-                    ops::log_sigmoid_slice(&mut ls_buf[..filled]);
-                    for chunk in ls_buf[..filled].chunks_exact(rows) {
-                        for (lp, &v) in log_prob.iter_mut().zip(chunk) {
-                            *lp += v;
-                        }
-                    }
-                }
-            }
-            // Tiled transpose into the row-major output, as in f64.
-            const TILE: usize = 64;
-            let pout = par::SendPtr(out_batch.as_bytes_mut().as_mut_ptr());
-            let bits_ref: &[u8] = bits_t;
-            par::run(parts, &|w| {
-                let (start, end) = stripe(w);
-                let mut i0 = 0;
-                while i0 < n {
-                    let iend = (i0 + TILE).min(n);
-                    for s in start..end {
-                        // SAFETY: rows [start, end) belong to this
-                        // worker alone.
-                        let row = unsafe {
-                            std::slice::from_raw_parts_mut(pout.get().add(s * n), n)
-                        };
-                        for i in i0..iend {
-                            row[i] = bits_ref[i * rows + s];
-                        }
-                    }
-                    i0 = iend;
-                }
-            });
-        } else if use_cols {
-            // Cols path: transposed activation panels; bit i−1's column
-            // update is deferred into bit i's fused kernel call via
-            // prev_mask.
-            //
-            // Parallelism: the batch is split into at most one
-            // contiguous, 8-row-aligned stripe per pool worker (a pure
-            // function of (rows, parts) — no stealing).  Each stripe
-            // owns its own contiguous transposed panel (`h·bw` at
-            // element offset `h·start`) plus its slices of every
-            // per-row buffer, so the fused kernel simply sees a
-            // narrower panel.  Per-row results are independent of the
-            // panel width (the kernel reproduces the row path's per-row
-            // accumulation order at any width — property-tested), and
-            // the RNG variates are pre-drawn sequentially, so output is
-            // **bit-identical at every thread count**.
-            let MadeBatchSampler {
-                z1t,
-                prev_mask,
-                bits_t,
-                cols_scratch,
-                ls_buf,
-                u_buf,
-                log_prob,
-                logits,
-                probs,
-                rngs,
-                w1_t,
-                ..
-            } = self;
-            // No clear first: every byte is overwritten in the bit loop,
-            // so only grow (and zero) when the geometry changes.
-            bits_t.resize(n * rows, 0);
-            bits_t.truncate(n * rows);
-            let units = rows.div_ceil(PAR_ROW_UNIT);
-            let parts = if rows >= PAR_ROWS_MIN {
-                par::active_threads().min(units.max(1))
-            } else {
-                1
-            };
-            let stripe = |w: usize| {
-                let u = par::stripe(units, parts, w);
-                (
-                    (u.start * PAR_ROW_UNIT).min(rows),
-                    (u.end * PAR_ROW_UNIT).min(rows),
-                )
-            };
-            // Stripe-blocked panel init: stripe w's panel rows start at
-            // b1 (layout `[j·bw + local_s]`), panels back to back.
-            z1t.clear();
-            z1t.reserve(h * rows);
-            for w in 0..parts {
-                let (start, end) = stripe(w);
-                for &bj in b1.as_slice() {
-                    z1t.extend(std::iter::repeat_n(bj, end - start));
-                }
-            }
-            prev_mask.clear();
-            prev_mask.resize(rows, 0.0);
-            cols_scratch.resize(6 * rows, 0.0);
-            const LS_CHUNK: usize = 512;
-            ls_buf.clear();
-            ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
-            u_buf.clear();
-            u_buf.resize(rows, 0.0);
-            for i in 0..n {
-                // Pre-draw this bit's variates sequentially, in the
-                // exact (stream, row-within-stream) order the fused
-                // draw used before parallelisation: every RNG stream
-                // advances identically at any thread count.
-                let mut s = 0;
-                for (q, &count) in counts.iter().enumerate() {
-                    let rng: &mut StdRng = match external.as_deref_mut() {
-                        Some(r) => r,
-                        None => &mut rngs[q],
-                    };
-                    for _ in 0..count {
-                        u_buf[s] = rng.gen::<f64>();
-                        s += 1;
-                    }
-                }
-                let w_prev = if i > 0 { Some(w1_t.row(i - 1)) } else { None };
-                let w2_row = w2.row(i);
-                let b2_i = b2[i];
-                let c = i % LS_CHUNK;
-                let pz = par::SendPtr(z1t.as_mut_ptr());
-                let pscratch = par::SendPtr(cols_scratch.as_mut_ptr());
-                let plogits = par::SendPtr(logits.as_mut_ptr());
-                let pprobs = par::SendPtr(probs.as_mut_ptr());
-                let pmask = par::SendPtr(prev_mask.as_mut_ptr());
-                let pbits = par::SendPtr(bits_t[i * rows..(i + 1) * rows].as_mut_ptr());
-                let psigned = par::SendPtr(ls_buf[c * rows..(c + 1) * rows].as_mut_ptr());
-                let u_ref: &[f64] = u_buf;
-                par::run(parts, &|w| {
-                    let (start, end) = stripe(w);
-                    if start >= end {
-                        return;
-                    }
-                    let bw = end - start;
-                    // SAFETY: stripes are disjoint row ranges; every
-                    // pointer below is offset into its stripe's slice
-                    // of a buffer sized above, and the region joins
-                    // before any of the borrows end.
-                    unsafe {
-                        use std::slice::from_raw_parts_mut;
-                        let zt = from_raw_parts_mut(pz.get().add(h * start), h * bw);
-                        let scratch = from_raw_parts_mut(pscratch.get().add(6 * start), 6 * bw);
-                        let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
-                        let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
-                        let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
-                        let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
-                        let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                        (kern.sample_step_cols)(
-                            zt, bw, w_prev, &*mask_s, w2_row, b2_i, scratch, logits_s,
-                        );
-                        probs_s.copy_from_slice(logits_s);
-                        (kern.sigmoid_slice)(probs_s);
-                        // Same draw order as the row path; the update is
-                        // recorded in prev_mask instead of applied
-                        // eagerly.  Branchless: the drawn bit is data,
-                        // not control flow, so the 50/50 outcome can't
-                        // mispredict.  `-x` and the select are exact, so
-                        // this stays bit-identical to the row path's
-                        // `if`.
-                        for s in 0..bw {
-                            let u = u_ref[start + s];
-                            let p = probs_s[s];
-                            debug_assert!(
-                                (0.0..=1.0).contains(&p),
-                                "conditional out of range"
-                            );
-                            let bit = (u < p) as u8;
-                            bits_s[s] = bit;
-                            mask_s[s] = bit as f64;
-                            signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
-                        }
-                    }
-                });
-                if c + 1 == LS_CHUNK || i + 1 == n {
-                    let filled = (c + 1) * rows;
-                    ops::log_sigmoid_slice(&mut ls_buf[..filled]);
-                    for chunk in ls_buf[..filled].chunks_exact(rows) {
-                        for (lp, &v) in log_prob.iter_mut().zip(chunk) {
-                            *lp += v;
-                        }
-                    }
-                }
-            }
-            // Tiled transpose of the drawn bits into the row-major
-            // output (64-bit tiles keep both sides L1-resident),
-            // striped over the same row partition — each worker writes
-            // only its own output rows.
-            const TILE: usize = 64;
-            let pout = par::SendPtr(out_batch.as_bytes_mut().as_mut_ptr());
-            let bits_ref: &[u8] = bits_t;
-            par::run(parts, &|w| {
-                let (start, end) = stripe(w);
-                let mut i0 = 0;
-                while i0 < n {
-                    let iend = (i0 + TILE).min(n);
-                    for s in start..end {
-                        // SAFETY: rows [start, end) belong to this
-                        // worker alone.
-                        let row = unsafe {
-                            std::slice::from_raw_parts_mut(pout.get().add(s * n), n)
-                        };
-                        for i in i0..iend {
-                            row[i] = bits_ref[i * rows + s];
-                        }
-                    }
-                    i0 = iend;
-                }
-            });
-        } else {
-            // Row path: z1[s] starts at b1 and absorbs W₁'s column i
-            // when bit i is drawn 1.
-            self.z1.clear();
-            self.z1.reserve(rows * h);
-            for _ in 0..rows {
-                self.z1.extend_from_slice(b1);
-            }
-            for i in 0..n {
-                let w2_row = w2.row(i);
-                let w1_col = self.w1_t.row(i);
-                for s in 0..rows {
-                    let z_row = &self.z1[s * h..(s + 1) * h];
-                    self.logits[s] = b2[i] + (kern.relu_dot)(w2_row, z_row);
-                }
-                self.probs.copy_from_slice(&self.logits);
-                ops::sigmoid_slice(&mut self.probs);
-                // Draw order per stream matches the coalesced path
-                // exactly: bit-major, then row-within-stream.
-                let mut s = 0;
-                for (q, &count) in counts.iter().enumerate() {
-                    let rng: &mut StdRng = match external.as_deref_mut() {
-                        Some(r) => r,
-                        None => &mut self.rngs[q],
-                    };
-                    for _ in 0..count {
-                        let p = self.probs[s];
-                        debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
-                        if rng.gen::<f64>() < p {
-                            out_batch.set(s, i, 1);
-                            vqmc_tensor::vector::axpy(
-                                &mut self.z1[s * h..(s + 1) * h],
-                                1.0,
-                                w1_col,
-                            );
-                        } else {
-                            self.logits[s] = -self.logits[s];
-                        }
-                        s += 1;
-                    }
-                }
-                ops::log_sigmoid_slice(&mut self.logits);
-                vqmc_tensor::vector::axpy(&mut self.log_prob, 1.0, &self.logits);
-            }
-        }
-        out_log_psi.resize(rows);
-        for (o, &lp) in out_log_psi.iter_mut().zip(&self.log_prob) {
-            *o = 0.5 * lp;
-        }
-    }
-
-    /// Deep-stack (depth ≥ 2) incremental pass.  Layer 1 is the same
-    /// deferred-update transposed panel as the depth-1 cols path; every
-    /// deeper layer is recomputed per bit as one fused
-    /// [`sample_step_cols`](vqmc_tensor::simd) reduction per unit over
-    /// the previous layer's panel (`w_prev = None` makes the kernel a
-    /// pure `bias + Σⱼ w[j]·relu(panel[j])` per-row reduction; bit
-    /// `i−1`'s deferred `W₁`-column update rides the first layer-2
-    /// unit's call).  Per-row results are independent of the stripe
-    /// width and the RNG variates are pre-drawn sequentially, so the
-    /// depth-1 guarantees carry over verbatim: bit-identical output at
-    /// every thread count, and coalesced ≡ solo per request.
-    ///
-    /// There is no row/cols layout choice at depth ≥ 2 — the panel
-    /// pipeline is the only implementation, so `force_layout` is inert
-    /// here except that `Rows` under f32 still selects the f64
-    /// arithmetic (mirroring the depth-1 precision fallback).
-    fn sample_deep(
-        &mut self,
-        wf: &Made,
-        counts: &[usize],
         external: Option<&mut StdRng>,
         out_batch: &mut SpinBatch,
         out_log_psi: &mut Vector,
     ) {
-        if self.precision == Precision::F32 && self.layout != PanelLayout::Rows {
-            self.sample_deep_f32(wf, counts, external, out_batch, out_log_psi);
+        let rows: usize = counts.iter().sum();
+        out_batch.resize(rows, wf.num_spins());
+        out_batch.fill(0);
+        let draw = &mut self.draw;
+        draw.log_prob.clear();
+        draw.log_prob.resize(rows, 0.0);
+        draw.logits.resize(rows, 0.0);
+        draw.probs.resize(rows, 0.0);
+
+        let path = choose_path(
+            self.precision,
+            wf.depth(),
+            self.layout,
+            rows,
+            wf.hidden_size(),
+            par::active_threads(),
+        );
+        if path == SamplerPath::PanelF32 {
+            if self.m32.as_ref().map(|m| m.version()) != Some(wf.params_version()) {
+                self.m32 = Some(MadeF32::for_sampling(wf));
+            }
+            let m32 = self.m32.as_ref().expect("f32 weights cached above");
+            panel_pass(
+                m32,
+                wf,
+                &mut self.panel32,
+                draw,
+                counts,
+                external,
+                out_batch,
+            );
         } else {
-            self.sample_deep_f64(wf, counts, external, out_batch, out_log_psi);
+            if self.cached_version != Some(wf.params_version()) {
+                wf.w1().transpose_into(&mut self.w1_t);
+                self.cached_version = Some(wf.params_version());
+            }
+            if path == SamplerPath::PanelF64 {
+                let weights = F64Weights {
+                    w1_t: &self.w1_t,
+                    wf,
+                };
+                panel_pass(
+                    &weights,
+                    wf,
+                    &mut self.panel64,
+                    draw,
+                    counts,
+                    external,
+                    out_batch,
+                );
+            } else {
+                self.row_pass(wf, counts, external, out_batch);
+            }
+        }
+        out_log_psi.resize(rows);
+        for (o, &lp) in out_log_psi.iter_mut().zip(&self.draw.log_prob) {
+            *o = 0.5 * lp;
         }
     }
 
-    fn sample_deep_f64(
+    /// The depth-1 f64 row path: `z1[s]` starts at `b1` and absorbs
+    /// `W₁`'s column `i` when bit `i` is drawn 1.
+    fn row_pass(
         &mut self,
         wf: &Made,
         counts: &[usize],
         mut external: Option<&mut StdRng>,
         out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
     ) {
         let n = wf.num_spins();
+        let h = wf.hidden_size();
         let rows: usize = counts.iter().sum();
-        out_batch.resize(rows, n);
-        out_batch.fill(0);
-        self.log_prob.clear();
-        self.log_prob.resize(rows, 0.0);
-        self.logits.resize(rows, 0.0);
-        self.probs.resize(rows, 0.0);
-        let kern = vqmc_tensor::simd::kernels();
-        if self.cached_version != Some(wf.params_version()) {
-            wf.w1().transpose_into(&mut self.w1_t);
-            self.cached_version = Some(wf.params_version());
+        let (b1, w2, b2) = (wf.b1(), wf.w2(), wf.b2());
+        let relu_dot = vqmc_tensor::simd::kernels().relu_dot;
+        let draw = &mut self.draw;
+        self.z1.clear();
+        self.z1.reserve(rows * h);
+        for _ in 0..rows {
+            self.z1.extend_from_slice(b1);
         }
-        let layers = wf.layers();
-        let depth = wf.depth();
-        let hidden = wf.hidden_sizes();
-        let h1 = hidden[0];
-        // Panel offsets, on the stack (no per-call allocation): hidden
-        // layer `l ≥ 2` (index `l−1 ≥ 1`) owns `hidden[l−1]·rows`
-        // elements of `zdeep`, stripe-blocked like `z1t`.
-        let mut doff = [0usize; vqmc_nn::MAX_LAYERS];
-        let mut total = 0usize;
-        for l in 1..depth {
-            doff[l] = total;
-            total += hidden[l] * rows;
-        }
-        let MadeBatchSampler {
-            z1t,
-            zdeep,
-            prev_mask,
-            bits_t,
-            cols_scratch,
-            ls_buf,
-            u_buf,
-            log_prob,
-            logits,
-            probs,
-            rngs,
-            w1_t,
-            ..
-        } = self;
-        bits_t.resize(n * rows, 0);
-        bits_t.truncate(n * rows);
-        let units = rows.div_ceil(PAR_ROW_UNIT);
-        let parts = if rows >= PAR_ROWS_MIN {
-            par::active_threads().min(units.max(1))
-        } else {
-            1
-        };
-        let stripe = |w: usize| {
-            let u = par::stripe(units, parts, w);
-            (
-                (u.start * PAR_ROW_UNIT).min(rows),
-                (u.end * PAR_ROW_UNIT).min(rows),
-            )
-        };
-        z1t.clear();
-        z1t.reserve(h1 * rows);
-        for w in 0..parts {
-            let (start, end) = stripe(w);
-            for &bj in layers[0].b().as_slice() {
-                z1t.extend(std::iter::repeat_n(bj, end - start));
-            }
-        }
-        // Deep panel contents are fully overwritten every bit, so the
-        // resize fill value is never read.
-        zdeep.resize(total, 0.0);
-        prev_mask.clear();
-        prev_mask.resize(rows, 0.0);
-        cols_scratch.resize(6 * rows, 0.0);
-        const LS_CHUNK: usize = 512;
-        ls_buf.clear();
-        ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
-        u_buf.clear();
-        u_buf.resize(rows, 0.0);
         for i in 0..n {
-            // Pre-draw sequentially — identical to the depth-1 paths.
+            let w2_row = w2.row(i);
+            let w1_col = self.w1_t.row(i);
+            for s in 0..rows {
+                let z_row = &self.z1[s * h..(s + 1) * h];
+                draw.logits[s] = b2[i] + relu_dot(w2_row, z_row);
+            }
+            draw.probs.copy_from_slice(&draw.logits);
+            ops::sigmoid_slice(&mut draw.probs);
+            // Draw order per stream matches the panel path exactly:
+            // bit-major, then row-within-stream.
             let mut s = 0;
             for (q, &count) in counts.iter().enumerate() {
                 let rng: &mut StdRng = match external.as_deref_mut() {
                     Some(r) => r,
-                    None => &mut rngs[q],
+                    None => &mut draw.rngs[q],
                 };
                 for _ in 0..count {
-                    u_buf[s] = rng.gen::<f64>();
+                    let p = draw.probs[s];
+                    debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
+                    if rng.gen::<f64>() < p {
+                        out_batch.set(s, i, 1);
+                        vqmc_tensor::vector::axpy(&mut self.z1[s * h..(s + 1) * h], 1.0, w1_col);
+                    } else {
+                        draw.logits[s] = -draw.logits[s];
+                    }
                     s += 1;
                 }
             }
-            let c = i % LS_CHUNK;
-            let pz = par::SendPtr(z1t.as_mut_ptr());
-            let pzd = par::SendPtr(zdeep.as_mut_ptr());
-            let pscratch = par::SendPtr(cols_scratch.as_mut_ptr());
-            let plogits = par::SendPtr(logits.as_mut_ptr());
-            let pprobs = par::SendPtr(probs.as_mut_ptr());
-            let pmask = par::SendPtr(prev_mask.as_mut_ptr());
-            let pbits = par::SendPtr(bits_t[i * rows..(i + 1) * rows].as_mut_ptr());
-            let psigned = par::SendPtr(ls_buf[c * rows..(c + 1) * rows].as_mut_ptr());
-            let u_ref: &[f64] = u_buf;
-            let w_prev = if i > 0 { Some(w1_t.row(i - 1)) } else { None };
-            par::run(parts, &|w| {
-                let (start, end) = stripe(w);
-                if start >= end {
-                    return;
-                }
-                let bw = end - start;
-                // SAFETY: same disjoint-stripe argument as the depth-1
-                // cols path; deep panel regions are additionally
-                // disjoint per (layer, stripe) by the offset
-                // arithmetic above.
-                unsafe {
-                    use std::slice::from_raw_parts_mut;
-                    let scratch = from_raw_parts_mut(pscratch.get().add(6 * start), 6 * bw);
-                    let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
-                    let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
-                    let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
-                    let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
-                    let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                    let z1s = from_raw_parts_mut(pz.get().add(h1 * start), h1 * bw);
-                    // Hidden layer 2: one fused reduction per unit over
-                    // the layer-1 panel; call k == 0 applies bit i−1's
-                    // deferred W₁-column update in the same pass.
-                    for k in 0..hidden[1] {
-                        let out_row = from_raw_parts_mut(
-                            pzd.get().add(doff[1] + hidden[1] * start + k * bw),
-                            bw,
-                        );
-                        let wp = if k == 0 { w_prev } else { None };
-                        (kern.sample_step_cols)(
-                            z1s,
-                            bw,
-                            wp,
-                            &*mask_s,
-                            layers[1].w().row(k),
-                            layers[1].b()[k],
-                            scratch,
-                            out_row,
-                        );
-                    }
-                    // Hidden layers 3…: pure per-unit reductions over
-                    // the previous layer's panel.
-                    for l in 2..depth {
-                        let src = from_raw_parts_mut(
-                            pzd.get().add(doff[l - 1] + hidden[l - 1] * start),
-                            hidden[l - 1] * bw,
-                        );
-                        for k in 0..hidden[l] {
-                            let out_row = from_raw_parts_mut(
-                                pzd.get().add(doff[l] + hidden[l] * start + k * bw),
-                                bw,
-                            );
-                            (kern.sample_step_cols)(
-                                src,
-                                bw,
-                                None,
-                                &*mask_s,
-                                layers[l].w().row(k),
-                                layers[l].b()[k],
-                                scratch,
-                                out_row,
-                            );
-                        }
-                    }
-                    // Output bit i's logit over the last hidden panel.
-                    let src = from_raw_parts_mut(
-                        pzd.get().add(doff[depth - 1] + hidden[depth - 1] * start),
-                        hidden[depth - 1] * bw,
-                    );
-                    (kern.sample_step_cols)(
-                        src,
-                        bw,
-                        None,
-                        &*mask_s,
-                        layers[depth].w().row(i),
-                        layers[depth].b()[i],
-                        scratch,
-                        logits_s,
-                    );
-                    probs_s.copy_from_slice(logits_s);
-                    (kern.sigmoid_slice)(probs_s);
-                    for s in 0..bw {
-                        let u = u_ref[start + s];
-                        let p = probs_s[s];
-                        debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
-                        let bit = (u < p) as u8;
-                        bits_s[s] = bit;
-                        mask_s[s] = bit as f64;
-                        signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
-                    }
-                }
-            });
-            if c + 1 == LS_CHUNK || i + 1 == n {
-                let filled = (c + 1) * rows;
-                ops::log_sigmoid_slice(&mut ls_buf[..filled]);
-                for chunk in ls_buf[..filled].chunks_exact(rows) {
-                    for (lp, &v) in log_prob.iter_mut().zip(chunk) {
-                        *lp += v;
-                    }
-                }
-            }
-        }
-        const TILE: usize = 64;
-        let pout = par::SendPtr(out_batch.as_bytes_mut().as_mut_ptr());
-        let bits_ref: &[u8] = bits_t;
-        par::run(parts, &|w| {
-            let (start, end) = stripe(w);
-            let mut i0 = 0;
-            while i0 < n {
-                let iend = (i0 + TILE).min(n);
-                for s in start..end {
-                    // SAFETY: rows [start, end) belong to this worker
-                    // alone.
-                    let row =
-                        unsafe { std::slice::from_raw_parts_mut(pout.get().add(s * n), n) };
-                    for i in i0..iend {
-                        row[i] = bits_ref[i * rows + s];
-                    }
-                }
-                i0 = iend;
-            }
-        });
-        out_log_psi.resize(rows);
-        for (o, &lp) in out_log_psi.iter_mut().zip(log_prob.iter()) {
-            *o = 0.5 * lp;
+            ops::log_sigmoid_slice(&mut draw.logits);
+            vqmc_tensor::vector::axpy(&mut draw.log_prob, 1.0, &draw.logits);
         }
     }
+}
 
-    fn sample_deep_f32(
-        &mut self,
-        wf: &Made,
-        counts: &[usize],
-        mut external: Option<&mut StdRng>,
-        out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
-    ) {
-        let n = wf.num_spins();
-        let rows: usize = counts.iter().sum();
-        out_batch.resize(rows, n);
-        out_batch.fill(0);
-        self.log_prob.clear();
-        self.log_prob.resize(rows, 0.0);
-        self.logits.resize(rows, 0.0);
-        self.probs.resize(rows, 0.0);
-        let kern = vqmc_tensor::simd::kernels();
-        let kern32 = vqmc_tensor::simd::kernels_f32();
-        if self.m32.as_ref().map(|m| m.version()) != Some(wf.params_version()) {
-            self.m32 = Some(MadeF32::for_sampling(wf));
-        }
-        let depth = wf.depth();
-        let hidden = wf.hidden_sizes();
-        let h1 = hidden[0];
-        let mut doff = [0usize; vqmc_nn::MAX_LAYERS];
-        let mut total = 0usize;
-        for l in 1..depth {
-            doff[l] = total;
-            total += hidden[l] * rows;
-        }
-        let MadeBatchSampler {
-            z1t32,
-            zdeep32,
-            prev_mask32,
-            bits_t,
-            cols_scratch32,
-            dlog,
-            ls_buf,
-            u_buf,
-            log_prob,
-            logits,
-            probs,
-            rngs,
-            m32,
-            ..
-        } = self;
-        let m32 = m32.as_ref().expect("f32 weights cached above");
-        bits_t.resize(n * rows, 0);
-        bits_t.truncate(n * rows);
-        let units = rows.div_ceil(PAR_ROW_UNIT);
-        let parts = if rows >= PAR_ROWS_MIN {
-            par::active_threads().min(units.max(1))
-        } else {
-            1
-        };
-        let stripe = |w: usize| {
-            let u = par::stripe(units, parts, w);
-            (
-                (u.start * PAR_ROW_UNIT).min(rows),
-                (u.end * PAR_ROW_UNIT).min(rows),
-            )
-        };
-        z1t32.clear();
-        z1t32.reserve(h1 * rows);
-        for w in 0..parts {
-            let (start, end) = stripe(w);
-            for &bj in m32.b1() {
-                z1t32.extend(std::iter::repeat_n(bj, end - start));
-            }
-        }
-        zdeep32.resize(total, 0.0);
-        prev_mask32.clear();
-        prev_mask32.resize(rows, 0.0);
-        cols_scratch32.resize(10 * rows, 0.0);
-        dlog.resize(rows, 0.0);
-        const LS_CHUNK: usize = 512;
-        ls_buf.clear();
-        ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
-        u_buf.clear();
-        u_buf.resize(rows, 0.0);
-        for i in 0..n {
-            let mut s = 0;
-            for (q, &count) in counts.iter().enumerate() {
-                let rng: &mut StdRng = match external.as_deref_mut() {
-                    Some(r) => r,
-                    None => &mut rngs[q],
-                };
-                for _ in 0..count {
-                    u_buf[s] = rng.gen::<f64>();
-                    s += 1;
-                }
-            }
-            let c = i % LS_CHUNK;
-            let pz = par::SendPtr(z1t32.as_mut_ptr());
-            let pzd = par::SendPtr(zdeep32.as_mut_ptr());
-            let pscratch = par::SendPtr(cols_scratch32.as_mut_ptr());
-            let pdlog = par::SendPtr(dlog.as_mut_ptr());
-            let plogits = par::SendPtr(logits.as_mut_ptr());
-            let pprobs = par::SendPtr(probs.as_mut_ptr());
-            let pmask = par::SendPtr(prev_mask32.as_mut_ptr());
-            let pbits = par::SendPtr(bits_t[i * rows..(i + 1) * rows].as_mut_ptr());
-            let psigned = par::SendPtr(ls_buf[c * rows..(c + 1) * rows].as_mut_ptr());
-            let u_ref: &[f64] = u_buf;
-            let w_prev = if i > 0 { Some(m32.w1t_row(i - 1)) } else { None };
-            par::run(parts, &|w| {
-                let (start, end) = stripe(w);
-                if start >= end {
-                    return;
-                }
-                let bw = end - start;
-                // SAFETY: same disjoint-stripe argument as the f64
-                // deep path; the f32 scratch is 10 elements per row and
-                // `dlog` one per row.
-                unsafe {
-                    use std::slice::from_raw_parts_mut;
-                    let scratch = from_raw_parts_mut(pscratch.get().add(10 * start), 10 * bw);
-                    let dlog_s = from_raw_parts_mut(pdlog.get().add(start), bw);
-                    let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
-                    let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
-                    let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
-                    let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
-                    let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                    let z1s = from_raw_parts_mut(pz.get().add(h1 * start), h1 * bw);
-                    // The f32 kernel accumulates each unit's value in
-                    // f64 (`dlog`); the panel stores the narrowed f32.
-                    for k in 0..hidden[1] {
-                        let out_row = from_raw_parts_mut(
-                            pzd.get().add(doff[1] + hidden[1] * start + k * bw),
-                            bw,
-                        );
-                        let wp = if k == 0 { w_prev } else { None };
-                        (kern32.sample_step_cols)(
-                            z1s,
-                            bw,
-                            wp,
-                            &*mask_s,
-                            m32.layer_w_row(1, k),
-                            m32.layer_b(1)[k] as f64,
-                            scratch,
-                            dlog_s,
-                        );
-                        for (dst, &v) in out_row.iter_mut().zip(&*dlog_s) {
-                            *dst = v as f32;
-                        }
-                    }
-                    for l in 2..depth {
-                        let src = from_raw_parts_mut(
-                            pzd.get().add(doff[l - 1] + hidden[l - 1] * start),
-                            hidden[l - 1] * bw,
-                        );
-                        for k in 0..hidden[l] {
-                            let out_row = from_raw_parts_mut(
-                                pzd.get().add(doff[l] + hidden[l] * start + k * bw),
-                                bw,
-                            );
-                            (kern32.sample_step_cols)(
-                                src,
-                                bw,
-                                None,
-                                &*mask_s,
-                                m32.layer_w_row(l, k),
-                                m32.layer_b(l)[k] as f64,
-                                scratch,
-                                dlog_s,
-                            );
-                            for (dst, &v) in out_row.iter_mut().zip(&*dlog_s) {
-                                *dst = v as f32;
-                            }
-                        }
-                    }
-                    let src = from_raw_parts_mut(
-                        pzd.get().add(doff[depth - 1] + hidden[depth - 1] * start),
-                        hidden[depth - 1] * bw,
-                    );
-                    (kern32.sample_step_cols)(
-                        src,
-                        bw,
-                        None,
-                        &*mask_s,
-                        m32.layer_w_row(depth, i),
-                        m32.b2()[i] as f64,
-                        scratch,
-                        logits_s,
-                    );
-                    probs_s.copy_from_slice(logits_s);
-                    (kern.sigmoid_slice)(probs_s);
-                    for s in 0..bw {
-                        let u = u_ref[start + s];
-                        let p = probs_s[s];
-                        debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
-                        let bit = (u < p) as u8;
-                        bits_s[s] = bit;
-                        mask_s[s] = bit as f32;
-                        signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
-                    }
-                }
-            });
-            if c + 1 == LS_CHUNK || i + 1 == n {
-                let filled = (c + 1) * rows;
-                ops::log_sigmoid_slice(&mut ls_buf[..filled]);
-                for chunk in ls_buf[..filled].chunks_exact(rows) {
-                    for (lp, &v) in log_prob.iter_mut().zip(chunk) {
-                        *lp += v;
-                    }
-                }
-            }
-        }
-        const TILE: usize = 64;
-        let pout = par::SendPtr(out_batch.as_bytes_mut().as_mut_ptr());
-        let bits_ref: &[u8] = bits_t;
-        par::run(parts, &|w| {
-            let (start, end) = stripe(w);
-            let mut i0 = 0;
-            while i0 < n {
-                let iend = (i0 + TILE).min(n);
-                for s in start..end {
-                    // SAFETY: rows [start, end) belong to this worker
-                    // alone.
-                    let row =
-                        unsafe { std::slice::from_raw_parts_mut(pout.get().add(s * n), n) };
-                    for i in i0..iend {
-                        row[i] = bits_ref[i * rows + s];
-                    }
-                }
-                i0 = iend;
-            }
-        });
-        out_log_psi.resize(rows);
-        for (o, &lp) in out_log_psi.iter_mut().zip(log_prob.iter()) {
-            *o = 0.5 * lp;
+/// The panel pass — one body for f64 and f32 panels at every depth.
+///
+/// Per bit `i`, each pool stripe runs one fused `sample_step_cols` call
+/// per hidden unit of layers `2…D` (each a `bias + Σⱼ w[j]·relu(panel[j])`
+/// reduction over the previous layer's panel) and one for output logit
+/// `i` over the last panel.  Bit `i−1`'s deferred `W₁`-column update
+/// rides the first call that reads the layer-1 panel: unit 0 of layer 2,
+/// or at depth 1 the output logit itself.  Then `σ`, the draw against
+/// the pre-drawn variates, and the deferred-update mask for bit `i+1`.
+///
+/// Parallelism: the batch is split into at most one contiguous,
+/// 8-row-aligned stripe per pool worker (a pure function of `(rows,
+/// parts)` — no stealing).  Each stripe owns its own contiguous panels
+/// plus its slices of every per-row buffer, so the fused kernel simply
+/// sees a narrower panel.  Per-row results are independent of the panel
+/// width (the kernel reproduces the row path's per-row accumulation
+/// order at any width — property-tested), and the RNG variates are
+/// pre-drawn sequentially, so output is **bit-identical at every thread
+/// count**, and coalesced ≡ solo per request.
+fn panel_pass<A: PanelArm>(
+    arm: &A,
+    wf: &Made,
+    panel: &mut PanelBufs<A::Elem>,
+    draw: &mut DrawBufs,
+    counts: &[usize],
+    mut external: Option<&mut StdRng>,
+    out_batch: &mut SpinBatch,
+) {
+    let n = wf.num_spins();
+    let hidden = wf.hidden_sizes();
+    let depth = hidden.len();
+    let h1 = hidden[0];
+    let rows: usize = counts.iter().sum();
+    let step = A::step();
+    let sigmoid = vqmc_tensor::simd::kernels().sigmoid_slice;
+    // Panel offsets, on the stack (no per-call allocation): hidden
+    // layer `l ≥ 2` (index `l−1 ≥ 1`) owns `hidden[l−1]·rows` elements
+    // of `zdeep`, stripe-blocked like `z1t`.
+    let mut doff = [0usize; vqmc_nn::MAX_LAYERS];
+    let mut total = 0usize;
+    for l in 1..depth {
+        doff[l] = total;
+        total += hidden[l] * rows;
+    }
+    // No clear first: every byte is overwritten in the bit loop, so
+    // only grow (and zero) when the geometry changes.
+    draw.bits_t.resize(n * rows, 0);
+    draw.bits_t.truncate(n * rows);
+    let units = rows.div_ceil(PAR_ROW_UNIT);
+    let parts = if rows >= PAR_ROWS_MIN {
+        par::active_threads().min(units.max(1))
+    } else {
+        1
+    };
+    let stripe = |w: usize| {
+        let u = par::stripe(units, parts, w);
+        (
+            (u.start * PAR_ROW_UNIT).min(rows),
+            (u.end * PAR_ROW_UNIT).min(rows),
+        )
+    };
+    // Stripe-blocked layer-1 panel init: every stripe starts at b1.
+    panel.z1t.clear();
+    panel.z1t.reserve(h1 * rows);
+    for w in 0..parts {
+        let (start, end) = stripe(w);
+        for &bj in arm.b(0) {
+            panel.z1t.extend(std::iter::repeat_n(bj, end - start));
         }
     }
+    // Deep panel contents are fully overwritten every bit, so the
+    // resize fill value is never read.
+    let zero = A::Elem::from(0);
+    panel.zdeep.resize(total, zero);
+    panel.prev_mask.clear();
+    panel.prev_mask.resize(rows, zero);
+    panel.scratch.resize(A::SCRATCH_PER_ROW * rows, zero);
+    draw.ls_buf.clear();
+    draw.ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
+    draw.u_buf.clear();
+    draw.u_buf.resize(rows, 0.0);
+    for i in 0..n {
+        // Pre-draw this bit's variates sequentially, in the exact
+        // (stream, row-within-stream) order of the draw loop: every RNG
+        // stream advances identically at any thread count.
+        let mut s = 0;
+        for (q, &count) in counts.iter().enumerate() {
+            let rng: &mut StdRng = match external.as_deref_mut() {
+                Some(r) => r,
+                None => &mut draw.rngs[q],
+            };
+            for _ in 0..count {
+                draw.u_buf[s] = rng.gen::<f64>();
+                s += 1;
+            }
+        }
+        let w_prev = (i > 0).then(|| arm.w1t_row(i - 1));
+        let c = i % LS_CHUNK;
+        let pz = par::SendPtr(panel.z1t.as_mut_ptr());
+        let pzd = par::SendPtr(panel.zdeep.as_mut_ptr());
+        let pscratch = par::SendPtr(panel.scratch.as_mut_ptr());
+        let plogits = par::SendPtr(draw.logits.as_mut_ptr());
+        let pprobs = par::SendPtr(draw.probs.as_mut_ptr());
+        let pmask = par::SendPtr(panel.prev_mask.as_mut_ptr());
+        let pbits = par::SendPtr(draw.bits_t[i * rows..(i + 1) * rows].as_mut_ptr());
+        let psigned = par::SendPtr(draw.ls_buf[c * rows..(c + 1) * rows].as_mut_ptr());
+        let u_ref: &[f64] = &draw.u_buf;
+        par::run(parts, &|w| {
+            let (start, end) = stripe(w);
+            if start >= end {
+                return;
+            }
+            let bw = end - start;
+            // SAFETY: stripes are disjoint row ranges; every pointer
+            // below is offset into its stripe's slice of a buffer sized
+            // above (panel regions are additionally disjoint per
+            // (layer, stripe) by the offset arithmetic), and the region
+            // joins before any of the borrows end.
+            unsafe {
+                use std::slice::from_raw_parts_mut;
+                let spr = A::SCRATCH_PER_ROW;
+                let scratch_s = from_raw_parts_mut(pscratch.get().add(spr * start), spr * bw);
+                let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
+                let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
+                let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
+                let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
+                let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
+                // One fused reduction over a panel; bit i−1's deferred
+                // W₁-column update is taken by the first call, which is
+                // the first one to read the layer-1 panel.
+                let mut wp = w_prev;
+                let mut reduce =
+                    |src: &mut [A::Elem], w: &[A::Elem], bias: A::Elem, out: &mut [f64]| {
+                        step(src, bw, wp.take(), &*mask_s, w, bias.into(), scratch_s, out)
+                    };
+                let mut src = from_raw_parts_mut(pz.get().add(h1 * start), h1 * bw);
+                for l in 1..depth {
+                    let dst = from_raw_parts_mut(
+                        pzd.get().add(doff[l] + hidden[l] * start),
+                        hidden[l] * bw,
+                    );
+                    // The logits stripe is free until the output
+                    // reduction, so it stages the f32 arm's units.
+                    for (k, row) in dst.chunks_exact_mut(bw).enumerate() {
+                        A::unit(row, logits_s, |out| {
+                            reduce(src, arm.w_row(l, k), arm.b(l)[k], out)
+                        });
+                    }
+                    src = dst;
+                }
+                reduce(src, arm.w_row(depth, i), arm.b(depth)[i], logits_s);
+                probs_s.copy_from_slice(logits_s);
+                sigmoid(probs_s);
+                // Same draw order as the row path; the update is
+                // recorded in prev_mask instead of applied eagerly.
+                // Branchless: the drawn bit is data, not control flow,
+                // so the 50/50 outcome can't mispredict.  `-x` and the
+                // select are exact, so this stays bit-identical to the
+                // row path's `if`.
+                for s in 0..bw {
+                    let u = u_ref[start + s];
+                    let p = probs_s[s];
+                    debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
+                    let bit = (u < p) as u8;
+                    bits_s[s] = bit;
+                    mask_s[s] = A::Elem::from(bit);
+                    signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
+                }
+            }
+        });
+        if c + 1 == LS_CHUNK || i + 1 == n {
+            let filled = (c + 1) * rows;
+            ops::log_sigmoid_slice(&mut draw.ls_buf[..filled]);
+            for chunk in draw.ls_buf[..filled].chunks_exact(rows) {
+                for (lp, &v) in draw.log_prob.iter_mut().zip(chunk) {
+                    *lp += v;
+                }
+            }
+        }
+    }
+    // Tiled transpose of the drawn bits into the row-major output
+    // (64-bit tiles keep both sides L1-resident), striped by output row
+    // only when the bit loop was (one whole-batch stripe stays inline).
+    const TILE: usize = 64;
+    let bits_t: &[u8] = &draw.bits_t;
+    let unit = if parts == 1 { rows } else { PAR_ROW_UNIT };
+    par::for_each_stripe_mut(out_batch.as_bytes_mut(), n * unit, |off, out| {
+        for i0 in (0..n).step_by(TILE) {
+            for (s, row) in (off / n..).zip(out.chunks_exact_mut(n)) {
+                for i in i0..(i0 + TILE).min(n) {
+                    row[i] = bits_t[i * rows + s];
+                }
+            }
+        }
+    });
 }
 
 /// The coalesced NADE sampler: the model's native `O(h)`-per-site
@@ -1473,14 +994,24 @@ struct StreamCall<'a> {
 
 impl SamplingEngine for StreamCall<'_> {
     fn sample_made(&mut self, wf: &Made) {
-        self.made
-            .sample_stream(wf, self.count, self.rng, &mut self.out.batch, &mut self.out.log_psi);
+        self.made.sample_stream(
+            wf,
+            self.count,
+            self.rng,
+            &mut self.out.batch,
+            &mut self.out.log_psi,
+        );
         self.out.stats = auto_stats(wf.num_spins(), self.count);
     }
 
     fn sample_nade(&mut self, wf: &Nade) {
-        self.nade
-            .sample_stream(wf, self.count, self.rng, &mut self.out.batch, &mut self.out.log_psi);
+        self.nade.sample_stream(
+            wf,
+            self.count,
+            self.rng,
+            &mut self.out.batch,
+            &mut self.out.log_psi,
+        );
         self.out.stats = auto_stats(wf.num_spins(), self.count);
     }
 
@@ -1612,40 +1143,36 @@ mod tests {
         }
     }
 
-    /// The coalesced≡solo invariant holds inside the f32 arm too —
-    /// including a request small enough that the f64 Auto dispatch
-    /// would have sent it down the row path solo.
+    /// The path each benchmark workload's sampling call takes at one
+    /// thread (the benchmark pins `VQMC_THREADS=1`), plus the forced
+    /// layouts and the f32 `Rows` fallback.
     #[test]
-    fn f32_coalesced_rows_match_solo_f32_stream() {
-        let wf = Made::new(9, 14, 6);
-        let reqs = [
-            SampleRequest { count: 3, seed: 5 },
-            SampleRequest { count: 13, seed: 9 },
+    fn dispatch_pins_benchmark_shapes() {
+        use vqmc_nn::made_hidden_size as h;
+        use PanelLayout::{Auto, Cols, Rows as ForceRows};
+        use Precision::{F32, F64};
+        use SamplerPath::{PanelF32, PanelF64, Rows};
+        // (what, precision, depth, layout, rows, h₁, threads, path)
+        let cases = [
+            ("train_maxcut_n1024", F64, 1, Auto, 1024, h(1024), 1, Rows),
+            // The 1.97 MB Max-Cut panel fits the cap from four workers up.
+            ("maxcut @4", F64, 1, Auto, 1024, h(1024), 4, PanelF64),
+            ("train_tim_n64", F64, 1, Auto, 512, h(64), 1, PanelF64),
+            ("dist_dp_r2", F64, 1, Auto, 32, h(512), 1, PanelF64),
+            ("serve_sample_n1024", F64, 1, Auto, 64, 64, 1, PanelF64),
+            ("serve_sample_n1024", F32, 1, Auto, 64, 64, 1, PanelF32),
+            ("train_maxcut_deep2", F64, 2, Auto, 256, 192, 1, PanelF64),
+            ("tiny batch", F64, 1, Auto, 7, 64, 1, Rows),
+            ("tiny f32 batch", F32, 1, Auto, 1, 64, 1, PanelF32),
+            ("forced cols", F64, 1, Cols, 1, 64, 1, PanelF64),
+            ("forced rows", F64, 1, ForceRows, 64, 64, 1, Rows),
+            ("f32 forced rows", F32, 1, ForceRows, 64, 64, 1, Rows),
+            ("deep forced rows", F64, 2, ForceRows, 4, 64, 1, PanelF64),
+            ("deep f32 rows", F32, 3, ForceRows, 64, 64, 1, PanelF64),
         ];
-        let mut bs = BatchSampler::new();
-        bs.set_precision(Precision::F32);
-        let mut batch = SpinBatch::default();
-        let mut lp = Vector::default();
-        bs.sample_requests(&wf, &reqs, &mut batch, &mut lp);
-        assert_eq!(batch.batch_size(), 16);
-        let mut offset = 0;
-        for req in &reqs {
-            let mut sampler = MadeBatchSampler::new();
-            sampler.set_precision(Precision::F32);
-            let mut sb = SpinBatch::default();
-            let mut slp = Vector::default();
-            sampler.sample_stream(
-                &wf,
-                req.count,
-                &mut StdRng::seed_from_u64(req.seed),
-                &mut sb,
-                &mut slp,
-            );
-            for s in 0..req.count {
-                assert_eq!(batch.sample(offset + s), sb.sample(s), "seed {}", req.seed);
-                assert_eq!(lp[offset + s].to_bits(), slp[s].to_bits(), "seed {}", req.seed);
-            }
-            offset += req.count;
+        for (what, precision, depth, layout, rows, h1, threads, path) in cases {
+            let got = choose_path(precision, depth, layout, rows, h1, threads);
+            assert_eq!(got, path, "{what} ({precision:?})");
         }
     }
 
@@ -1754,18 +1281,25 @@ mod tests {
         }
     }
 
-    /// Deep stacks keep the coalesced≡solo invariant in both
+    /// The coalesced≡solo invariant holds at depths 1 and 2 in both
     /// precisions: every request's rows in a combined pass are
-    /// bit-identical to a solo stream with that request's seed.
+    /// bit-identical to a solo stream with that request's seed —
+    /// including a request small enough that the f64 Auto dispatch
+    /// sends it down the row path solo.
     #[test]
-    fn deep_coalesced_rows_match_solo_streams() {
-        let wf = Made::with_hidden(8, &[12, 7], 19);
+    fn coalesced_rows_match_solo_streams() {
         let reqs = [
             SampleRequest { count: 3, seed: 5 },
             SampleRequest { count: 13, seed: 9 },
             SampleRequest { count: 6, seed: 31 },
         ];
-        for precision in [Precision::F64, Precision::F32] {
+        let cases = [Precision::F64, Precision::F32].into_iter().flat_map(|p| {
+            [
+                (p, Made::new(8, 12, 19)),
+                (p, Made::with_hidden(8, &[12, 7], 19)),
+            ]
+        });
+        for (precision, wf) in cases {
             let mut bs = BatchSampler::new();
             bs.set_precision(precision);
             let mut batch = SpinBatch::default();
@@ -1789,13 +1323,15 @@ mod tests {
                     assert_eq!(
                         batch.sample(offset + s),
                         sb.sample(s),
-                        "{precision:?} seed {}",
+                        "{precision:?} depth {} seed {}",
+                        wf.depth(),
                         req.seed
                     );
                     assert_eq!(
                         lp[offset + s].to_bits(),
                         slp[s].to_bits(),
-                        "{precision:?} seed {}",
+                        "{precision:?} depth {} seed {}",
+                        wf.depth(),
                         req.seed
                     );
                 }
@@ -1848,7 +1384,13 @@ mod tests {
         for round in 0..3u64 {
             let mut wb = SpinBatch::default();
             let mut wlp = Vector::default();
-            warm.sample_stream(&wf, 12, &mut StdRng::seed_from_u64(round), &mut wb, &mut wlp);
+            warm.sample_stream(
+                &wf,
+                12,
+                &mut StdRng::seed_from_u64(round),
+                &mut wb,
+                &mut wlp,
+            );
             let mut fresh_b = SpinBatch::default();
             let mut fresh_lp = Vector::default();
             MadeBatchSampler::new().sample_stream(

@@ -1,0 +1,158 @@
+//! Pinned output digests of the batched MADE sampler.
+//!
+//! Every case draws a batch and hashes (FNV-1a, 64-bit) the drawn bits
+//! followed by each row's `logψ.to_bits()`.  The constants below were
+//! captured before the panel sampler was refactored and must never
+//! change: a refactor that moves one bit of one sample fails here.
+//!
+//! The grid covers depth {1, 2, 3} × precision {F64, F32} × three
+//! shapes chosen for the depth-1 f64 dispatch:
+//!
+//! * `small` — 5 rows, below the cols threshold (row path);
+//! * `cols`  — 40 rows of a narrow model (transposed panel path,
+//!   striped over the pool);
+//! * `capped` — 264 rows at h = 256, whose panel overflows the
+//!   per-worker L2 cap at one thread (row fallback) but not at two or
+//!   four (cols path),
+//!
+//! each drawn both as one caller-owned stream and as three coalesced
+//! seeded requests, under `par::with_threads` 1, 2 and 4.  All widths
+//! must produce the same digest, and the digests hold on every SIMD
+//! arm (`VQMC_SIMD=off`, `force-scalar`).
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use vqmc::nn::Made;
+use vqmc::sampler::{BatchSampler, SampleOutput, SampleRequest};
+use vqmc::tensor::{par, Precision, SpinBatch, Vector};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+fn digest(hash: u64, batch: &SpinBatch, log_psi: &Vector) -> u64 {
+    let mut hash = fnv1a(hash, batch.as_bytes());
+    for lp in log_psi.iter() {
+        hash = fnv1a(hash, &lp.to_bits().to_le_bytes());
+    }
+    hash
+}
+
+/// `(name, spins, first hidden width, rows)`.
+const SHAPES: [(&str, usize, usize, usize); 3] = [
+    ("small", 9, 12, 5),
+    ("cols", 10, 16, 40),
+    ("capped", 6, 256, 264),
+];
+
+/// Hidden widths of a depth-`depth` stack whose first layer is `h1`.
+fn hidden(h1: usize, depth: usize) -> Vec<usize> {
+    (1..=depth).map(|l| (h1 / l).max(1)).collect()
+}
+
+/// One case's digest: a stream call, then a three-request coalesced
+/// call over the same total row count, hashed in that order.
+fn case_digest(wf: &Made, precision: Precision, rows: usize, seed: u64) -> u64 {
+    let mut bs = BatchSampler::new();
+    bs.set_precision(precision);
+    let mut out = SampleOutput::default();
+    bs.sample_stream_into(wf, rows, &mut StdRng::seed_from_u64(seed), &mut out);
+    let hash = digest(FNV_OFFSET, &out.batch, &out.log_psi);
+
+    let first = rows / 4;
+    let second = rows / 2;
+    let reqs = [
+        SampleRequest {
+            count: first,
+            seed: seed + 1,
+        },
+        SampleRequest {
+            count: second - first,
+            seed: seed + 2,
+        },
+        SampleRequest {
+            count: rows - second,
+            seed: seed + 3,
+        },
+    ];
+    let mut batch = SpinBatch::default();
+    let mut log_psi = Vector::default();
+    bs.sample_requests(wf, &reqs, &mut batch, &mut log_psi);
+    digest(hash, &batch, &log_psi)
+}
+
+/// Pinned digests, in `(depth, precision, shape)` iteration order.
+const EXPECTED: [(&str, u64); 18] = [
+    ("d1/F64/small", 0x8886192293d5faa1),
+    ("d1/F64/cols", 0xa561d06af431e51a),
+    ("d1/F64/capped", 0xa8ed75909c46a96e),
+    ("d1/F32/small", 0x1432a8e8a14705a5),
+    ("d1/F32/cols", 0x4e6616523bd41073),
+    ("d1/F32/capped", 0x59f744adf449b82f),
+    ("d2/F64/small", 0x9a0e335822ffeaf7),
+    ("d2/F64/cols", 0x7c707193fa5c43b6),
+    ("d2/F64/capped", 0xa295f7a4440f936a),
+    ("d2/F32/small", 0x0db6ca43b15d6f6d),
+    ("d2/F32/cols", 0xcfdcc05efd61abba),
+    ("d2/F32/capped", 0xe74b6ae3601f2b41),
+    ("d3/F64/small", 0x58001e0531d4a7a5),
+    ("d3/F64/cols", 0xa6cb02eb38359388),
+    ("d3/F64/capped", 0x18f5486731296385),
+    ("d3/F32/small", 0x3b299c7b871663d6),
+    ("d3/F32/cols", 0x62822becb90918d7),
+    ("d3/F32/capped", 0x4a1b7f42ec8b5b03),
+];
+
+#[test]
+fn made_sampler_output_is_pinned_at_every_width() {
+    let mut cases = Vec::new();
+    for depth in 1..=3usize {
+        for precision in [Precision::F64, Precision::F32] {
+            for (i, &(shape, n, h1, rows)) in SHAPES.iter().enumerate() {
+                let seed = 100 * depth as u64 + i as u64;
+                let wf = Made::with_hidden(n, &hidden(h1, depth), seed);
+                cases.push((
+                    format!("d{depth}/{precision:?}/{shape}"),
+                    wf,
+                    precision,
+                    rows,
+                    seed,
+                ));
+            }
+        }
+    }
+    let mut actual = Vec::new();
+    for threads in [1usize, 2, 4] {
+        let digests: Vec<u64> = par::with_threads(threads, || {
+            cases
+                .iter()
+                .map(|(_, wf, precision, rows, seed)| case_digest(wf, *precision, *rows, *seed))
+                .collect()
+        });
+        actual.push(digests);
+    }
+    let table: String = cases
+        .iter()
+        .zip(&actual[0])
+        .map(|((name, ..), d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    for (t, digests) in actual.iter().enumerate() {
+        assert_eq!(digests, &actual[0], "width index {t} differs from width 1");
+    }
+    for ((name, ..), (&got, &(want_name, want))) in
+        cases.iter().zip(actual[0].iter().zip(&EXPECTED))
+    {
+        assert_eq!(name, want_name, "case order changed");
+        assert_eq!(
+            got, want,
+            "{name}: sampler output moved; current table:\n{table}"
+        );
+    }
+}
