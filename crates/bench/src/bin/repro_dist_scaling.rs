@@ -10,7 +10,7 @@
 //!    shows how far kernel TCP is from the modelled interconnect, not a
 //!    validation of either.
 //! 2. **Sharded training** (`train --ranks N` mode) — wall s/iter of
-//!    `ShardedTrainer` over the socket mesh at a fixed global batch.
+//!    `Trainer::run_over` on the socket mesh at a fixed global batch.
 //!    Sampling is replicated (per-rank cost constant) and measurement
 //!    is sharded (per-rank cost ∝ 1/L), so multi-core hosts see the
 //!    measurement phase shrink.
@@ -34,8 +34,8 @@
 use std::time::{Duration, Instant};
 
 use vqmc_cluster::{allreduce_mean_tree, Cluster, DeviceSpec, Topology};
-use vqmc_core::trainer::{OptimizerChoice, TrainerConfig};
-use vqmc_core::{Collective, DistributedConfig, DistributedTrainer, ShardedTrainer};
+use vqmc_core::trainer::{OptimizerChoice, Trainer, TrainerConfig};
+use vqmc_core::{Collective, DistributedConfig, DistributedTrainer};
 use vqmc_dist::{peers_for_ports, reserve_loopback_ports, Mesh, MeshConfig};
 use vqmc_hamiltonian::{LocalEnergyConfig, TransverseFieldIsing};
 use vqmc_nn::{made_hidden_size, Made};
@@ -143,7 +143,7 @@ fn main() {
     // ---- 2. sharded training (the --ranks mode) -------------------
     let n = 20;
     let batch = 256;
-    println!("\n[2] ShardedTrainer over sockets: TIM n={n}, global batch {batch}, {iters} iters");
+    println!("\n[2] Trainer over sockets: TIM n={n}, global batch {batch}, {iters} iters");
     println!("  world    wall s/iter   (sampling replicated, measurement sharded 1/L)");
     for &world in &[1usize, 2, 4] {
         let cfg = TrainerConfig {
@@ -156,9 +156,9 @@ fn main() {
         let h = TransverseFieldIsing::random(n, 2021);
         let s_per_iter = on_mesh(world, move |mut mesh, _rank| {
             let wf = Made::new(n, made_hidden_size(n), 4);
-            let mut t = ShardedTrainer::new(wf, IncrementalAutoSampler::new(), cfg);
+            let mut t = Trainer::new(wf, IncrementalAutoSampler::new(), cfg);
             let start = Instant::now();
-            let trace = t.run(&h, &mut mesh).expect("train");
+            let trace = t.run_over(&h, &mut mesh).expect("train");
             let s = start.elapsed().as_secs_f64() / trace.records.len() as f64;
             mesh.shutdown();
             s

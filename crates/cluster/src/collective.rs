@@ -15,9 +15,7 @@ use crate::topology::Topology;
 ///
 /// Reduces rank-ordered `vectors` to rank 0 (log₂L steps), divides by
 /// `L`, and broadcasts back down the same tree.  Returns the mean and
-/// the modelled communication time: each step costs the *slowest active
-/// link* of that step (`latency + bytes/bandwidth`), steps being
-/// internally parallel but mutually sequential.
+/// the modelled communication time [`tree_comm_secs`].
 pub fn allreduce_mean_tree(mut vectors: Vec<Vector>, topo: &Topology) -> (Vector, f64) {
     let l = vectors.len();
     assert!(l >= 1, "allreduce of zero vectors");
@@ -27,24 +25,17 @@ pub fn allreduce_mean_tree(mut vectors: Vec<Vector>, topo: &Topology) -> (Vector
         vectors.iter().all(|v| v.len() == len),
         "allreduce: ragged vectors"
     );
-    let bytes = len * std::mem::size_of::<f64>();
-    let mut comm = 0.0f64;
 
     // Reduce phase: at stride s, rank r (r multiple of 2s) absorbs r+s.
     let mut stride = 1;
     while stride < l {
-        let mut step_cost = 0.0f64;
         let mut r = 0;
         while r + stride < l {
-            if r % (2 * stride) == 0 {
-                // Move the sender's buffer to the receiver and add.
-                let sender = std::mem::replace(&mut vectors[r + stride], Vector::zeros(0));
-                vectors[r].axpy(1.0, &sender);
-                step_cost = step_cost.max(topo.link(r, r + stride).transfer_time(bytes));
-            }
+            // Move the sender's buffer to the receiver and add.
+            let sender = std::mem::replace(&mut vectors[r + stride], Vector::zeros(0));
+            vectors[r].axpy(1.0, &sender);
             r += 2 * stride;
         }
-        comm += step_cost;
         stride *= 2;
     }
     // True division, not multiplication by a rounded reciprocal: for
@@ -54,30 +45,39 @@ pub fn allreduce_mean_tree(mut vectors: Vec<Vector>, topo: &Topology) -> (Vector
         *x /= l as f64;
     }
 
-    // Broadcast phase retraces the tree in reverse; same per-step cost
-    // structure (rank 0 already holds the mean, receivers get copies).
+    let mean = std::mem::take(&mut vectors[0]);
+    (mean, tree_comm_secs(len, topo))
+}
+
+/// Modelled time of the binomial-tree allreduce of `len` doubles over
+/// `topo`: each reduce step and each (reverse-order) broadcast step
+/// costs the *slowest active link* of that step (`latency +
+/// bytes/bandwidth`), steps being internally parallel but mutually
+/// sequential.  Zero on one device.
+pub fn tree_comm_secs(len: usize, topo: &Topology) -> f64 {
+    let l = topo.num_devices();
+    if l == 1 {
+        return 0.0;
+    }
+    let bytes = len * std::mem::size_of::<f64>();
+    let step_cost = |stride: usize| {
+        (0..l - stride)
+            .step_by(2 * stride)
+            .map(|r| topo.link(r, r + stride).transfer_time(bytes))
+            .fold(0.0f64, f64::max)
+    };
+    let mut comm = 0.0f64;
+    let mut stride = 1;
+    while stride < l {
+        comm += step_cost(stride);
+        stride *= 2;
+    }
     stride = l.next_power_of_two() / 2;
     while stride >= 1 {
-        let mut step_cost = 0.0f64;
-        let mut r = 0;
-        while r + stride < l {
-            if r % (2 * stride) == 0 {
-                step_cost = step_cost.max(topo.link(r, r + stride).transfer_time(bytes));
-            }
-            r += 2 * stride;
-        }
-        comm += step_cost;
-        if stride == 1 {
-            break;
-        }
+        comm += step_cost(stride);
         stride /= 2;
     }
-    if l == 1 {
-        comm = 0.0;
-    }
-
-    let mean = std::mem::take(&mut vectors[0]);
-    (mean, comm)
+    comm
 }
 
 /// Number of tree steps for `l` devices (`⌈log₂ l⌉`), exposed for the

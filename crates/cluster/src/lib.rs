@@ -38,7 +38,7 @@ pub mod device;
 pub mod topology;
 
 pub use clock::SimClock;
-pub use collective::allreduce_mean_tree;
+pub use collective::{allreduce_mean_tree, tree_comm_secs};
 pub use device::DeviceSpec;
 pub use topology::Topology;
 
@@ -186,6 +186,13 @@ impl Cluster {
         mean
     }
 
+    /// Ends a round closed by an allreduce of `len` doubles whose data
+    /// moved elsewhere: charges [`tree_comm_secs`] exactly as
+    /// [`Cluster::allreduce_mean`] would, without moving anything.
+    pub fn charge_allreduce(&mut self, len: usize) {
+        self.clock.sync_round(tree_comm_secs(len, &self.topology));
+    }
+
     /// Ends a compute-only round (no collective): folds the slowest
     /// device's time into the cluster total.
     pub fn sync(&mut self) {
@@ -254,6 +261,14 @@ mod tests {
         let vectors: Vec<Vector> = (0..4).map(|_| Vector::zeros(1000)).collect();
         c.allreduce_mean(vectors);
         assert!(c.elapsed_modelled() > 0.0, "comm must cost time");
+    }
+
+    #[test]
+    fn charge_allreduce_matches_allreduce_clock() {
+        let (mut moved, mut charged) = (small_cluster(3, 2), small_cluster(3, 2));
+        moved.allreduce_mean((0..6).map(|_| Vector::zeros(777)).collect());
+        charged.charge_allreduce(777);
+        assert_eq!(moved.elapsed_modelled().to_bits(), charged.elapsed_modelled().to_bits());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! the result stay bit-for-bit equal, whatever the transport.
 
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use vqmc_cluster::{allreduce_mean_tree, Topology};
@@ -256,6 +256,21 @@ impl ThreadMesh {
     }
 }
 
+impl Drop for ThreadMesh {
+    /// A rank unwinding out of a panic fails the current and every later
+    /// round with [`CollectiveError::RankLost`], so its peers return at
+    /// once instead of waiting out the deadline.
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let inner = &*self.inner;
+            let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+            st.failed
+                .get_or_insert(CollectiveError::RankLost { rank: self.rank });
+            inner.cv.notify_all();
+        }
+    }
+}
+
 impl Collective for ThreadMesh {
     fn rank(&self) -> usize {
         self.rank
@@ -385,6 +400,30 @@ mod tests {
         // Sticky: the next call fails immediately.
         let err2 = rank0.allreduce_mean(Vector(vec![1.0])).unwrap_err();
         assert!(matches!(err2, CollectiveError::Timeout { .. }));
+    }
+
+    #[test]
+    fn panicking_rank_fails_its_peers_not_hangs() {
+        let start = Instant::now();
+        let meshes = ThreadMesh::split(3, Duration::from_secs(30));
+        let handles: Vec<_> = meshes
+            .into_iter()
+            .map(|mut m| {
+                thread::spawn(move || {
+                    if m.rank() == 1 {
+                        panic!("rank 1 dies before depositing");
+                    }
+                    m.allreduce_mean(Vector(vec![1.0]))
+                })
+            })
+            .collect();
+        for (rank, handle) in handles.into_iter().enumerate() {
+            match handle.join() {
+                Ok(res) => assert_eq!(res.unwrap_err(), CollectiveError::RankLost { rank: 1 }),
+                Err(_) => assert_eq!(rank, 1, "only rank 1 panics"),
+            }
+        }
+        assert!(start.elapsed() < Duration::from_secs(1), "peers waited out the deadline");
     }
 
     #[test]

@@ -19,30 +19,35 @@
 //!    which matters at `mbs = 4`);
 //! 2. the `d`-double gradient — the `O(h·n)` communication of Eq. 15.
 //!
-//! **Backends.**  The trainer runs the same algorithm over two kinds of
-//! communicator, selected at construction:
+//! **One step, two placements.**  Every iteration is the single rank
+//! body `step_rank` over a [`Collective`]; where the other ranks live
+//! is chosen at construction:
 //!
-//! * [`DistributedTrainer::new`] — the in-process [`Cluster`]: one
-//!   process owns all `L` replica states, devices are threads, and
-//!   communication is the synthetic-cost tree of `vqmc-cluster` (the
-//!   modelled clock carries the weak-scaling figures).
+//! * [`DistributedTrainer::new`] — the in-process [`Cluster`]: this
+//!   process owns all `L` replica states and runs them as `L`
+//!   [`ThreadMesh`] ranks on scoped threads, then charges the
+//!   synthetic-cost model of `vqmc-cluster` (the modelled clock carries
+//!   the weak-scaling figures).
 //! * [`DistributedTrainer::over_mesh`] — one rank of a real
 //!   multi-process mesh ([`Collective`], e.g. `vqmc_dist::Mesh` over
-//!   TCP): this process owns exactly *its* replica; the scalar stats
-//!   travel by allgather + a local tree pass (same
-//!   [`allreduce_mean_tree`] call ⇒ same bits as the cluster arm) and
-//!   the gradient by the wire allreduce.  Because per-rank RNG streams,
-//!   reduction order and update order are identical across backends,
-//!   an `L`-rank socket run is **bit-identical** to an `L`-device
-//!   cluster run — property-tested in `vqmc-dist`.
+//!   TCP): this process owns exactly *its* replica.
 //!
-//! Timing: compute is charged to the modelled clock from the flop
-//! counts in [`crate::cost`] (cluster backend only); the allreduce
-//! charges per tree hop.  See `vqmc-cluster` docs for why modelled time
-//! carries the weak-scaling claims.
+//! The scalar stats travel by allgather + a local
+//! [`allreduce_mean_tree`] pass and the gradient by the collective's
+//! allreduce, whose pairwise schedule is that same tree.  Because
+//! per-rank RNG streams, reduction order and update order are fixed,
+//! an `L`-rank socket run is **bit-identical** to an `L`-device cluster
+//! run — property-tested in `vqmc-dist`.
+//!
+//! Timing: the cluster arm charges the modelled clock from the flop
+//! counts in [`crate::cost`] and the tree cost of each allreduce
+//! ([`vqmc_cluster::tree_comm_secs`]).  See `vqmc-cluster` docs for why
+//! modelled time carries the weak-scaling claims.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
+
 use vqmc_cluster::{allreduce_mean_tree, Cluster, Topology};
 use vqmc_hamiltonian::{local_energies_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian};
 use vqmc_nn::WaveFunction;
@@ -50,7 +55,7 @@ use vqmc_optim::Optimizer;
 use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
 use vqmc_tensor::{SpinBatch, Vector, Workspace};
 
-use crate::backend::{Collective, CollectiveError};
+use crate::backend::{Collective, CollectiveError, ThreadMesh};
 use crate::cost;
 use crate::trainer::{IterationRecord, OptimizerChoice, TrainingTrace};
 
@@ -104,10 +109,15 @@ where
     S: Sampler<W> + Clone,
 {
     fn new(rank: usize, wf: &W, sampler: &S, config: &DistributedConfig) -> Self {
+        assert!(
+            !matches!(config.optimizer, OptimizerChoice::SgdSr { .. }),
+            "DistributedTrainer does not support SGD+SR: SR needs the per-sample rows of the \
+             global batch; use Sgd or Adam, or Trainer for SR"
+        );
         DeviceState {
             wf: wf.clone(),
             rng: StdRng::seed_from_u64(crate::derive_seed(config.seed, rank as u64, 1)),
-            opt: make_optimizer(config.optimizer),
+            opt: config.optimizer.build(),
             sampler: sampler.clone(),
             out: SampleOutput::default(),
             local: Vector::default(),
@@ -121,8 +131,8 @@ where
 
 /// Where the other replicas live.
 enum Backend {
-    /// In-process: this trainer owns all `L` device states and the
-    /// synthetic-cost cluster.
+    /// In-process: this trainer owns all `L` device states, steps them
+    /// as `L` thread-mesh ranks and charges the synthetic-cost cluster.
     Cluster(Cluster),
     /// One rank of a real multi-process communicator; this trainer owns
     /// exactly one device state.
@@ -236,16 +246,54 @@ where
         h: &dyn SparseRowHamiltonian,
     ) -> Result<IterationRecord, CollectiveError> {
         let config = self.config;
-        match &mut self.backend {
-            Backend::Cluster(cluster) => {
-                let rec = step_cluster(cluster, &mut self.states, &config, h);
-                if cfg!(debug_assertions) {
-                    self.assert_replicas_consistent();
-                }
-                Ok(rec)
+        let cluster = match &mut self.backend {
+            Backend::Mesh(mesh) => {
+                return step_rank(mesh.as_mut(), &mut self.states[0], &config, h)
             }
-            Backend::Mesh(mesh) => step_mesh(mesh.as_mut(), &mut self.states[0], &config, h),
+            Backend::Cluster(cluster) => cluster,
+        };
+        // The L replicas run as L ThreadMesh ranks: rank 0 on this
+        // thread, the rest on scoped threads.  A panicking rank fails
+        // its peers' rounds at once (the mesh's drop guard), so the
+        // deadline is only a backstop.
+        let meshes = ThreadMesh::split(self.states.len(), Duration::from_secs(3600));
+        let (first, rest) = self.states.split_first_mut().expect("at least one device");
+        let rec = std::thread::scope(|scope| {
+            // Every mesh handle is owned by its rank's stack, so unwinding
+            // drops it and trips the guard.
+            let mut meshes = meshes.into_iter();
+            let mut own = meshes.next().expect("rank 0");
+            let peers: Vec<_> = meshes
+                .zip(rest)
+                .map(|(mut mesh, st)| scope.spawn(move || step_rank(&mut mesh, st, &config, h)))
+                .collect();
+            let rec = step_rank(&mut own, first, &config, h);
+            for peer in peers {
+                peer.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?;
+            }
+            rec
+        })?;
+
+        // Charge the modelled clock: phase-1 compute (streamed flops plus
+        // the launch overhead of every batched pass — rank 0's sampling
+        // passes, +2 for the measurement's own-batch and neighbour
+        // evaluations), the 3-double scalar-stats allreduce, the backward
+        // pass, the d-double gradient allreduce (the O(h·n) of Eq. 15).
+        let (mbs, n, hid) = (config.minibatch_per_device, h.num_spins(), config.cost_hidden);
+        cluster.charge_flops_all(
+            cost::auto_sampling_flops(mbs, n, hid)
+                + cost::measurement_flops(mbs, n, hid, config.cost_offdiag),
+        );
+        cluster.charge_passes_all(self.states[0].out.stats.forward_passes + 2);
+        cluster.charge_allreduce(3);
+        cluster.charge_flops_all(cost::backward_flops(mbs, n, hid));
+        cluster.charge_passes_all(1);
+        cluster.charge_allreduce(self.states[0].params.len());
+        cluster.sync();
+        if cfg!(debug_assertions) {
+            self.assert_replicas_consistent();
         }
+        Ok(rec)
     }
 
     /// Runs the configured number of iterations.
@@ -311,200 +359,63 @@ where
     }
 }
 
-/// Phase 1 per-device work: sample `mbs` configurations, measure local
-/// energies, return (Σl, Σl², min, sampler stats).  Identical between
-/// backends by construction — it is the same closure body.
-fn measure_device<W, S>(
-    st: &mut DeviceState<W, S>,
-    h: &dyn SparseRowHamiltonian,
-    mbs: usize,
-    le_cfg: LocalEnergyConfig,
-) -> (f64, f64, f64, SampleStats)
-where
-    W: WaveFunction,
-    S: Sampler<W>,
-{
-    let DeviceState {
-        wf,
-        rng,
-        sampler,
-        out,
-        local,
-        le,
-        ws,
-        ..
-    } = st;
-    sampler.sample_into(wf, mbs, rng, out);
-    let wf_ref: &W = wf;
-    let mut eval = |b: &SpinBatch, dst: &mut Vector| wf_ref.log_psi_into(b, ws, dst);
-    local_energies_into(h, &out.batch, &out.log_psi, &mut eval, le_cfg, le, local);
-    let sum: f64 = local.sum();
-    let sum_sq: f64 = local.iter().map(|l| l * l).sum();
-    let min = local.min();
-    (sum, sum_sq, min, out.stats)
-}
-
-/// Phase 2 per-device work: the partial gradient against the global
-/// baseline, normalised so the allreduce MEAN of partials is the global
-/// gradient.
-fn partial_gradient<W, S>(st: &mut DeviceState<W, S>, mbs: usize, energy: f64, grad: &mut Vector)
-where
-    W: WaveFunction,
-    S: Sampler<W>,
-{
-    let DeviceState {
-        wf,
-        out,
-        local,
-        ws,
-        weights,
-        ..
-    } = st;
-    weights.resize(mbs);
-    for (w, &l) in weights.iter_mut().zip(local.iter()) {
-        *w = 2.0 * (l - energy) / mbs as f64;
-    }
-    wf.weighted_log_psi_grad_into(&out.batch, weights, ws, grad);
-}
-
-/// Phase 3 per-device work: the identical local update.
-fn apply_update<W, S>(st: &mut DeviceState<W, S>, avg_grad: &Vector)
-where
-    W: WaveFunction,
-    S: Sampler<W>,
-{
-    let DeviceState { wf, opt, params, .. } = st;
-    wf.params_into(params);
-    opt.step(params, avg_grad);
-    wf.set_params(params);
-}
-
-/// Derives the iteration record scalars from the tree-reduced stats.
-fn energy_from_scalar_mean(scalar_mean: &Vector, l: usize, mbs: usize) -> (f64, f64) {
-    let bs_global = (mbs * l) as f64;
-    let energy = scalar_mean[0] * l as f64 / bs_global;
-    let mean_sq = scalar_mean[1] * l as f64 / bs_global;
-    let variance = (mean_sq - energy * energy).max(0.0);
-    (energy, variance)
-}
-
-fn step_cluster<W, S>(
-    cluster: &mut Cluster,
-    states: &mut [DeviceState<W, S>],
-    config: &DistributedConfig,
-    h: &dyn SparseRowHamiltonian,
-) -> IterationRecord
-where
-    W: WaveFunction + Clone,
-    S: Sampler<W> + Clone,
-{
-    let start = std::time::Instant::now();
-    let mbs = config.minibatch_per_device;
-    let le_cfg = config.local_energy;
-    let n = h.num_spins();
-    let hid = config.cost_hidden;
-    let offd = config.cost_offdiag;
-    let l = cluster.num_devices();
-
-    // Phase 1 (parallel): sample + measure; keep batch on-device.
-    let stats: Vec<(f64, f64, f64, SampleStats)> =
-        cluster.run_round_mut(states, |_rank, st| measure_device(st, h, mbs, le_cfg));
-    // Charge the per-device compute for phase 1: streamed flops plus
-    // the launch overhead of every batched pass (sampling passes as
-    // reported by the sampler, +2 for the measurement's own-batch
-    // and neighbour evaluations).
-    let phase1_flops =
-        cost::auto_sampling_flops(mbs, n, hid) + cost::measurement_flops(mbs, n, hid, offd);
-    cluster.charge_flops_all(phase1_flops);
-    cluster.charge_passes_all(stats[0].3.forward_passes + 2);
-
-    // Collective 1: scalar statistics (3 doubles — negligible bytes,
-    // still a tree traversal's worth of latency).
-    let scalar_vectors: Vec<Vector> = stats
-        .iter()
-        .map(|&(sum, sum_sq, min, _)| Vector(vec![sum, sum_sq, min]))
-        .collect();
-    let scalar_mean = cluster.allreduce_mean(scalar_vectors);
-    let (energy, variance) = energy_from_scalar_mean(&scalar_mean, l, mbs);
-    let min_energy = stats.iter().map(|s| s.2).fold(f64::INFINITY, f64::min);
-
-    // Phase 2 (parallel): partial gradients against the global baseline.
-    let grads: Vec<Vector> = cluster.run_round_mut(states, |_rank, st| {
-        let mut grad = Vector::default();
-        partial_gradient(st, mbs, energy, &mut grad);
-        grad
-    });
-    cluster.charge_flops_all(cost::backward_flops(mbs, n, hid));
-    cluster.charge_passes_all(1);
-
-    // Collective 2: the gradient allreduce (the O(h·n) of Eq. 15).
-    let avg_grad = cluster.allreduce_mean(grads);
-
-    // Phase 3 (parallel): identical local updates.
-    let grad_ref = &avg_grad;
-    cluster.run_round_mut(states, |_rank, st| apply_update(st, grad_ref));
-    cluster.sync();
-
-    let agg_stats = stats
-        .iter()
-        .fold(SampleStats::default(), |mut acc, &(_, _, _, s)| {
-            acc.forward_passes += s.forward_passes;
-            acc.configurations_evaluated += s.configurations_evaluated;
-            acc.proposals += s.proposals;
-            acc.accepted += s.accepted;
-            acc
-        });
-    IterationRecord {
-        energy,
-        std_dev: variance.sqrt(),
-        min_energy,
-        wall_secs: start.elapsed().as_secs_f64(),
-        sample_stats: agg_stats,
-    }
-}
-
-/// The mesh arm of one iteration: identical phase bodies, but this
-/// process computes only its own rank's share and the collectives run
-/// over the wire.
+/// One rank's iteration — the only step body, whatever the placement.
 ///
-/// Bit-identity with [`step_cluster`]: the scalar statistics are
+/// Three phases around two collectives.  The scalar statistics are
 /// **allgathered** (7 doubles: Σl, Σl², min + 4 sampler counters) and
-/// every rank then runs the *same local* [`allreduce_mean_tree`] call
-/// over the rank-ordered triples the cluster arm feeds it — same
-/// function, same inputs, same bits.  The gradient takes the wire
-/// allreduce, whose pairwise schedule mirrors the same tree (tested in
-/// `vqmc-dist` against this very function).
-fn step_mesh<W, S>(
-    mesh: &mut dyn Collective,
+/// every rank runs the *same local* [`allreduce_mean_tree`] over the
+/// rank-ordered triples — same function, same inputs, same bits on
+/// every rank.  The gradient takes the collective's allreduce.  The
+/// update runs only after every collective of the iteration has
+/// succeeded, so an `Err` leaves no partial state.
+fn step_rank<W, S>(
+    coll: &mut dyn Collective,
     st: &mut DeviceState<W, S>,
     config: &DistributedConfig,
     h: &dyn SparseRowHamiltonian,
 ) -> Result<IterationRecord, CollectiveError>
 where
-    W: WaveFunction + Clone,
-    S: Sampler<W> + Clone,
+    W: WaveFunction,
+    S: Sampler<W>,
 {
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mbs = config.minibatch_per_device;
-    let l = mesh.world();
+    let l = coll.world();
+    let DeviceState {
+        wf,
+        rng,
+        opt,
+        sampler,
+        out,
+        local,
+        le,
+        ws,
+        weights,
+        params,
+    } = st;
 
     // Phase 1: this rank's sample + measure.
-    let (sum, sum_sq, min, sstats) = measure_device(st, h, mbs, config.local_energy);
+    sampler.sample_into(wf, mbs, rng, out);
+    let wf_ref: &W = wf;
+    let mut eval = |b: &SpinBatch, dst: &mut Vector| wf_ref.log_psi_into(b, ws, dst);
+    local_energies_into(h, &out.batch, &out.log_psi, &mut eval, config.local_energy, le, local);
 
     // Collective 1: allgather the scalar stats, then reduce the
-    // rank-ordered triples through the *local* tree — the identical
-    // computation the cluster backend performs centrally.  The sampler
+    // rank-ordered triples through the local tree.  The sampler
     // counters ride along as exact small integers in f64.
+    let sum: f64 = local.sum();
+    let sum_sq: f64 = local.iter().map(|l| l * l).sum();
+    let sstats = out.stats;
     let packed = Vector(vec![
         sum,
         sum_sq,
-        min,
+        local.min(),
         sstats.forward_passes as f64,
         sstats.configurations_evaluated as f64,
         sstats.proposals as f64,
         sstats.accepted as f64,
     ]);
-    let gathered = mesh.allgather(&packed)?;
+    let gathered = coll.allgather(&packed)?;
     if gathered.len() != l || gathered.iter().any(|g| g.len() != 7) {
         return Err(CollectiveError::Protocol(
             "scalar-stats allgather returned wrong shape".into(),
@@ -515,17 +426,27 @@ where
         .map(|g| Vector(vec![g[0], g[1], g[2]]))
         .collect();
     let scalar_mean = allreduce_mean_tree(scalar_vectors, &Topology::new(1, l)).0;
-    let (energy, variance) = energy_from_scalar_mean(&scalar_mean, l, mbs);
+    let bs_global = (mbs * l) as f64;
+    let energy = scalar_mean[0] * l as f64 / bs_global;
+    let mean_sq = scalar_mean[1] * l as f64 / bs_global;
+    let variance = (mean_sq - energy * energy).max(0.0);
     let min_energy = gathered.iter().map(|g| g[2]).fold(f64::INFINITY, f64::min);
 
-    // Phase 2: this rank's partial gradient; collective 2 on the wire.
+    // Phase 2: the partial gradient against the global baseline,
+    // normalised so the allreduce MEAN of partials is the global
+    // gradient; collective 2 averages it.
+    weights.resize(mbs);
+    for (w, &l) in weights.iter_mut().zip(local.iter()) {
+        *w = 2.0 * (l - energy) / mbs as f64;
+    }
     let mut grad = Vector::default();
-    partial_gradient(st, mbs, energy, &mut grad);
-    let avg_grad = mesh.allreduce_mean(grad)?;
+    wf.weighted_log_psi_grad_into(&out.batch, weights, ws, &mut grad);
+    let avg_grad = coll.allreduce_mean(grad)?;
 
-    // Phase 3: the identical local update (only after every collective
-    // of this iteration has succeeded — no partial state on error).
-    apply_update(st, &avg_grad);
+    // Phase 3: the identical local update.
+    wf.params_into(params);
+    opt.step(params, &avg_grad);
+    wf.set_params(params);
 
     let agg_stats = gathered
         .iter()
@@ -545,22 +466,9 @@ where
     })
 }
 
-fn make_optimizer(choice: OptimizerChoice) -> Box<dyn Optimizer> {
-    match choice {
-        OptimizerChoice::Sgd { lr } => Box::new(vqmc_optim::Sgd::new(lr)),
-        OptimizerChoice::Adam { lr } => Box::new(vqmc_optim::Adam::new(lr)),
-        // SR in the distributed path would need the per-sample rows of
-        // the *global* batch; the paper's scaling experiments use Adam,
-        // and SR stays a single-device feature (Table 2).
-        OptimizerChoice::SgdSr { lr, .. } => Box::new(vqmc_optim::Sgd::new(lr)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::ThreadMesh;
-    use std::time::Duration;
     use vqmc_cluster::{DeviceSpec, Topology};
     use vqmc_hamiltonian::TransverseFieldIsing;
     use vqmc_nn::Made;
@@ -610,6 +518,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "does not support SGD+SR")]
+    fn sgd_sr_is_rejected_at_construction() {
+        let cluster = Cluster::new(Topology::new(1, 2), DeviceSpec::v100());
+        let mut cfg = config(1, 4, 1, 10, 5);
+        cfg.optimizer = OptimizerChoice::paper_sr();
+        DistributedTrainer::new(cluster, Made::new(5, 10, 1), AutoSampler::new(), cfg);
+    }
+
+    #[test]
     fn more_devices_increase_effective_batch() {
         let t1 = trainer(1, 2, 6, 4);
         let t2 = trainer(2, 4, 6, 4);
@@ -655,66 +572,5 @@ mod tests {
             trace.final_energy() < trace.records[0].energy,
             "training must lower the energy"
         );
-    }
-
-    /// The seam contract: an `L`-rank mesh run (here over the in-process
-    /// [`ThreadMesh`] oracle) is bit-identical to the `L`-device cluster
-    /// run — every iteration's energy/std/min and the final parameters.
-    #[test]
-    fn mesh_backend_bit_identical_to_cluster_backend() {
-        let n = 6;
-        let h = TransverseFieldIsing::random(n, 13);
-        for world in [2usize, 3, 4] {
-            let cfg = config(4, 8, 7, 10, n);
-            let cluster = Cluster::new(Topology::new(1, world), DeviceSpec::v100());
-            let mut reference =
-                DistributedTrainer::new(cluster, Made::new(n, 10, 42), AutoSampler::new(), cfg);
-            let ref_trace = reference.run(&h);
-            let ref_params = reference.params();
-
-            let meshes = ThreadMesh::split(world, Duration::from_secs(30));
-            let handles: Vec<_> = meshes
-                .into_iter()
-                .map(|mesh| {
-                    let h = h.clone();
-                    std::thread::spawn(move || {
-                        let mut t = DistributedTrainer::over_mesh(
-                            Box::new(mesh),
-                            Made::new(n, 10, 42),
-                            AutoSampler::new(),
-                            cfg,
-                        );
-                        let trace = t.try_run(&h).unwrap();
-                        (trace, t.params())
-                    })
-                })
-                .collect();
-            for (rank, handle) in handles.into_iter().enumerate() {
-                let (trace, params) = handle.join().unwrap();
-                for (i, (a, b)) in ref_trace.records.iter().zip(&trace.records).enumerate() {
-                    assert_eq!(
-                        a.energy.to_bits(),
-                        b.energy.to_bits(),
-                        "world {world}, rank {rank}, iter {i}: energy"
-                    );
-                    assert_eq!(
-                        a.std_dev.to_bits(),
-                        b.std_dev.to_bits(),
-                        "world {world}, rank {rank}, iter {i}: std_dev"
-                    );
-                    assert_eq!(
-                        a.min_energy.to_bits(),
-                        b.min_energy.to_bits(),
-                        "world {world}, rank {rank}, iter {i}: min"
-                    );
-                    assert_eq!(a.sample_stats.forward_passes, b.sample_stats.forward_passes);
-                }
-                assert_eq!(
-                    ref_params.as_slice(),
-                    params.as_slice(),
-                    "world {world}, rank {rank}: parameters diverged from cluster run"
-                );
-            }
-        }
     }
 }

@@ -6,20 +6,21 @@
 //! * [`estimator`] — the Monte-Carlo estimators of the paper's Eqs. 3–5:
 //!   local-energy statistics (mean, the zero-variance diagnostic) and
 //!   the baseline-subtracted energy gradient;
-//! * [`trainer`] — the single-device training loop (sample → measure →
-//!   gradient → update), producing the per-iteration
+//! * [`trainer`] — the training loop (sample → measure → gradient →
+//!   update), one step over any [`Collective`] with the single process
+//!   as world size 1.  Its multi-rank policy is replicated sampling
+//!   with sharded measurement, which reproduces the single-process
+//!   golden trace at any `--ranks`; it produces the per-iteration
 //!   [`trainer::TrainingTrace`] behind Figure 2 and Tables 1–5;
-//! * [`distributed`] — data-parallel training on the
-//!   [`vqmc_cluster::Cluster`]: per-device replicas, local sampling,
-//!   deterministic gradient allreduce, bit-identical replica updates
-//!   (asserted, not assumed) — the engine of Figures 3–4 and
-//!   Tables 6–7;
-//! * [`backend`] — the [`backend::Collective`] seam the distributed
-//!   trainers communicate through: world-size-1, in-process thread
-//!   rendezvous (the oracle), or the real-socket mesh of `vqmc-dist`;
-//! * [`sharded`] — rank-count-invariant multi-process training
-//!   (replicated sampling, sharded measurement): the mode that
-//!   reproduces the single-process golden trace at any `--ranks`;
+//! * [`distributed`] — the other policy, per-rank data parallelism:
+//!   each rank samples its own minibatch from its own RNG stream, and a
+//!   deterministic gradient allreduce keeps the replicas bit-identical
+//!   (asserted, not assumed).  The same rank step runs over a real mesh
+//!   or over the in-process [`vqmc_cluster::Cluster`] with its modelled
+//!   clock — the engine of Figures 3–4 and Tables 6–7;
+//! * [`backend`] — the [`backend::Collective`] seam both policies
+//!   communicate through: world-size-1, in-process thread rendezvous
+//!   (the oracle), or the real-socket mesh of `vqmc-dist`;
 //! * [`hitting`] — the time-to-target harness of Table 5;
 //! * [`cost`] — the flop/byte accounting that drives the modelled
 //!   cluster clock (see `vqmc-cluster` for why modelled time, not
@@ -34,16 +35,15 @@ pub mod estimator;
 pub mod hitting;
 pub mod model_parallel;
 pub mod observables;
-pub mod sharded;
 pub mod trainer;
 
 pub use backend::{Collective, CollectiveError, SoloCollective, ThreadMesh};
 pub use distributed::{DistributedConfig, DistributedTrainer};
-pub use sharded::{shard_bounds, ShardedTrainer};
 pub use estimator::{energy_gradient, EnergyStats};
 pub use hitting::{hitting_time, HittingConfig, HittingResult};
 pub use trainer::{
-    EvalResult, IterationRecord, OptimizerChoice, Trainer, TrainerConfig, TrainingTrace,
+    shard_bounds, EvalResult, IterationRecord, OptimizerChoice, Trainer, TrainerConfig,
+    TrainingTrace,
 };
 
 /// Derives a per-(device, purpose) RNG seed from a master seed.

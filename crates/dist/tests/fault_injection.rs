@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use vqmc_core::backend::CollectiveError;
 use vqmc_core::trainer::{OptimizerChoice, Trainer, TrainerConfig};
-use vqmc_core::{Collective, ShardedTrainer};
+use vqmc_core::Collective;
 use vqmc_dist::{peers_for_ports, reserve_loopback_ports, Mesh, MeshConfig};
 use vqmc_hamiltonian::{LocalEnergyConfig, TransverseFieldIsing};
 use vqmc_nn::{Made, WaveFunction};
@@ -117,10 +117,10 @@ fn crashed_rank_leaves_no_partial_update() {
 
     let h2 = h.clone();
     let results = spawn_ranks(3, Duration::from_secs(30), move |mut mesh, rank| {
-        let mut t = ShardedTrainer::new(Made::new(n, 8, 3), IncrementalAutoSampler::new(), cfg);
+        let mut t = Trainer::new(Made::new(n, 8, 3), IncrementalAutoSampler::new(), cfg);
         let mut opt = t.make_optimizer();
         for i in 0..k {
-            t.step(&h2, &mut mesh, opt.as_mut())
+            t.step_over(&h2, &mut mesh, opt.as_mut())
                 .unwrap_or_else(|e| panic!("rank {rank} iter {i}: {e}"));
         }
         if rank == 2 {
@@ -128,7 +128,7 @@ fn crashed_rank_leaves_no_partial_update() {
             mesh.abandon();
             return (None, t.into_wavefunction().params());
         }
-        let failed = t.step(&h2, &mut mesh, opt.as_mut());
+        let failed = t.step_over(&h2, &mut mesh, opt.as_mut());
         (Some(failed.err()), t.into_wavefunction().params())
     });
 

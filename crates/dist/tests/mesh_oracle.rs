@@ -7,7 +7,7 @@
 //!   for adversarial float values, and across many sequential rounds.
 //! * `allgather` must return every rank's contribution in rank order,
 //!   tolerating ragged lengths (shard sizes differ by one).
-//! * The full training stacks ([`ShardedTrainer`] replicated-sampling
+//! * The full training stacks ([`Trainer::run_over`] replicated-sampling
 //!   mode and [`DistributedTrainer`]'s mesh backend) must match their
 //!   single-process / in-process-cluster references bitwise when the
 //!   collective actually crosses the kernel's TCP stack.
@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqmc_cluster::{allreduce_mean_tree, Cluster, DeviceSpec, Topology};
 use vqmc_core::trainer::{OptimizerChoice, Trainer, TrainerConfig};
-use vqmc_core::{Collective, DistributedConfig, DistributedTrainer, ShardedTrainer};
+use vqmc_core::{Collective, DistributedConfig, DistributedTrainer};
 use vqmc_dist::{peers_for_ports, reserve_loopback_ports, Mesh, MeshConfig};
 use vqmc_hamiltonian::{LocalEnergyConfig, TransverseFieldIsing};
 use vqmc_nn::{Made, WaveFunction};
@@ -195,7 +195,7 @@ fn training_config(iters: usize, bs: usize, seed: u64) -> TrainerConfig {
     }
 }
 
-/// End-to-end golden-path contract: `ShardedTrainer` over real sockets
+/// End-to-end golden-path contract: `Trainer::run_over` over real sockets
 /// reproduces the plain single-process `Trainer` bitwise — the property
 /// that makes `train --ranks N` emit the same trace at any N.
 #[test]
@@ -212,12 +212,12 @@ fn sharded_training_over_sockets_matches_plain_trainer_bitwise() {
     for world in [2usize, 3] {
         let h = h.clone();
         let results = with_mesh(world, move |mut mesh, _rank| {
-            let mut t = ShardedTrainer::new(
+            let mut t = Trainer::new(
                 Made::new(n, 10, 4),
                 IncrementalAutoSampler::new(),
                 cfg,
             );
-            let trace = t.run(&h, &mut mesh).unwrap();
+            let trace = t.run_over(&h, &mut mesh).unwrap();
             mesh.shutdown();
             (trace, t.into_wavefunction().params())
         });

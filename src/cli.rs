@@ -479,8 +479,8 @@ fn train_worker(flags: &Flags) -> Result<(), String> {
             config.batch_size
         );
     }
-    let mut t = ShardedTrainer::new(wf, IncrementalAutoSampler::new(), config);
-    let trace = t.run(h, &mut mesh).map_err(|e| format!("rank {rank}: {e}"))?;
+    let mut t = Trainer::new(wf, IncrementalAutoSampler::new(), config);
+    let trace = t.run_over(h, &mut mesh).map_err(|e| format!("rank {rank}: {e}"))?;
     mesh.shutdown();
 
     if rank == 0 {

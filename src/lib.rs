@@ -72,8 +72,7 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, DeviceSpec, Topology};
     pub use crate::core::{
         hitting_time, Collective, CollectiveError, DistributedConfig, DistributedTrainer,
-        EnergyStats, HittingConfig, OptimizerChoice, ShardedTrainer, Trainer, TrainerConfig,
-        TrainingTrace,
+        EnergyStats, HittingConfig, OptimizerChoice, Trainer, TrainerConfig, TrainingTrace,
     };
     pub use crate::dist::{Mesh, MeshConfig};
     pub use crate::hamiltonian::{

@@ -177,3 +177,52 @@ fn sampling_round_time_matches_cost_model() {
         "modelled {secs} vs cost-model {expected}"
     );
 }
+
+/// FNV-1a over the bit patterns of a parameter vector.
+fn params_digest(params: &Vector) -> u64 {
+    params.iter().fold(0xcbf2_9ce4_8422_2325u64, |mut hash, p| {
+        for b in p.to_bits().to_le_bytes() {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    })
+}
+
+/// The modelled clock and the trajectory, pinned bit for bit: three
+/// training steps and one Figure-3 sampling round per topology.  The
+/// constants were captured before the cluster arm was moved onto the
+/// shared rank step, so the modelled numbers behind Figures 3–4 and
+/// Table 6 cannot drift with the step's implementation.
+#[test]
+fn modelled_clock_and_trajectory_are_pinned() {
+    let n = 8;
+    let h = TransverseFieldIsing::random(n, 19);
+    let mut got = Vec::new();
+    for (l1, l2) in [(1, 1), (1, 3), (2, 2)] {
+        let cluster = Cluster::new(Topology::new(l1, l2), DeviceSpec::v100());
+        let wf = Made::new(n, 10, 4);
+        let mut t =
+            DistributedTrainer::new(cluster, wf, IncrementalAutoSampler::new(), config(3, 8, n, 10, 6));
+        for _ in 0..3 {
+            t.step(&h);
+        }
+        t.sampling_round();
+        got.push((
+            (l1, l2),
+            t.elapsed_modelled().to_bits(),
+            params_digest(&t.params()),
+        ));
+    }
+    // The modelled clock is arm-independent; the trained parameters
+    // differ in the last bits between the vector and the portable
+    // kernel arms (both are deterministic), so each arm has its digest.
+    let portable = vqmc::tensor::simd::backend() == vqmc::tensor::simd::Backend::Scalar;
+    let digest = |vector: u64, scalar: u64| if portable { scalar } else { vector };
+    let expected = [
+        ((1, 1), 0x3f94_fdf5_fc92_c798, digest(0xadaf_f064_2447_13cc, 0xa144_2c72_521b_614f)),
+        ((1, 3), 0x3f95_1d99_b192_5bf7, digest(0xbe2f_404b_6e2a_d9f8, 0xb4fb_8ac1_ab88_b458)),
+        ((2, 2), 0x3f95_4cec_458c_0b13, digest(0xb7dc_c93b_19af_2ccd, 0x03f4_9d58_69dd_299c)),
+    ];
+    assert_eq!(got, expected, "modelled clock or trajectory moved");
+}
