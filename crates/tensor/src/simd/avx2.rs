@@ -1,15 +1,12 @@
 //! AVX2+FMA arm of the dispatch table (x86_64 only, compiled out under
 //! `--features force-scalar`).
 //!
-//! Every kernel is the vector mirror of a function in
-//! `simd::portable`: identical operation sequence (blends for the
-//! scalar branches, `vfmadd` for every `mul_add`) and, for the
-//! reductions, the identical lane-striped accumulator layout and
-//! horizontal-sum order.  Lanes outside the vector-safe input range of
-//! the vendored `exp` (`|·| ≥ 708`, or NaN) are detected with one
-//! compare+movemask per 4-pack and routed through the *same* portable
-//! per-element functions, so exceptional inputs cost a branch, not a
-//! wrong answer — and both arms stay bit-identical everywhere.
+//! The kernels that are not yet one generic body: the 8×4 packed-GEMM
+//! microkernel and the batched sampling step, each the vector twin of
+//! its `simd::portable` counterpart (identical operation sequence and
+//! accumulator layout, so the arms are bit-identical).  The AVX2 slice
+//! and reduction entries are the generic bodies of `simd::slices` at
+//! `__m256d`, stamped under `#[target_feature]` in `simd`.
 //!
 //! # Safety
 //! Every `fn` here is `unsafe` with `#[target_feature(enable = "avx2",
@@ -21,356 +18,6 @@
 #![allow(clippy::missing_safety_doc)]
 
 use core::arch::x86_64::*;
-
-use super::exp;
-use super::portable;
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn abs_pd(x: __m256d) -> __m256d {
-    _mm256_andnot_pd(_mm256_set1_pd(-0.0), x)
-}
-
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn neg_pd(x: __m256d) -> __m256d {
-    _mm256_xor_pd(x, _mm256_set1_pd(-0.0))
-}
-
-/// Vector `e^x` for lanes with `|x| ≤ EXP_SAFE_BOUND` — the exact
-/// mirror of `exp::exp_bounded` (same reduction, same Horner chain,
-/// same exact power-of-two scaling; the rounded integer `n` is read
-/// straight out of the magic-constant sum's bit pattern).
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_pd(x: __m256d) -> __m256d {
-    let magic = _mm256_set1_pd(exp::ROUND_MAGIC);
-    let t = _mm256_mul_pd(x, _mm256_set1_pd(exp::LOG2E));
-    let m = _mm256_add_pd(t, magic);
-    let nf = _mm256_sub_pd(m, magic);
-    let mut r = _mm256_fnmadd_pd(nf, _mm256_set1_pd(exp::LN2_HI), x);
-    r = _mm256_fnmadd_pd(nf, _mm256_set1_pd(exp::LN2_LO), r);
-    let mut p = _mm256_set1_pd(exp::EXP_POLY[13]);
-    let mut k = 13;
-    while k > 0 {
-        k -= 1;
-        p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(exp::EXP_POLY[k]));
-    }
-    // m and ROUND_MAGIC share a binade, so their bit patterns differ by
-    // exactly the integer n; build 2^n in the exponent field.
-    let ni = _mm256_sub_epi64(_mm256_castpd_si256(m), _mm256_castpd_si256(magic));
-    let scale = _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_add_epi64(
-        ni,
-        _mm256_set1_epi64x(1023),
-    )));
-    _mm256_mul_pd(p, scale)
-}
-
-/// Vector `ln(1+z)` for `z ∈ [0, 1]` — mirror of `exp::log1p01`: both
-/// the `f = z` and the halved-with-correction arms are evaluated and
-/// blended on the `z > √2−1` mask.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn log1p01_pd(z: __m256d) -> __m256d {
-    let one = _mm256_set1_pd(1.0);
-    let big = _mm256_cmp_pd::<_CMP_GT_OQ>(z, _mm256_set1_pd(exp::SQRT2M1));
-    let u = _mm256_add_pd(one, z);
-    let c_full = _mm256_div_pd(_mm256_sub_pd(z, _mm256_sub_pd(u, one)), u);
-    let c = _mm256_and_pd(big, c_full);
-    let f = _mm256_blendv_pd(
-        z,
-        _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), u), one),
-        big,
-    );
-    let kf = _mm256_and_pd(big, one);
-    let s = _mm256_div_pd(f, _mm256_add_pd(_mm256_set1_pd(2.0), f));
-    let s2 = _mm256_mul_pd(s, s);
-    let mut rp = _mm256_set1_pd(exp::LOG_POLY[6]);
-    let mut i = 6;
-    while i > 0 {
-        i -= 1;
-        rp = _mm256_fmadd_pd(rp, s2, _mm256_set1_pd(exp::LOG_POLY[i]));
-    }
-    let r = _mm256_mul_pd(s2, rp);
-    let hfsq = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(0.5), f), f);
-    let main = _mm256_sub_pd(
-        f,
-        _mm256_sub_pd(hfsq, _mm256_mul_pd(s, _mm256_add_pd(hfsq, r))),
-    );
-    _mm256_fmadd_pd(
-        kf,
-        _mm256_set1_pd(exp::LN2_HI),
-        _mm256_add_pd(main, _mm256_fmadd_pd(kf, _mm256_set1_pd(exp::LN2_LO), c)),
-    )
-}
-
-/// True (all-ones) in lanes where the `exp` fast path does not apply:
-/// `|scaled| ≥ bound` or NaN (`NLT_UQ` catches unordered).
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exceptional_mask(ax: __m256d, bound: f64) -> i32 {
-    _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NLT_UQ>(ax, _mm256_set1_pd(bound)))
-}
-
-macro_rules! slice_kernel {
-    ($name:ident, $bound:expr, $scalar:path, |$x:ident, $ax:ident| $vector:expr) => {
-        /// See the portable twin of the same name for semantics.
-        #[target_feature(enable = "avx2", enable = "fma")]
-        pub unsafe fn $name(xs: &mut [f64]) {
-            let n = xs.len();
-            let p = xs.as_mut_ptr();
-            let mut i = 0;
-            while i + 4 <= n {
-                let $x = _mm256_loadu_pd(p.add(i));
-                let $ax = abs_pd($x);
-                if exceptional_mask($ax, $bound) != 0 {
-                    for j in i..i + 4 {
-                        *p.add(j) = $scalar(*p.add(j));
-                    }
-                } else {
-                    _mm256_storeu_pd(p.add(i), $vector);
-                }
-                i += 4;
-            }
-            while i < n {
-                *p.add(i) = $scalar(*p.add(i));
-                i += 1;
-            }
-        }
-    };
-}
-
-slice_kernel!(
-    sigmoid_slice,
-    exp::EXP_SAFE_BOUND,
-    portable::sigmoid,
-    |x, ax| {
-        let one = _mm256_set1_pd(1.0);
-        let t = exp_pd(neg_pd(ax));
-        let ge0 = _mm256_cmp_pd::<_CMP_GE_OQ>(x, _mm256_setzero_pd());
-        let num = _mm256_blendv_pd(t, one, ge0);
-        _mm256_div_pd(num, _mm256_add_pd(one, t))
-    }
-);
-
-slice_kernel!(
-    log_sigmoid_slice,
-    exp::EXP_SAFE_BOUND,
-    portable::log_sigmoid,
-    |x, ax| {
-        let t = exp_pd(neg_pd(ax));
-        let lt0 = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_setzero_pd());
-        let neg = _mm256_blendv_pd(_mm256_setzero_pd(), x, lt0);
-        _mm256_sub_pd(neg, log1p01_pd(t))
-    }
-);
-
-slice_kernel!(ln_cosh_slice, 354.0, portable::ln_cosh, |x, ax| {
-    let _ = x;
-    let t = exp_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ax));
-    let am = _mm256_sub_pd(ax, _mm256_set1_pd(exp::LN2));
-    _mm256_add_pd(am, log1p01_pd(t))
-});
-
-slice_kernel!(tanh_slice, 354.0, portable::tanh, |x, ax| {
-    let one = _mm256_set1_pd(1.0);
-    let t = exp_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ax));
-    let r = _mm256_div_pd(_mm256_sub_pd(one, t), _mm256_add_pd(one, t));
-    let lt0 = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_setzero_pd());
-    _mm256_blendv_pd(r, neg_pd(r), lt0)
-});
-
-slice_kernel!(exp_slice, exp::EXP_SAFE_BOUND, exp::exp, |x, ax| {
-    let _ = ax;
-    exp_pd(x)
-});
-
-/// Lane-striped sum; same combine order as `portable::sum_slice`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum_slice(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let p = xs.as_ptr();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        acc = _mm256_add_pd(acc, _mm256_loadu_pd(p.add(i)));
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        tail += *p.add(i);
-        i += 1;
-    }
-    hsum(acc) + tail
-}
-
-/// `((c0+c1)+(c2+c3))` — the shared horizontal-sum order.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn hsum(acc: __m256d) -> f64 {
-    let mut c = [0.0f64; 4];
-    _mm256_storeu_pd(c.as_mut_ptr(), acc);
-    (c[0] + c[1]) + (c[2] + c[3])
-}
-
-/// Lane-striped `Σ (x−m)²`; twin of `portable::sq_dev_sum`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sq_dev_sum(xs: &[f64], m: f64) -> f64 {
-    let n = xs.len();
-    let p = xs.as_ptr();
-    let mv = _mm256_set1_pd(m);
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let d = _mm256_sub_pd(_mm256_loadu_pd(p.add(i)), mv);
-        acc = _mm256_fmadd_pd(d, d, acc);
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        let d = *p.add(i) - m;
-        tail = d.mul_add(d, tail);
-        i += 1;
-    }
-    hsum(acc) + tail
-}
-
-/// Lane-striped `Σ e^{x−m}`; twin of `portable::sum_exp_shifted`.
-/// Exceptional 4-packs (shift below −708, or NaN) take the scalar
-/// `exp` per lane but keep the lane-striped accumulation.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum_exp_shifted(xs: &[f64], m: f64) -> f64 {
-    let n = xs.len();
-    let p = xs.as_ptr();
-    let mv = _mm256_set1_pd(m);
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let d = _mm256_sub_pd(_mm256_loadu_pd(p.add(i)), mv);
-        let e = if exceptional_mask(abs_pd(d), exp::EXP_SAFE_BOUND) != 0 {
-            let mut lanes = [0.0f64; 4];
-            for (j, l) in lanes.iter_mut().enumerate() {
-                *l = exp::exp(*p.add(i + j) - m);
-            }
-            _mm256_loadu_pd(lanes.as_ptr())
-        } else {
-            exp_pd(d)
-        };
-        acc = _mm256_add_pd(acc, e);
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        tail += exp::exp(*p.add(i) - m);
-        i += 1;
-    }
-    hsum(acc) + tail
-}
-
-/// Four-register FMA dot product; twin of `portable::dot` (16-lane
-/// stripes, pairwise register combine, then `hsum`, then tail).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut y0 = _mm256_setzero_pd();
-    let mut y1 = _mm256_setzero_pd();
-    let mut y2 = _mm256_setzero_pd();
-    let mut y3 = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 16 <= n {
-        y0 = _mm256_fmadd_pd(_mm256_loadu_pd(pa.add(i)), _mm256_loadu_pd(pb.add(i)), y0);
-        y1 = _mm256_fmadd_pd(
-            _mm256_loadu_pd(pa.add(i + 4)),
-            _mm256_loadu_pd(pb.add(i + 4)),
-            y1,
-        );
-        y2 = _mm256_fmadd_pd(
-            _mm256_loadu_pd(pa.add(i + 8)),
-            _mm256_loadu_pd(pb.add(i + 8)),
-            y2,
-        );
-        y3 = _mm256_fmadd_pd(
-            _mm256_loadu_pd(pa.add(i + 12)),
-            _mm256_loadu_pd(pb.add(i + 12)),
-            y3,
-        );
-        i += 16;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        tail = (*pa.add(i)).mul_add(*pb.add(i), tail);
-        i += 1;
-    }
-    let c = _mm256_add_pd(_mm256_add_pd(y0, y1), _mm256_add_pd(y2, y3));
-    hsum(c) + tail
-}
-
-/// Lane-striped `Σ w·max(z, 0)`; twin of `portable::relu_dot`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn relu_dot(w: &[f64], z: &[f64]) -> f64 {
-    debug_assert_eq!(w.len(), z.len());
-    let n = w.len();
-    let (pw, pz) = (w.as_ptr(), z.as_ptr());
-    let zero = _mm256_setzero_pd();
-    let mut acc = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 4 <= n {
-        let zp = _mm256_max_pd(_mm256_loadu_pd(pz.add(i)), zero);
-        acc = _mm256_fmadd_pd(_mm256_loadu_pd(pw.add(i)), zp, acc);
-        i += 4;
-    }
-    let mut tail = 0.0;
-    while i < n {
-        let zv = *pz.add(i);
-        let zp = if zv > 0.0 { zv } else { 0.0 };
-        tail = (*pw.add(i)).mul_add(zp, tail);
-        i += 1;
-    }
-    hsum(acc) + tail
-}
-
-/// `y ← y + α·x`; elementwise FMA (bit-identical to the portable arm
-/// by construction).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let py = y.as_mut_ptr();
-    let px = x.as_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = _mm256_fmadd_pd(av, _mm256_loadu_pd(px.add(i)), _mm256_loadu_pd(py.add(i)));
-        _mm256_storeu_pd(py.add(i), r);
-        i += 4;
-    }
-    while i < n {
-        *py.add(i) = alpha.mul_add(*px.add(i), *py.add(i));
-        i += 1;
-    }
-}
-
-/// `y ← x + β·y`; elementwise FMA.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn xpby(y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let py = y.as_mut_ptr();
-    let px = x.as_ptr();
-    let bv = _mm256_set1_pd(beta);
-    let mut i = 0;
-    while i + 4 <= n {
-        let r = _mm256_fmadd_pd(bv, _mm256_loadu_pd(py.add(i)), _mm256_loadu_pd(px.add(i)));
-        _mm256_storeu_pd(py.add(i), r);
-        i += 4;
-    }
-    while i < n {
-        *py.add(i) = beta.mul_add(*py.add(i), *px.add(i));
-        i += 1;
-    }
-}
 
 /// The 8×4 FMA GEMM microkernel over packed panels: per `k`-step one
 /// 4-wide B load, eight A broadcasts, eight `vfmaddpd` into eight

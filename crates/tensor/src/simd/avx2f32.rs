@@ -1,14 +1,13 @@
 //! AVX2+FMA arm of the **f32** dispatch table (x86_64 only, compiled
 //! out under `--features force-scalar`).
 //!
-//! Every kernel is the vector mirror of a function in
-//! `simd::portable32`: identical stripe layout (8 `f32` lanes = one
-//! `ymm`), identical fused steps (`vfmaddps` for every `f32::mul_add`),
-//! and the identical `f64`-widened cross-stripe combine — so the two
-//! arms are bit-identical (property-tested in
-//! `tests/simd_f32_proptests.rs`).  The transcendental slices reuse the
-//! widen → **this arm's f64 kernel** → narrow route from `portable32`,
-//! inheriting the f64 arms' proven cross-arm bit-identity.
+//! The kernels that are not yet one generic body: the 8×4 packed-GEMM
+//! microkernel and the batched sampling step, each the vector twin of
+//! its `simd::portable32` counterpart (identical stripe layout, fused
+//! steps and `f64`-widened combine, so the arms are bit-identical).
+//! The f32 reductions are the generic bodies of `simd::slices` at
+//! `__m256`; the transcendental slices widen through this arm's f64
+//! kernels.
 //!
 //! # Safety
 //! Every `fn` here is `unsafe` with `#[target_feature(enable = "avx2",
@@ -21,122 +20,7 @@
 
 use core::arch::x86_64::*;
 
-use super::portable32::{self, combine8, LANES_F32};
-
-/// `(((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7)))` over the widened lanes —
-/// the shared horizontal-sum order of the f32 arms.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn hsum8(acc: __m256) -> f64 {
-    let mut c = [0.0f32; 8];
-    _mm256_storeu_ps(c.as_mut_ptr(), acc);
-    combine8(&c)
-}
-
-/// Lane-striped sum; same stripe layout and combine as
-/// `portable32::sum`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn sum(xs: &[f32]) -> f64 {
-    let n = xs.len();
-    let p = xs.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        acc = _mm256_add_ps(acc, _mm256_loadu_ps(p.add(i)));
-        i += 8;
-    }
-    let mut tail = 0.0f32;
-    while i < n {
-        tail += *p.add(i);
-        i += 1;
-    }
-    hsum8(acc) + tail as f64
-}
-
-/// Four-register FMA dot product; twin of `portable32::dot` (32-lane
-/// stripes, pairwise register combine in `f32`, widened `hsum8`, tail).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn dot(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut y0 = _mm256_setzero_ps();
-    let mut y1 = _mm256_setzero_ps();
-    let mut y2 = _mm256_setzero_ps();
-    let mut y3 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 32 <= n {
-        y0 = _mm256_fmadd_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)), y0);
-        y1 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 8)),
-            _mm256_loadu_ps(pb.add(i + 8)),
-            y1,
-        );
-        y2 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 16)),
-            _mm256_loadu_ps(pb.add(i + 16)),
-            y2,
-        );
-        y3 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(pa.add(i + 24)),
-            _mm256_loadu_ps(pb.add(i + 24)),
-            y3,
-        );
-        i += 32;
-    }
-    let mut tail = 0.0f32;
-    while i < n {
-        tail = (*pa.add(i)).mul_add(*pb.add(i), tail);
-        i += 1;
-    }
-    let c = _mm256_add_ps(_mm256_add_ps(y0, y1), _mm256_add_ps(y2, y3));
-    hsum8(c) + tail as f64
-}
-
-/// Lane-striped `Σ w·max(z, 0)`; twin of `portable32::relu_dot`.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn relu_dot(w: &[f32], z: &[f32]) -> f64 {
-    debug_assert_eq!(w.len(), z.len());
-    let n = w.len();
-    let (pw, pz) = (w.as_ptr(), z.as_ptr());
-    let zero = _mm256_setzero_ps();
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 8 <= n {
-        let zp = _mm256_max_ps(_mm256_loadu_ps(pz.add(i)), zero);
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(pw.add(i)), zp, acc);
-        i += 8;
-    }
-    let mut tail = 0.0f32;
-    while i < n {
-        let zv = *pz.add(i);
-        let zp = if zv > 0.0 { zv } else { 0.0 };
-        tail = (*pw.add(i)).mul_add(zp, tail);
-        i += 1;
-    }
-    hsum8(acc) + tail as f64
-}
-
-/// `y ← y + α·x` over `f32`; elementwise FMA (bit-identical to the
-/// portable arm by construction).
-#[target_feature(enable = "avx2", enable = "fma")]
-pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
-    let n = y.len();
-    let py = y.as_mut_ptr();
-    let px = x.as_ptr();
-    let av = _mm256_set1_ps(alpha);
-    let mut i = 0;
-    while i + 8 <= n {
-        let r = _mm256_fmadd_ps(av, _mm256_loadu_ps(px.add(i)), _mm256_loadu_ps(py.add(i)));
-        _mm256_storeu_ps(py.add(i), r);
-        i += 8;
-    }
-    while i < n {
-        *py.add(i) = alpha.mul_add(*px.add(i), *py.add(i));
-        i += 1;
-    }
-}
+use super::portable32::{self, LANES_F32};
 
 /// The 8×4 FMA **f32** GEMM microkernel over packed panels: per
 /// `k`-step one 4-wide B load (`xmm`), eight A broadcasts, eight

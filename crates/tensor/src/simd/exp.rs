@@ -1,13 +1,14 @@
-//! Vendored scalar `exp` and `log1p` cores shared by both dispatch arms.
+//! Vendored `exp` and `log1p` cores of the transcendental slice kernels.
 //!
-//! These are the transcendental building blocks of the SIMD slice
-//! kernels.  They are *vendored* (written here, not pulled from a libm
-//! crate) so that the portable-scalar arm and the AVX2 arm can share
-//! the **identical operation sequence**: every fused step is an
-//! explicit [`f64::mul_add`], which lowers to the same correctly
-//! rounded FMA the vector kernels issue, so the two arms agree
-//! bit-for-bit on every lane (property-tested in
-//! `tests/simd_proptests.rs`).
+//! They are *vendored* (written here, not pulled from a libm crate)
+//! and written once, over the [`ExpLanes`] lane types, so every
+//! dispatch arm runs the **identical operation sequence**: every fused
+//! step is a lane `mul_add`, one correctly rounded FMA per lane on
+//! every arm, and the arms agree bit-for-bit on every lane
+//! (property-tested in `tests/simd_proptests.rs`, pinned across commits
+//! by the root `tests/simd_digests.rs`).  Besides the constants, this
+//! module holds the only copy of the reduction, the two polynomials and
+//! the full-range scalar [`exp`] the kernels use for exceptional lanes.
 //!
 //! ## `exp` algorithm
 //!
@@ -28,19 +29,12 @@
 //! Measured accuracy versus `f64::exp` (see the full-range ULP sweep
 //! in `tests/simd_proptests.rs`): ≤ 2 ULP over the normal range and
 //! the overflow/underflow edges.
-//!
-//! ## `log1p01` — `ln(1+z)` restricted to `z ∈ [0, 1]`
-//!
-//! The composite kernels (`log_sigmoid`, `ln_cosh`) only ever need
-//! `log1p` of `t = e^{-|·|} ∈ (0, 1]`, so this is a restricted-domain
-//! port of the musl/fdlibm `log1p` (`s = f/(2+f)` atanh-style series
-//! with the published `Lg1..Lg7` coefficients), with a direct
-//! power-series branch below `2^-16` where forming `1+z` would shave
-//! input bits.
 
 // The published fdlibm/musl coefficients carry guard digits past f64
 // precision; keeping them verbatim documents their provenance.
 #![allow(clippy::excessive_precision)]
+
+use super::lanes::ExpLanes;
 
 /// Inputs above this overflow `exp` to `+inf`.
 pub const EXP_OVERFLOW: f64 = 709.782712893384;
@@ -83,17 +77,30 @@ pub const EXP_POLY: [f64; 14] = [
     1.605_904_383_682_161_3e-10,
 ];
 
-/// Horner evaluation of the `exp` Taylor polynomial — the shared
-/// association order of both dispatch arms (each step one FMA).
-#[inline]
-pub fn exp_poly(r: f64) -> f64 {
-    let mut p = EXP_POLY[13];
-    let mut k = 13;
-    while k > 0 {
-        k -= 1;
-        p = p.mul_add(r, EXP_POLY[k]);
+/// The Cody–Waite reduction and degree-13 Horner chain shared by every
+/// `exp`: returns `(p, m)` with `e^x = p · 2ⁿ`, where the magic sum
+/// `m = x·log2 e + ROUND_MAGIC` carries the rounded `n` in its low bits.
+#[inline(always)]
+fn reduce<L: ExpLanes>(x: L) -> (L, L) {
+    let magic = L::splat(ROUND_MAGIC);
+    let m = x.mul(L::splat(LOG2E)).add(magic);
+    let nf = m.sub(magic);
+    let r = nf.neg().mul_add(L::splat(LN2_HI), x);
+    let r = nf.neg().mul_add(L::splat(LN2_LO), r);
+    let mut p = L::splat(EXP_POLY[13]);
+    for &c in EXP_POLY[..13].iter().rev() {
+        p = p.mul_add(r, L::splat(c));
     }
-    p
+    (p, m)
+}
+
+/// `e^x` restricted to `|x| ≤` [`EXP_SAFE_BOUND`] — the kernels' fast
+/// path (one exact scaling by a normal `2ⁿ`, no edge branches).
+/// Callers must guarantee the bound.
+#[inline(always)]
+pub(super) fn exp_fast<L: ExpLanes>(x: L) -> L {
+    let (p, m) = reduce(x);
+    p.mul(m.pow2n())
 }
 
 /// `p · 2^n` with `n ∈ [-1075, 1024]`, exact except for the single
@@ -116,8 +123,8 @@ fn scale2(p: f64, n: i64) -> f64 {
 
 /// Vendored `e^x` for all finite and non-finite `f64` inputs.
 ///
-/// This is the scalar arm of the dispatched `exp_slice` kernel and the
-/// per-lane fallback of the vector arm outside [`EXP_SAFE_BOUND`].
+/// The per-lane fallback of every arm's `exp` kernels outside
+/// [`EXP_SAFE_BOUND`]; inside it, bit-identical to [`exp_fast`].
 #[inline]
 pub fn exp(x: f64) -> f64 {
     if x.is_nan() {
@@ -129,26 +136,8 @@ pub fn exp(x: f64) -> f64 {
     if x < EXP_UNDERFLOW {
         return 0.0;
     }
-    let t = x * LOG2E;
-    let nf = (t + ROUND_MAGIC) - ROUND_MAGIC;
-    let r = (-nf).mul_add(LN2_HI, x);
-    let r = (-nf).mul_add(LN2_LO, r);
-    scale2(exp_poly(r), nf as i64)
-}
-
-/// `e^x` restricted to `|x| ≤` [`EXP_SAFE_BOUND`] — the exact scalar
-/// mirror of the vector fast path (single-step `2^n` scaling, no edge
-/// branches).  Callers must guarantee the bound.
-#[inline]
-pub fn exp_bounded(x: f64) -> f64 {
-    debug_assert!(x.abs() <= EXP_SAFE_BOUND);
-    let t = x * LOG2E;
-    let nf = (t + ROUND_MAGIC) - ROUND_MAGIC;
-    let r = (-nf).mul_add(LN2_HI, x);
-    let r = (-nf).mul_add(LN2_LO, r);
-    // |n| ≤ 1022: the scale is a normal power of two, so this multiply
-    // is exact and bit-identical to the vector arm's exponent-bit add.
-    exp_poly(r) * f64::from_bits(((nf as i64 + 1023) as u64) << 52)
+    let (p, m) = reduce(x);
+    scale2(p, (m - ROUND_MAGIC) as i64)
 }
 
 /// `√2 − 1`: above this `1+z` exceeds `√2` and the argument is halved
@@ -169,8 +158,10 @@ pub const LOG_POLY: [f64; 7] = [
 /// `ln 2` as a single double.
 pub const LN2: f64 = std::f64::consts::LN_2;
 
-/// `ln(1 + z)` for `z ∈ [0, 1]` — the domain produced by
-/// `t = e^{-|·|}` inside the composite kernels.
+/// `ln(1 + z)` for `z ∈ [0, 1]`, the `t = e^{-|·|}` the composite
+/// kernels (`log_sigmoid`, `ln_cosh`) need: a restricted-domain port of
+/// musl/fdlibm `log1p` (the `s = f/(2+f)` series with `Lg1..Lg7`),
+/// evaluated on both sides of `√2−1` and selected per lane.
 ///
 /// For `z ≤ √2−1` the reduced argument is `f = z` itself — `1+z` is
 /// never formed, so no input bits are lost.  Above `√2−1` the argument
@@ -179,28 +170,24 @@ pub const LN2: f64 = std::f64::consts::LN_2;
 /// exactly as `c = z − (u−1)` and added back as `c/u`.  The `k·ln 2`
 /// rescale uses the hi/lo split so its error stays below the final
 /// rounding.
-#[inline]
-pub fn log1p01(z: f64) -> f64 {
-    debug_assert!((0.0..=1.0).contains(&z) || z.is_nan());
-    let big = z > SQRT2M1;
-    let u = 1.0 + z;
-    let c = if big { (z - (u - 1.0)) / u } else { 0.0 };
-    let f = if big { 0.5 * u - 1.0 } else { z };
-    let kf: f64 = if big { 1.0 } else { 0.0 };
-    let s = f / (2.0 + f);
-    let s2 = s * s;
-    let mut rp = LOG_POLY[6];
-    let mut i = 6;
-    while i > 0 {
-        i -= 1;
-        rp = rp.mul_add(s2, LOG_POLY[i]);
+#[inline(always)]
+pub(super) fn log1p01<L: ExpLanes>(z: L) -> L {
+    let one = L::splat(1.0);
+    let big = L::splat(SQRT2M1).lt(z);
+    let u = one.add(z);
+    let c = L::select(big, z.sub(u.sub(one)).div(u), L::zero());
+    let f = L::select(big, L::splat(0.5).mul(u).sub(one), z);
+    let kf = L::select(big, one, L::zero());
+    let s = f.div(L::splat(2.0).add(f));
+    let s2 = s.mul(s);
+    let mut rp = L::splat(LOG_POLY[6]);
+    for &lg in LOG_POLY[..6].iter().rev() {
+        rp = rp.mul_add(s2, L::splat(lg));
     }
-    let r = s2 * rp;
-    let hfsq = 0.5 * f * f;
-    kf.mul_add(
-        LN2_HI,
-        (f - (hfsq - s * (hfsq + r))) + kf.mul_add(LN2_LO, c),
-    )
+    let r = s2.mul(rp);
+    let hfsq = L::splat(0.5).mul(f).mul(f);
+    let main = f.sub(hfsq.sub(s.mul(hfsq.add(r))));
+    kf.mul_add(L::splat(LN2_HI), main.add(kf.mul_add(L::splat(LN2_LO), c)))
 }
 
 #[cfg(test)]
@@ -253,10 +240,10 @@ mod tests {
     }
 
     #[test]
-    fn exp_bounded_matches_exp() {
+    fn exp_fast_matches_exp() {
         let mut x = -708.0;
         while x <= 708.0 {
-            assert_eq!(exp_bounded(x), exp(x), "x={x}");
+            assert_eq!(exp_fast(x), exp(x), "x={x}");
             x += 1.7;
         }
     }

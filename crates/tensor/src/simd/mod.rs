@@ -1,22 +1,25 @@
 //! Runtime-dispatched SIMD kernel table.
 //!
 //! One-time runtime feature detection
-//! (`is_x86_feature_detected!("avx2")` + `"fma"`) resolves into a
-//! [`OnceLock`]-cached table of plain function pointers — the
-//! [`Kernels`] struct — that every hot-path consumer reads through
-//! [`kernels()`].  Two arms exist:
+//! (`is_x86_feature_detected!("avx2")` + `"fma"`, and `"avx512f"`)
+//! resolves into a [`OnceLock`]-cached table of plain function pointers
+//! — the [`Kernels`] struct — that every hot-path consumer reads
+//! through [`kernels()`].  Three arms exist:
 //!
-//! * **AVX2+FMA** ([`avx2`]): 4-wide vector kernels and the 8×4 packed
-//!   GEMM microkernel.  Installed only after both features are
-//!   detected, so the `unsafe` `target_feature` functions are sound to
-//!   call through the table.
-//! * **Portable scalar** ([`portable`]): the operation-for-operation
-//!   scalar twin of every vector kernel.  This is the production arm
-//!   on non-x86_64 targets and the fallback everywhere else.
+//! * **AVX-512** ([`avx512`]): the AVX2 table with 512-bit overrides
+//!   where they pay (the batched sampling step, the signed pair sum).
+//! * **AVX2+FMA** ([`avx2`]): 4-wide `f64` / 8-wide `f32` vectors.
+//!   Installed only after both features are detected, so the
+//!   `target_feature` functions are sound to call through the table.
+//! * **Portable** ([`portable`]): the production arm on non-x86_64
+//!   targets and the fallback everywhere else.
 //!
-//! [`signed_sum`] is the exception to hand-written twins: one plain
-//! lane-loop body, stamped under `#[target_feature]` for each arm.
-//!
+//! The slice and reduction kernels are each **one body** (`slices.rs`)
+//! over the lane types of `lanes.rs`, instantiated per arm: `[f64; 4]`
+//! / `[f32; 8]` portable, `__m256d` / `__m256` under `#[target_feature]`
+//! for AVX2.  [`signed_sum`] is one body too; the GEMM microkernel and
+//! the batched sampling step are still written per arm.
+
 //! Fallback policy (first match wins):
 //!
 //! 1. `--features force-scalar`, or a non-x86_64 target → portable arm
@@ -24,8 +27,7 @@
 //! 2. `VQMC_SIMD` set to `off`/`0`/`scalar`/`false` (case-insensitive)
 //!    → portable arm (runtime kill-switch, read once); `VQMC_SIMD=avx2`
 //!    caps the dispatch at the AVX2 table.
-//! 3. `avx512f` (with `avx2`+`fma`) detected → AVX-512 table: the AVX2
-//!    kernels plus 512-bit overrides where they pay ([`avx512`]).
+//! 3. `avx512f` (with `avx2`+`fma`) detected → AVX-512 table.
 //! 4. `avx2` **and** `fma` detected → AVX2 arm.
 //! 5. Otherwise → portable arm.
 //!
@@ -34,10 +36,12 @@
 //! which in the training loop lands inside the warm-up iterations the
 //! zero-allocation invariant already excludes.
 //!
-//! **ULP contract** (property-tested in `tests/simd_proptests.rs`):
-//! both arms agree within ≤2 ULP on every kernel; in practice they are
-//! bit-identical because they share operation order and fused steps.
-//! Accuracy versus libm is a separate contract: the vendored
+//! **Cross-arm contract: bitwise.**  Every arm returns the same bits
+//! for every kernel on every input, saturation edges included, and NaN
+//! wherever another arm does (property-tested across all tables in
+//! `tests/simd_proptests.rs` and `tests/simd_f32_proptests.rs`, pinned
+//! across commits by the root `tests/simd_digests.rs`).  Accuracy
+//! versus libm is a separate contract: the vendored
 //! [`exp`](exp::exp) is within 2 ULP of `f64::exp` over the full input
 //! range, while the composite kernels (`ln_cosh`, `tanh`) carry an
 //! *absolute* error bound of a few 1e-16 (see DESIGN.md).
@@ -45,9 +49,13 @@
 use std::sync::OnceLock;
 
 pub mod exp;
+mod lanes;
 pub mod portable;
 pub mod portable32;
 pub mod signed_sum;
+mod slices;
+
+use slices::{Exp, LnCosh, LogSigmoid, Sigmoid, Tanh};
 
 pub use signed_sum::PAIR_TILE;
 
@@ -142,19 +150,19 @@ pub struct Kernels {
 /// The portable arm as a constant table.
 static PORTABLE: Kernels = Kernels {
     backend: Backend::Scalar,
-    sigmoid_slice: portable::sigmoid_slice,
-    log_sigmoid_slice: portable::log_sigmoid_slice,
-    ln_cosh_slice: portable::ln_cosh_slice,
-    tanh_slice: portable::tanh_slice,
-    exp_slice: portable::exp_slice,
-    dot: portable::dot,
-    axpy: portable::axpy,
-    xpby: portable::xpby,
-    relu_dot: portable::relu_dot,
+    sigmoid_slice: slices::map::<Sigmoid, [f64; 4]>,
+    log_sigmoid_slice: slices::map::<LogSigmoid, [f64; 4]>,
+    ln_cosh_slice: slices::map::<LnCosh, [f64; 4]>,
+    tanh_slice: slices::map::<Tanh, [f64; 4]>,
+    exp_slice: slices::map::<Exp, [f64; 4]>,
+    dot: slices::dot::<[f64; 4]>,
+    axpy: slices::axpy::<[f64; 4]>,
+    xpby: slices::xpby::<[f64; 4]>,
+    relu_dot: slices::relu_dot::<[f64; 4]>,
     sample_step_cols: portable::sample_step_cols,
-    sum: portable::sum_slice,
-    sq_dev_sum: portable::sq_dev_sum,
-    sum_exp_shifted: portable::sum_exp_shifted,
+    sum: slices::sum::<[f64; 4]>,
+    sq_dev_sum: slices::sq_dev_sum::<[f64; 4]>,
+    sum_exp_shifted: slices::sum_exp_shifted::<[f64; 4]>,
     micro_8x4: portable::micro_8x4 as MicroKernel,
     signed_pair_sum: signed_sum::portable,
 };
@@ -166,70 +174,54 @@ pub fn portable_kernels() -> &'static Kernels {
     &PORTABLE
 }
 
+/// Safe table shims over vector bodies: each `name(args) => body;`
+/// becomes a plain `fn name(args)` that runs `body` inside an inner
+/// function compiled with the given `target_feature` attribute.  Sound
+/// because the shims are only reachable through the tables of their
+/// arm, which are published after `is_x86_feature_detected!` confirmed
+/// those features.
+#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+macro_rules! shims {
+    (#[$tf:meta] $($(#[$m:meta])* $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? => $body:expr;)*) => {$(
+        $(#[$m])*
+        pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+            $(#[$m])*
+            #[$tf]
+            unsafe fn stamped($($arg: $ty),*) $(-> $ret)? {
+                $body
+            }
+            // SAFETY: see the macro docs.
+            unsafe { stamped($($arg),*) }
+        }
+    )*};
+}
+
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx2_table {
     use super::*;
+    use core::arch::x86_64::__m256d;
 
-    // Safe shims: these are only ever installed in the table after
-    // `is_x86_feature_detected!` confirmed avx2+fma, which makes the
-    // inner calls sound.
-    fn sigmoid_slice(xs: &mut [f64]) {
-        unsafe { avx2::sigmoid_slice(xs) }
-    }
-    fn log_sigmoid_slice(xs: &mut [f64]) {
-        unsafe { avx2::log_sigmoid_slice(xs) }
-    }
-    fn ln_cosh_slice(xs: &mut [f64]) {
-        unsafe { avx2::ln_cosh_slice(xs) }
-    }
-    fn tanh_slice(xs: &mut [f64]) {
-        unsafe { avx2::tanh_slice(xs) }
-    }
-    fn exp_slice(xs: &mut [f64]) {
-        unsafe { avx2::exp_slice(xs) }
-    }
-    fn dot(a: &[f64], b: &[f64]) -> f64 {
-        unsafe { avx2::dot(a, b) }
-    }
-    fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
-        unsafe { avx2::axpy(y, alpha, x) }
-    }
-    fn xpby(y: &mut [f64], beta: f64, x: &[f64]) {
-        unsafe { avx2::xpby(y, beta, x) }
-    }
-    fn relu_dot(w: &[f64], z: &[f64]) -> f64 {
-        unsafe { avx2::relu_dot(w, z) }
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn sample_step_cols(
-        zt: &mut [f64],
-        b: usize,
-        w_prev: Option<&[f64]>,
-        prev_mask: &[f64],
-        w_out: &[f64],
-        bias: f64,
-        scratch: &mut [f64],
-        logits: &mut [f64],
-    ) {
-        unsafe { avx2::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits) }
-    }
-    fn sum(xs: &[f64]) -> f64 {
-        unsafe { avx2::sum_slice(xs) }
-    }
-    fn sq_dev_sum(xs: &[f64], m: f64) -> f64 {
-        unsafe { avx2::sq_dev_sum(xs, m) }
-    }
-    fn sum_exp_shifted(xs: &[f64], m: f64) -> f64 {
-        unsafe { avx2::sum_exp_shifted(xs, m) }
-    }
-    fn signed_pair_sum(
-        offsets: &[usize],
-        cols: &[u32],
-        vals: &[f64],
-        masks: &[[u64; PAIR_TILE]],
-        acc: &mut [f64; PAIR_TILE],
-    ) {
-        unsafe { signed_sum::avx2(offsets, cols, vals, masks, acc) }
+    shims! {
+        #[target_feature(enable = "avx2", enable = "fma")]
+        sigmoid_slice(xs: &mut [f64]) => slices::map::<Sigmoid, __m256d>(xs);
+        log_sigmoid_slice(xs: &mut [f64]) => slices::map::<LogSigmoid, __m256d>(xs);
+        ln_cosh_slice(xs: &mut [f64]) => slices::map::<LnCosh, __m256d>(xs);
+        tanh_slice(xs: &mut [f64]) => slices::map::<Tanh, __m256d>(xs);
+        exp_slice(xs: &mut [f64]) => slices::map::<Exp, __m256d>(xs);
+        dot(a: &[f64], b: &[f64]) -> f64 => slices::dot::<__m256d>(a, b);
+        axpy(y: &mut [f64], alpha: f64, x: &[f64]) => slices::axpy::<__m256d>(y, alpha, x);
+        xpby(y: &mut [f64], beta: f64, x: &[f64]) => slices::xpby::<__m256d>(y, beta, x);
+        relu_dot(w: &[f64], z: &[f64]) -> f64 => slices::relu_dot::<__m256d>(w, z);
+        sum(xs: &[f64]) -> f64 => slices::sum::<__m256d>(xs);
+        sq_dev_sum(xs: &[f64], m: f64) -> f64 => slices::sq_dev_sum::<__m256d>(xs, m);
+        sum_exp_shifted(xs: &[f64], m: f64) -> f64 => slices::sum_exp_shifted::<__m256d>(xs, m);
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols(zt: &mut [f64], b: usize, w_prev: Option<&[f64]>, prev_mask: &[f64],
+            w_out: &[f64], bias: f64, scratch: &mut [f64], logits: &mut [f64])
+            => avx2::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+        signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
+            masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
+            => signed_sum::avx2(offsets, cols, vals, masks, acc);
     }
 
     pub(super) static AVX2: Kernels = Kernels {
@@ -256,29 +248,15 @@ mod avx2_table {
 mod avx512_table {
     use super::*;
 
-    // Safe shim: only installed after `is_x86_feature_detected!`
-    // confirmed avx512f (and avx2+fma for the inherited entries).
-    #[allow(clippy::too_many_arguments)]
-    fn sample_step_cols(
-        zt: &mut [f64],
-        b: usize,
-        w_prev: Option<&[f64]>,
-        prev_mask: &[f64],
-        w_out: &[f64],
-        bias: f64,
-        scratch: &mut [f64],
-        logits: &mut [f64],
-    ) {
-        unsafe { avx512::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits) }
-    }
-    fn signed_pair_sum(
-        offsets: &[usize],
-        cols: &[u32],
-        vals: &[f64],
-        masks: &[[u64; PAIR_TILE]],
-        acc: &mut [f64; PAIR_TILE],
-    ) {
-        unsafe { signed_sum::avx512(offsets, cols, vals, masks, acc) }
+    shims! {
+        #[target_feature(enable = "avx512f")]
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols(zt: &mut [f64], b: usize, w_prev: Option<&[f64]>, prev_mask: &[f64],
+            w_out: &[f64], bias: f64, scratch: &mut [f64], logits: &mut [f64])
+            => avx512::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+        signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
+            masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
+            => signed_sum::avx512(offsets, cols, vals, masks, acc);
     }
 
     /// The AVX2 table with AVX-512 overrides.
@@ -292,38 +270,32 @@ mod avx512_table {
 
 /// The AVX2 table when the CPU supports it, `None` otherwise (always
 /// `None` on non-x86_64 or under `force-scalar`).  Detection runs
-/// once.  Property tests use this to pit the two arms against each
-/// other on the same inputs.
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+/// once.  Property tests use this to pit the arms against each other
+/// on the same inputs.
 pub fn avx2_kernels() -> Option<&'static Kernels> {
-    static DETECTED: OnceLock<bool> = OnceLock::new();
-    let ok = *DETECTED
-        .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
-    ok.then_some(&avx2_table::AVX2)
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        let ok = *DETECTED
+            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
+        if ok {
+            return Some(&avx2_table::AVX2);
+        }
+    }
+    None
 }
 
 /// The AVX-512 table (AVX2 kernels plus 512-bit overrides) when the
 /// CPU supports `avx512f` on top of `avx2`+`fma`, `None` otherwise.
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 pub fn avx512_kernels() -> Option<&'static Kernels> {
-    static DETECTED: OnceLock<bool> = OnceLock::new();
-    let ok = *DETECTED.get_or_init(|| {
-        is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-    });
-    ok.then_some(&avx512_table::AVX512)
-}
-
-/// See the x86_64 variant; on this target the AVX-512 arm does not exist.
-#[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-pub fn avx512_kernels() -> Option<&'static Kernels> {
-    None
-}
-
-/// See the x86_64 variant; on this target the AVX2 arm does not exist.
-#[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-pub fn avx2_kernels() -> Option<&'static Kernels> {
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    {
+        static DETECTED: OnceLock<bool> = OnceLock::new();
+        let ok = *DETECTED.get_or_init(|| is_x86_feature_detected!("avx512f"));
+        if ok && avx2_kernels().is_some() {
+            return Some(&avx512_table::AVX512);
+        }
+    }
     None
 }
 
@@ -415,14 +387,14 @@ pub struct KernelsF32 {
 /// The portable f32 arm as a constant table.
 static PORTABLE_F32: KernelsF32 = KernelsF32 {
     backend: Backend::Scalar,
-    sigmoid_slice: portable32::sigmoid_slice,
-    log_sigmoid_slice: portable32::log_sigmoid_slice,
-    ln_cosh_slice: portable32::ln_cosh_slice,
-    exp_slice: portable32::exp_slice,
-    dot: portable32::dot,
-    axpy: portable32::axpy,
-    relu_dot: portable32::relu_dot,
-    sum: portable32::sum,
+    sigmoid_slice: |xs| portable32::map_via_f64(xs, PORTABLE.sigmoid_slice),
+    log_sigmoid_slice: |xs| portable32::map_via_f64(xs, PORTABLE.log_sigmoid_slice),
+    ln_cosh_slice: |xs| portable32::map_via_f64(xs, PORTABLE.ln_cosh_slice),
+    exp_slice: |xs| portable32::map_via_f64(xs, PORTABLE.exp_slice),
+    dot: slices::dot::<[f32; 8]>,
+    axpy: slices::axpy::<[f32; 8]>,
+    relu_dot: slices::relu_dot::<[f32; 8]>,
+    sum: slices::sum::<[f32; 8]>,
     sample_step_cols: portable32::sample_step_cols,
     micro_8x4: portable32::micro_8x4 as MicroKernelF32,
 };
@@ -435,56 +407,30 @@ pub fn portable_kernels_f32() -> &'static KernelsF32 {
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx2_table_f32 {
+    use super::avx2_table::AVX2;
     use super::*;
+    use core::arch::x86_64::__m256;
 
-    // Safe shims: only installed after `is_x86_feature_detected!`
-    // confirmed avx2+fma (same gate as the f64 AVX2 table).  The
-    // transcendental entries widen each chunk through *this arm's* f64
-    // kernel — the non-capturing closures coerce to `fn(&mut [f64])`.
-    fn sigmoid_slice(xs: &mut [f32]) {
-        portable32::map_via_f64(xs, |s| unsafe { avx2::sigmoid_slice(s) })
-    }
-    fn log_sigmoid_slice(xs: &mut [f32]) {
-        portable32::map_via_f64(xs, |s| unsafe { avx2::log_sigmoid_slice(s) })
-    }
-    fn ln_cosh_slice(xs: &mut [f32]) {
-        portable32::map_via_f64(xs, |s| unsafe { avx2::ln_cosh_slice(s) })
-    }
-    fn exp_slice(xs: &mut [f32]) {
-        portable32::map_via_f64(xs, |s| unsafe { avx2::exp_slice(s) })
-    }
-    fn dot(a: &[f32], b: &[f32]) -> f64 {
-        unsafe { avx2f32::dot(a, b) }
-    }
-    fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        unsafe { avx2f32::axpy(y, alpha, x) }
-    }
-    fn relu_dot(w: &[f32], z: &[f32]) -> f64 {
-        unsafe { avx2f32::relu_dot(w, z) }
-    }
-    fn sum(xs: &[f32]) -> f64 {
-        unsafe { avx2f32::sum(xs) }
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn sample_step_cols(
-        zt: &mut [f32],
-        b: usize,
-        w_prev: Option<&[f32]>,
-        prev_mask: &[f32],
-        w_out: &[f32],
-        bias: f64,
-        scratch: &mut [f32],
-        logits: &mut [f64],
-    ) {
-        unsafe { avx2f32::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits) }
+    shims! {
+        #[target_feature(enable = "avx2", enable = "fma")]
+        dot(a: &[f32], b: &[f32]) -> f64 => slices::dot::<__m256>(a, b);
+        axpy(y: &mut [f32], alpha: f32, x: &[f32]) => slices::axpy::<__m256>(y, alpha, x);
+        relu_dot(w: &[f32], z: &[f32]) -> f64 => slices::relu_dot::<__m256>(w, z);
+        sum(xs: &[f32]) -> f64 => slices::sum::<__m256>(xs);
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
+            w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
+            => avx2f32::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
     }
 
+    /// The transcendental entries widen each chunk through *this arm's*
+    /// f64 kernel.
     pub(super) static AVX2_F32: KernelsF32 = KernelsF32 {
         backend: Backend::Avx2Fma,
-        sigmoid_slice,
-        log_sigmoid_slice,
-        ln_cosh_slice,
-        exp_slice,
+        sigmoid_slice: |xs| portable32::map_via_f64(xs, AVX2.sigmoid_slice),
+        log_sigmoid_slice: |xs| portable32::map_via_f64(xs, AVX2.log_sigmoid_slice),
+        ln_cosh_slice: |xs| portable32::map_via_f64(xs, AVX2.ln_cosh_slice),
+        exp_slice: |xs| portable32::map_via_f64(xs, AVX2.exp_slice),
         dot,
         axpy,
         relu_dot,
@@ -498,22 +444,12 @@ mod avx2_table_f32 {
 mod avx512_table_f32 {
     use super::*;
 
-    // Safe shim: only installed after `avx512f` (plus avx2+fma) was
-    // confirmed.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_step_cols(
-        zt: &mut [f32],
-        b: usize,
-        w_prev: Option<&[f32]>,
-        prev_mask: &[f32],
-        w_out: &[f32],
-        bias: f64,
-        scratch: &mut [f32],
-        logits: &mut [f64],
-    ) {
-        unsafe {
-            avx512::sample_step_cols_f32(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)
-        }
+    shims! {
+        #[target_feature(enable = "avx512f")]
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
+            w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
+            => avx512::sample_step_cols_f32(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
     }
 
     /// The AVX2 f32 table with the 16-wide panel-step override.
@@ -526,27 +462,21 @@ mod avx512_table_f32 {
 
 /// The AVX2 f32 table when the CPU supports avx2+fma, `None` otherwise.
 /// Shares the detection gate with [`avx2_kernels`].
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 pub fn avx2_kernels_f32() -> Option<&'static KernelsF32> {
-    avx2_kernels().map(|_| &avx2_table_f32::AVX2_F32)
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    if avx2_kernels().is_some() {
+        return Some(&avx2_table_f32::AVX2_F32);
+    }
+    None
 }
 
 /// The AVX-512 f32 table when `avx512f` (plus avx2+fma) is available,
 /// `None` otherwise.  Shares the detection gate with [`avx512_kernels`].
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 pub fn avx512_kernels_f32() -> Option<&'static KernelsF32> {
-    avx512_kernels().map(|_| &avx512_table_f32::AVX512_F32)
-}
-
-/// See the x86_64 variant; on this target the AVX2 f32 arm does not exist.
-#[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-pub fn avx2_kernels_f32() -> Option<&'static KernelsF32> {
-    None
-}
-
-/// See the x86_64 variant; on this target the AVX-512 f32 arm does not exist.
-#[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-pub fn avx512_kernels_f32() -> Option<&'static KernelsF32> {
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    if avx512_kernels().is_some() {
+        return Some(&avx512_table_f32::AVX512_F32);
+    }
     None
 }
 
@@ -584,19 +514,5 @@ mod tests {
     fn force_scalar_feature_pins_scalar() {
         assert_eq!(backend(), Backend::Scalar);
         assert!(avx2_kernels().is_none());
-    }
-
-    #[test]
-    fn slice_kernels_agree_across_arms_smoke() {
-        // The exhaustive sweep lives in tests/simd_proptests.rs; this
-        // is a cheap always-on sanity check.
-        if let Some(v) = avx2_kernels() {
-            let xs: Vec<f64> = (0..37).map(|i| (i as f64 - 18.0) * 0.7).collect();
-            let mut a = xs.clone();
-            let mut b = xs.clone();
-            (v.sigmoid_slice)(&mut a);
-            (portable_kernels().sigmoid_slice)(&mut b);
-            assert_eq!(a, b);
-        }
     }
 }

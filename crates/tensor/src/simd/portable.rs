@@ -1,271 +1,21 @@
-//! Portable scalar arm of the dispatch table.
+//! Portable scalar arm of the kernels that are not yet one generic body:
+//! the packed-GEMM microkernel and the batched sampling step.
 //!
-//! Every function here is the **operation-for-operation twin** of an
-//! AVX2 kernel in `simd::avx2`: the same branch structure (vector
-//! blends become scalar `if`s), the same fused steps (`f64::mul_add`
-//! where the vector code issues `vfmadd`), and — for the reductions —
-//! the same lane-striped accumulator layout and horizontal-sum order.
-//! That discipline is what makes the two arms bit-identical, which the
-//! `tests/simd_proptests.rs` suite asserts (the ≤2 ULP contract is met
-//! with 0 ULP to spare).
-//!
-//! This arm is also the *production* backend on non-x86_64 targets,
-//! under `--features force-scalar`, and under `VQMC_SIMD=off`.
+//! Each is the operation-for-operation twin of its AVX2 / AVX-512
+//! counterpart (same fused steps — `f64::mul_add` where the vector code
+//! issues `vfmadd` — and the same accumulator stripes), so the arms are
+//! bit-identical.  The slice and reduction entries of the portable
+//! table are the generic bodies of `slices.rs` at `[f64; 4]`.
 //!
 //! `f64::mul_add` without compile-time FMA lowers to libm's `fma()`,
 //! which is correctly rounded (and uses the hardware instruction where
 //! present), so the twin relationship holds on any IEEE-754 target.
 
-// `!(x < BOUND)` routes NaN into the slow branch with one comparison;
-// the `>=` clippy suggests would send NaN down the fast path instead.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
+use super::lanes::Lanes;
 
-use super::exp::{self, EXP_SAFE_BOUND, LN2};
-
-/// Per-element sigmoid `1/(1+e^{-x})`, computed via `t = e^{-|x|}` so
-/// the exponential never overflows: `x ≥ 0 → 1/(1+t)`, `x < 0 → t/(1+t)`.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    let ax = x.abs();
-    if !(ax < EXP_SAFE_BOUND) {
-        // NaN or saturated: e^{-708} ≈ 3e-308 is below one ULP of 1.
-        if x.is_nan() {
-            return x;
-        }
-        return if x > 0.0 { 1.0 } else { 0.0 };
-    }
-    let t = exp::exp_bounded(-ax);
-    let num = if x >= 0.0 { 1.0 } else { t };
-    num / (1.0 + t)
-}
-
-/// Per-element `log σ(x) = min(x, 0) − log1p(e^{-|x|})`.
-#[inline]
-pub fn log_sigmoid(x: f64) -> f64 {
-    let ax = x.abs();
-    if !(ax < EXP_SAFE_BOUND) {
-        if x.is_nan() {
-            return x;
-        }
-        // log1p(e^{-708}) < 1e-307: invisible next to 0 or x.
-        return if x > 0.0 { 0.0 } else { x };
-    }
-    let t = exp::exp_bounded(-ax);
-    let neg = if x < 0.0 { x } else { 0.0 };
-    neg - exp::log1p01(t)
-}
-
-/// `|x|` bound for the `t = e^{-2|x|}` kernels (`2·354 ≤ 708`).
-const HALF_BOUND: f64 = 354.0;
-
-/// Per-element `ln cosh x = (|x| − ln 2) + log1p(e^{-2|x|})`.
-///
-/// Absolute error ~1e-16 (the `|x| − ln 2` cancellation); relative
-/// error degrades for `|x| → 0` where `ln cosh x → x²/2`.  All
-/// consumers bound *absolute* error — see DESIGN.md's ULP contract.
-#[inline]
-pub fn ln_cosh(x: f64) -> f64 {
-    let a = x.abs();
-    if !(a < HALF_BOUND) {
-        if x.is_nan() {
-            return x;
-        }
-        return a - LN2;
-    }
-    let t = exp::exp_bounded(-2.0 * a);
-    (a - LN2) + exp::log1p01(t)
-}
-
-/// Per-element `tanh x = sign(x)·(1 − t)/(1 + t)`, `t = e^{-2|x|}`.
-///
-/// Same absolute-error contract as [`ln_cosh`] (the `1 − t`
-/// cancellation near 0).
-#[inline]
-pub fn tanh(x: f64) -> f64 {
-    let a = x.abs();
-    if !(a < HALF_BOUND) {
-        if x.is_nan() {
-            return x;
-        }
-        return if x > 0.0 { 1.0 } else { -1.0 };
-    }
-    let t = exp::exp_bounded(-2.0 * a);
-    let r = (1.0 - t) / (1.0 + t);
-    if x < 0.0 {
-        -r
-    } else {
-        r
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slice kernels (the dispatch-table entries).
-// ---------------------------------------------------------------------------
-
-/// In-place sigmoid over a slice.
-pub fn sigmoid_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = sigmoid(*x);
-    }
-}
-
-/// In-place `log σ` over a slice.
-pub fn log_sigmoid_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = log_sigmoid(*x);
-    }
-}
-
-/// In-place `ln cosh` over a slice.
-pub fn ln_cosh_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = ln_cosh(*x);
-    }
-}
-
-/// In-place `tanh` over a slice.
-pub fn tanh_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = tanh(*x);
-    }
-}
-
-/// In-place `e^x` over a slice (full input range).
-pub fn exp_slice(xs: &mut [f64]) {
-    for x in xs {
-        *x = exp::exp(*x);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reductions — lane-striped exactly like the 4-wide vector arm.
-// ---------------------------------------------------------------------------
-
-/// Number of interleaved accumulator lanes in the reduction kernels:
-/// one AVX2 `ymm` register of `f64`.
-pub const LANES: usize = 4;
-
-/// Lane-striped sum: lane `l` accumulates elements `l, l+4, …`; the
-/// horizontal combine is `((c0+c1)+(c2+c3)) + tail`.
-pub fn sum_slice(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for c in &mut chunks {
-        for l in 0..LANES {
-            acc[l] += c[l];
-        }
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += x;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Lane-striped `Σ (x−m)²` (the variance inner block), FMA per step.
-pub fn sq_dev_sum(xs: &[f64], m: f64) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for c in &mut chunks {
-        for l in 0..LANES {
-            let d = c[l] - m;
-            acc[l] = d.mul_add(d, acc[l]);
-        }
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        let d = x - m;
-        tail = d.mul_add(d, tail);
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Lane-striped `Σ e^{x−m}` (the `log_sum_exp` inner block).
-pub fn sum_exp_shifted(xs: &[f64], m: f64) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for c in &mut chunks {
-        for l in 0..LANES {
-            acc[l] += exp::exp(c[l] - m);
-        }
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += exp::exp(x - m);
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// Number of interleaved lanes in [`dot`]: four `ymm` accumulators
-/// (16 elements per unrolled step) to cover the FMA latency.
-pub const DOT_LANES: usize = 16;
-
-/// Lane-striped dot product, FMA per step.  Vector-arm combine order:
-/// the four `ymm` accumulators reduce pairwise lane-wise
-/// (`(y0+y1)+(y2+y3)`), then the surviving register horizontally as
-/// `(c0+c1)+(c2+c3)`, then `+ tail`.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f64; DOT_LANES];
-    let n16 = a.len() - a.len() % DOT_LANES;
-    let mut i = 0;
-    while i < n16 {
-        for l in 0..DOT_LANES {
-            acc[l] = a[i + l].mul_add(b[i + l], acc[l]);
-        }
-        i += DOT_LANES;
-    }
-    let mut tail = 0.0;
-    while i < a.len() {
-        tail = a[i].mul_add(b[i], tail);
-        i += 1;
-    }
-    let mut c = [0.0f64; 4];
-    for (l, cv) in c.iter_mut().enumerate() {
-        *cv = (acc[l] + acc[4 + l]) + (acc[8 + l] + acc[12 + l]);
-    }
-    ((c[0] + c[1]) + (c[2] + c[3])) + tail
-}
-
-/// Lane-striped `Σ w·max(z, 0)` — the incremental sampler's masked
-/// logit dot product.
-pub fn relu_dot(w: &[f64], z: &[f64]) -> f64 {
-    debug_assert_eq!(w.len(), z.len());
-    let mut acc = [0.0f64; LANES];
-    let n4 = w.len() - w.len() % LANES;
-    let mut i = 0;
-    while i < n4 {
-        for l in 0..LANES {
-            let zp = if z[i + l] > 0.0 { z[i + l] } else { 0.0 };
-            acc[l] = w[i + l].mul_add(zp, acc[l]);
-        }
-        i += LANES;
-    }
-    let mut tail = 0.0;
-    while i < w.len() {
-        let zp = if z[i] > 0.0 { z[i] } else { 0.0 };
-        tail = w[i].mul_add(zp, tail);
-        i += 1;
-    }
-    ((acc[0] + acc[1]) + (acc[2] + acc[3])) + tail
-}
-
-/// `y ← y + α·x`, one FMA per element (elementwise, so bit-identity
-/// across arms is structural).
-pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv = alpha.mul_add(xv, *yv);
-    }
-}
-
-/// `y ← x + β·y`, one FMA per element (the CG direction update).
-pub fn xpby(y: &mut [f64], beta: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv = beta.mul_add(*yv, xv);
-    }
-}
+/// Accumulator stripes of [`sample_step_cols`]: `relu_dot`'s lane
+/// count on this arm.
+const LANES: usize = <[f64; 4] as Lanes>::WIDTH;
 
 // ---------------------------------------------------------------------------
 // Packed GEMM reference microkernel.
@@ -308,9 +58,9 @@ pub unsafe fn micro_8x4(kc: usize, ap: *const f64, bp: *const f64, tile: *mut f6
 /// 2. accumulate the current bit's logit — `Σⱼ w_out[j]·max(zt[j·b+r], 0)`
 ///    per row, written to `logits`.
 ///
-/// Per row `r` the reduction reproduces [`relu_dot`]'s accumulation
+/// Per row `r` the reduction reproduces `relu_dot`'s accumulation
 /// order exactly (four lane accumulators over `j` in aligned blocks of
-/// [`LANES`], a sequential tail, then `((a₀+a₁)+(a₂+a₃))+tail`), and
+/// 4, a sequential tail, then `((a₀+a₁)+(a₂+a₃))+tail`), and
 /// the update is applied with a select (not arithmetic masking), so a
 /// row's logit is **bit-identical** to running the row-major
 /// update-then-`relu_dot` path on that row alone.  That invariance is

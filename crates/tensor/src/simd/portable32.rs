@@ -8,25 +8,25 @@
 //! vector arms hold in registers); only the cross-stripe combine runs
 //! in `f64`.
 //!
-//! Bit-identity contract: like the f64 arm, every function here is the
-//! operation-for-operation twin of the AVX2/AVX-512 f32 kernels — the
-//! same stripe layout ([`LANES_F32`] = 8, one `ymm` of `f32`), the same
-//! fused steps (`f32::mul_add` ↔ `vfmaddps`), the same widened combine
-//! tree — so the three f32 arms agree bit-for-bit with *each other*
-//! (property-tested in `tests/simd_f32_proptests.rs`).  Agreement with
-//! the f64 arm is bound-based, never bit-based.
+//! The f32 reductions are the generic bodies of `slices.rs` at
+//! `[f32; 8]`, so the portable, AVX2 and AVX-512 f32 arms agree
+//! bit-for-bit with *each other* (`tests/simd_f32_proptests.rs`);
+//! agreement with the f64 arm is bound-based, never bit-based.  What
+//! stays here is the transcendental route, the packed-GEMM microkernel
+//! and the batched sampling step.
 //!
-//! The transcendental slice kernels take a different route: each chunk
-//! is widened into a stack buffer, run through the *same arm's* f64
-//! slice kernel, and narrowed back with one rounding per element.  That
-//! inherits the proven f64 cross-arm bit-identity (so the f32 arms
-//! agree wherever the f64 arms do), halves the bytes streamed through
-//! the caller's buffers, and is strictly more accurate than a native
-//! f32 polynomial would be.
+//! The transcendental slice kernels are not native f32: each chunk is
+//! widened into a stack buffer, run through the *same arm's* f64 slice
+//! kernel, and narrowed back with one rounding per element.  That
+//! inherits the f64 cross-arm bit-identity, halves the bytes streamed
+//! through the caller's buffers, and is more accurate than a native f32
+//! polynomial would be.
 
-/// Number of interleaved accumulator lanes in the f32 reduction
-/// kernels: one AVX2 `ymm` register of `f32`.
-pub const LANES_F32: usize = 8;
+use super::lanes::Lanes;
+
+/// Accumulator stripes of the f32 sampling step: the f32 reductions'
+/// lane count.
+pub(super) const LANES_F32: usize = <[f32; 8] as Lanes>::WIDTH;
 
 /// Chunk size of the widen → f64 kernel → narrow transcendental route
 /// (a 1 KiB stack buffer).
@@ -47,114 +47,6 @@ pub(super) fn map_via_f64(xs: &mut [f32], kernel: fn(&mut [f64])) {
         for (d, &w) in chunk.iter_mut().zip(wide.iter()) {
             *d = w as f32;
         }
-    }
-}
-
-/// In-place sigmoid over an `f32` slice (widen → f64 kernel → narrow).
-pub fn sigmoid_slice(xs: &mut [f32]) {
-    map_via_f64(xs, super::portable::sigmoid_slice)
-}
-
-/// In-place `log σ` over an `f32` slice.
-pub fn log_sigmoid_slice(xs: &mut [f32]) {
-    map_via_f64(xs, super::portable::log_sigmoid_slice)
-}
-
-/// In-place `ln cosh` over an `f32` slice.
-pub fn ln_cosh_slice(xs: &mut [f32]) {
-    map_via_f64(xs, super::portable::ln_cosh_slice)
-}
-
-/// In-place `e^x` over an `f32` slice.
-pub fn exp_slice(xs: &mut [f32]) {
-    map_via_f64(xs, super::portable::exp_slice)
-}
-
-/// Lane-striped sum of an `f32` slice, widened to `f64` at the combine:
-/// 8 `f32` stripe accumulators, then
-/// `(((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))) + tail` in `f64`.
-pub fn sum(xs: &[f32]) -> f64 {
-    let mut acc = [0.0f32; LANES_F32];
-    let mut chunks = xs.chunks_exact(LANES_F32);
-    for c in &mut chunks {
-        for l in 0..LANES_F32 {
-            acc[l] += c[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for &x in chunks.remainder() {
-        tail += x;
-    }
-    combine8(&acc) + tail as f64
-}
-
-/// The shared cross-stripe combine: widen each `f32` stripe to `f64`,
-/// then the fixed tree `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`.
-#[inline]
-pub(super) fn combine8(acc: &[f32; LANES_F32]) -> f64 {
-    let a: [f64; 8] = std::array::from_fn(|l| acc[l] as f64);
-    ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]))
-}
-
-/// Number of interleaved lanes in [`dot`]: four `ymm` accumulators of
-/// `f32` (32 elements per unrolled step) to cover the FMA latency.
-pub const DOT_LANES_F32: usize = 32;
-
-/// Lane-striped `f32` dot product with an `f64` result.  Vector-arm
-/// order: four `ymm` accumulators reduce pairwise lane-wise
-/// (`(y0+y1)+(y2+y3)`, in `f32`), then the surviving 8 lanes widen and
-/// combine through [`combine8`]'s tree, then `+ tail`.
-pub fn dot(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = [0.0f32; DOT_LANES_F32];
-    let n32 = a.len() - a.len() % DOT_LANES_F32;
-    let mut i = 0;
-    while i < n32 {
-        for l in 0..DOT_LANES_F32 {
-            acc[l] = a[i + l].mul_add(b[i + l], acc[l]);
-        }
-        i += DOT_LANES_F32;
-    }
-    let mut tail = 0.0f32;
-    while i < a.len() {
-        tail = a[i].mul_add(b[i], tail);
-        i += 1;
-    }
-    let mut c = [0.0f32; LANES_F32];
-    for (l, cv) in c.iter_mut().enumerate() {
-        *cv = (acc[l] + acc[8 + l]) + (acc[16 + l] + acc[24 + l]);
-    }
-    combine8(&c) + tail as f64
-}
-
-/// Lane-striped `Σ w·max(z, 0)` over `f32` operands, `f64` result.
-pub fn relu_dot(w: &[f32], z: &[f32]) -> f64 {
-    debug_assert_eq!(w.len(), z.len());
-    let mut acc = [0.0f32; LANES_F32];
-    let n8 = w.len() - w.len() % LANES_F32;
-    let mut i = 0;
-    while i < n8 {
-        for l in 0..LANES_F32 {
-            let zp = if z[i + l] > 0.0 { z[i + l] } else { 0.0 };
-            acc[l] = w[i + l].mul_add(zp, acc[l]);
-        }
-        i += LANES_F32;
-    }
-    let mut tail = 0.0f32;
-    while i < w.len() {
-        let zp = if z[i] > 0.0 { z[i] } else { 0.0 };
-        tail = w[i].mul_add(zp, tail);
-        i += 1;
-    }
-    combine8(&acc) + tail as f64
-}
-
-/// `y ← y + α·x` over `f32`, one FMA per element (elementwise, so
-/// bit-identity across arms is structural).
-pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    debug_assert_eq!(y.len(), x.len());
-    for (yv, &xv) in y.iter_mut().zip(x) {
-        *yv = alpha.mul_add(xv, *yv);
     }
 }
 

@@ -3,9 +3,10 @@
 //! Two invariant classes, mirroring `simd_proptests.rs`:
 //!
 //! 1. **Cross-arm bit-identity within the f32 precision** — the
-//!    portable, AVX2 and AVX-512 f32 arms share stripe layout
-//!    (`LANES_F32` = 8), FMA placement and the widened combine tree,
-//!    so they must agree bit-for-bit on every kernel, including the
+//!    portable, AVX2 and AVX-512 f32 arms share stripe layout (8
+//!    lanes, the width of the f32 lane types), FMA placement and the
+//!    widened combine tree, so they must agree bit-for-bit on every
+//!    kernel, including the
 //!    `sample_step_cols` activation *panel* (the masked update uses
 //!    select semantics in every arm, so masked-off lanes keep their
 //!    stored bits exactly).

@@ -2,13 +2,14 @@
 //!
 //! Three invariant classes:
 //!
-//! 1. **AVX2 arm ↔ portable arm** — the vector kernels and their scalar
-//!    twins are written operation-for-operation identically (same FMA
-//!    placement, same lane-striped accumulator layout, same horizontal
-//!    reduction order), so they must agree **bit-for-bit** on every
-//!    input, including non-lane-multiple lengths, the scalar tail, and
-//!    exceptional lanes (saturated, infinite, NaN).  This is stronger
-//!    than the ≤ 2 ULP contract the module documents.
+//! 1. **Every published table ↔ portable table** — each slice and
+//!    reduction kernel is one generic body instantiated per arm (same
+//!    FMA placement, same lane-striped accumulator layout, same
+//!    horizontal reduction order), and the hand-written kernels are
+//!    operation-for-operation twins, so the AVX2 and AVX-512 tables must
+//!    agree with the portable one **bit-for-bit** on every input,
+//!    including non-lane-multiple lengths, the scalar tail, and
+//!    exceptional lanes (saturated, infinite, NaN).
 //! 2. **Packed GEMM remainder sweep** — the packed driver run with the
 //!    AVX2 8×4 microkernel equals the same driver run with the portable
 //!    twin bit-for-bit, and both match the naive triple loop to a
@@ -20,8 +21,9 @@
 //!    regime, and the underflow edge.
 //!
 //! The cross-arm tests are skipped (they degenerate to trivially-true)
-//! when the host lacks AVX2+FMA or the `force-scalar` feature compiled
-//! the vector arm out — `simd::avx2_kernels()` returns `None` there.
+//! when the host lacks the vector features or the `force-scalar`
+//! feature compiled the vector arms out — the accessors return `None`
+//! there.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,6 +112,18 @@ fn run_slice_kernel(k: &Kernels, which: usize, xs: &mut [f64]) {
 
 const KERNEL_NAMES: [&str; 5] = ["sigmoid", "log_sigmoid", "ln_cosh", "tanh", "exp"];
 
+/// The vector tables that exist on this host, labelled.
+fn vector_arms() -> Vec<(&'static str, &'static Kernels)> {
+    let mut arms = Vec::new();
+    if let Some(t) = simd::avx2_kernels() {
+        arms.push(("avx2", t));
+    }
+    if let Some(t) = simd::avx512_kernels() {
+        arms.push(("avx512", t));
+    }
+    arms
+}
+
 /// Uniform(-1, 1) matrix from a seed.
 fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -133,18 +147,18 @@ fn near(tile: usize, raw: usize) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every transcendental slice kernel agrees bit-for-bit between the
-    /// AVX2 arm and the portable arm, across lengths that are not lane
-    /// multiples and inputs hitting every exceptional path.
+    /// Every transcendental slice kernel agrees bit-for-bit between
+    /// every vector table and the portable one, across lengths that are
+    /// not lane multiples and inputs hitting every exceptional path.
     #[test]
     fn slice_kernels_bit_identical_across_arms(len in 0usize..130, seed in 0u64..10_000, which in 0usize..5) {
-        if let Some(avx) = simd::avx2_kernels() {
-            let xs = adversarial_input(len, seed);
-            let mut v = xs.clone();
-            let mut s = xs;
-            run_slice_kernel(avx, which, &mut v);
-            run_slice_kernel(simd::portable_kernels(), which, &mut s);
-            assert_bits_eq(&v, &s, KERNEL_NAMES[which]);
+        let xs = adversarial_input(len, seed);
+        let mut want = xs.clone();
+        run_slice_kernel(simd::portable_kernels(), which, &mut want);
+        for (name, arm) in vector_arms() {
+            let mut got = xs.clone();
+            run_slice_kernel(arm, which, &mut got);
+            assert_bits_eq(&got, &want, &format!("{name} {}", KERNEL_NAMES[which]));
         }
     }
 
@@ -153,34 +167,43 @@ proptest! {
     /// makes `reduce::sum`/`variance`/`log_sum_exp` backend-independent.
     #[test]
     fn reduction_kernels_bit_identical_across_arms(len in 0usize..130, seed in 0u64..10_000) {
-        if let Some(avx) = simd::avx2_kernels() {
-            let port = simd::portable_kernels();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-            let xs: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
-            let ys: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
-            let m = rng.gen_range(-10.0..10.0);
+        let port = simd::portable_kernels();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        let xs: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
+        let ys: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
+        let m = rng.gen_range(-10.0..10.0);
+        // Shifted exp sum: shift near max keeps arguments ≤ 0.
+        let shift = xs.iter().cloned().fold(0.0, f64::max);
 
-            prop_assert_eq!((avx.sum)(&xs).to_bits(), (port.sum)(&xs).to_bits());
-            prop_assert_eq!((avx.sq_dev_sum)(&xs, m).to_bits(), (port.sq_dev_sum)(&xs, m).to_bits());
-            prop_assert_eq!((avx.dot)(&xs, &ys).to_bits(), (port.dot)(&xs, &ys).to_bits());
-            prop_assert_eq!((avx.relu_dot)(&xs, &ys).to_bits(), (port.relu_dot)(&xs, &ys).to_bits());
-            // Shifted exp sum: shift near max keeps arguments ≤ 0.
-            let shift = xs.iter().cloned().fold(0.0, f64::max);
+        for (name, arm) in vector_arms() {
+            prop_assert_eq!((arm.sum)(&xs).to_bits(), (port.sum)(&xs).to_bits(), "{} sum", name);
             prop_assert_eq!(
-                (avx.sum_exp_shifted)(&xs, shift).to_bits(),
-                (port.sum_exp_shifted)(&xs, shift).to_bits()
+                (arm.sq_dev_sum)(&xs, m).to_bits(),
+                (port.sq_dev_sum)(&xs, m).to_bits(),
+                "{} sq_dev_sum", name
+            );
+            prop_assert_eq!((arm.dot)(&xs, &ys).to_bits(), (port.dot)(&xs, &ys).to_bits(), "{} dot", name);
+            prop_assert_eq!(
+                (arm.relu_dot)(&xs, &ys).to_bits(),
+                (port.relu_dot)(&xs, &ys).to_bits(),
+                "{} relu_dot", name
+            );
+            prop_assert_eq!(
+                (arm.sum_exp_shifted)(&xs, shift).to_bits(),
+                (port.sum_exp_shifted)(&xs, shift).to_bits(),
+                "{} sum_exp_shifted", name
             );
 
             let mut ya = ys.clone();
             let mut yp = ys.clone();
-            (avx.axpy)(&mut ya, m, &xs);
+            (arm.axpy)(&mut ya, m, &xs);
             (port.axpy)(&mut yp, m, &xs);
-            assert_bits_eq(&ya, &yp, "axpy");
+            assert_bits_eq(&ya, &yp, &format!("{name} axpy"));
             let mut ya = ys.clone();
-            let mut yp = ys;
-            (avx.xpby)(&mut ya, m, &xs);
+            let mut yp = ys.clone();
+            (arm.xpby)(&mut ya, m, &xs);
             (port.xpby)(&mut yp, m, &xs);
-            assert_bits_eq(&ya, &yp, "xpby");
+            assert_bits_eq(&ya, &yp, &format!("{name} xpby"));
         }
     }
 
