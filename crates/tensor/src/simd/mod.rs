@@ -6,19 +6,21 @@
 //! — the [`Kernels`] struct — that every hot-path consumer reads
 //! through [`kernels()`].  Three arms exist:
 //!
-//! * **AVX-512** ([`avx512`]): the AVX2 table with 512-bit overrides
-//!   where they pay (the batched sampling step, the signed pair sum).
+//! * **AVX-512**: the AVX2 table with 512-bit overrides where they pay
+//!   (the batched sampling step, the signed pair sum).
 //! * **AVX2+FMA** ([`avx2`]): 4-wide `f64` / 8-wide `f32` vectors.
 //!   Installed only after both features are detected, so the
 //!   `target_feature` functions are sound to call through the table.
 //! * **Portable** ([`portable`]): the production arm on non-x86_64
 //!   targets and the fallback everywhere else.
 //!
-//! The slice and reduction kernels are each **one body** (`slices.rs`)
-//! over the lane types of `lanes.rs`, instantiated per arm: `[f64; 4]`
-//! / `[f32; 8]` portable, `__m256d` / `__m256` under `#[target_feature]`
-//! for AVX2.  [`signed_sum`] is one body too; the GEMM microkernel and
-//! the batched sampling step are still written per arm.
+//! Every kernel but the GEMM microkernel is **one body** over the lane
+//! types of `lanes.rs`, instantiated per arm: the slice and reduction
+//! kernels (`slices.rs`) and the batched sampling step (`panel.rs`) at
+//! `[f64; 4]` / `[f32; 8]` portable and, under `#[target_feature]`,
+//! `__m256d` / `__m256` for AVX2 (the sampling step also at `__m512d` /
+//! `__m512` for AVX-512); [`signed_sum`] is one body over plain arrays.
+//! Only `micro_8x4` is still written per arm.
 
 //! Fallback policy (first match wins):
 //!
@@ -50,6 +52,7 @@ use std::sync::OnceLock;
 
 pub mod exp;
 mod lanes;
+mod panel;
 pub mod portable;
 pub mod portable32;
 pub mod signed_sum;
@@ -64,9 +67,6 @@ pub mod avx2;
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 pub mod avx2f32;
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-pub mod avx512;
 
 /// Which kernel arm the dispatch resolved to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,10 +129,8 @@ pub struct Kernels {
     /// bit-identical to `axpy` + `relu_dot` on that row alone.
     /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch ≥ 6·b, logits)`;
     /// `logits[r] = bias + Σ` matches the row path's `b2[i] + relu_dot`.
-    /// (The portable arm needs 5·b of scratch for accumulator stripes;
-    /// the SIMD arms' hidden-major traversal for panels over 64 KiB
-    /// stashes per-bit masks in a sixth stripe — callers must size for
-    /// 6·b.)
+    /// Panels over 64 KiB keep five accumulator stripes and a mask
+    /// stash in `scratch`, on every arm.  Panics if a slice is short.
     pub sample_step_cols: SampleStepCols,
     /// Plain lane-striped sum (pairwise-summation base block).
     pub sum: fn(&[f64]) -> f64,
@@ -159,7 +157,7 @@ static PORTABLE: Kernels = Kernels {
     axpy: slices::axpy::<[f64; 4]>,
     xpby: slices::xpby::<[f64; 4]>,
     relu_dot: slices::relu_dot::<[f64; 4]>,
-    sample_step_cols: portable::sample_step_cols,
+    sample_step_cols: panel::sample_step_cols::<[f64; 4], 4, 1>,
     sum: slices::sum::<[f64; 4]>,
     sq_dev_sum: slices::sq_dev_sum::<[f64; 4]>,
     sum_exp_shifted: slices::sum_exp_shifted::<[f64; 4]>,
@@ -218,7 +216,8 @@ mod avx2_table {
         #[allow(clippy::too_many_arguments)]
         sample_step_cols(zt: &mut [f64], b: usize, w_prev: Option<&[f64]>, prev_mask: &[f64],
             w_out: &[f64], bias: f64, scratch: &mut [f64], logits: &mut [f64])
-            => avx2::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+            => panel::sample_step_cols::<__m256d, 4, 2>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
         signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx2(offsets, cols, vals, masks, acc);
@@ -247,13 +246,15 @@ mod avx2_table {
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx512_table {
     use super::*;
+    use core::arch::x86_64::__m512d;
 
     shims! {
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
         sample_step_cols(zt: &mut [f64], b: usize, w_prev: Option<&[f64]>, prev_mask: &[f64],
             w_out: &[f64], bias: f64, scratch: &mut [f64], logits: &mut [f64])
-            => avx512::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+            => panel::sample_step_cols::<__m512d, 4, 2>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
         signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx512(offsets, cols, vals, masks, acc);
@@ -377,8 +378,9 @@ pub struct KernelsF32 {
     /// activation panel; logits land in `f64` so the downstream draw
     /// machinery is shared with the f64 path.
     /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch ≥ 10·b, logits)`
-    /// — 9 `f32` accumulator stripes plus one stripe the SIMD arms use
-    /// to stash per-bit compare masks.
+    /// — panels over 64 KiB keep nine `f32` accumulator stripes and a
+    /// mask stash in `scratch`, on every arm.  Panics if a slice is
+    /// short.
     pub sample_step_cols: SampleStepColsF32,
     /// The packed-GEMM 8×4 `f32` microkernel.
     pub micro_8x4: MicroKernelF32,
@@ -395,7 +397,7 @@ static PORTABLE_F32: KernelsF32 = KernelsF32 {
     axpy: slices::axpy::<[f32; 8]>,
     relu_dot: slices::relu_dot::<[f32; 8]>,
     sum: slices::sum::<[f32; 8]>,
-    sample_step_cols: portable32::sample_step_cols,
+    sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
     micro_8x4: portable32::micro_8x4 as MicroKernelF32,
 };
 
@@ -420,7 +422,8 @@ mod avx2_table_f32 {
         #[allow(clippy::too_many_arguments)]
         sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
             w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
-            => avx2f32::sample_step_cols(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+            => panel::sample_step_cols::<__m256, 8, 1>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
     }
 
     /// The transcendental entries widen each chunk through *this arm's*
@@ -443,13 +446,15 @@ mod avx2_table_f32 {
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx512_table_f32 {
     use super::*;
+    use core::arch::x86_64::__m512;
 
     shims! {
         #[target_feature(enable = "avx512f")]
         #[allow(clippy::too_many_arguments)]
         sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
             w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
-            => avx512::sample_step_cols_f32(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits);
+            => panel::sample_step_cols::<__m512, 8, 2>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
     }
 
     /// The AVX2 f32 table with the 16-wide panel-step override.

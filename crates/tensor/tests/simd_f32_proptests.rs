@@ -217,11 +217,10 @@ proptest! {
     }
 }
 
-/// Panel shapes straddling the AVX-512 kernel's 64 KiB register/
-/// hidden-major traversal split (`h·b·4` bytes), plus tail-row and
-/// sub-block widths the proptest's small shapes may miss: every vector
-/// arm must stay bit-identical to the portable kernel on **both**
-/// traversals.
+/// Panel shapes straddling the 64 KiB register / hidden-major traversal
+/// split (`h·b·4` bytes), plus tail-row and sub-block widths the
+/// proptest's small shapes may miss: every vector arm must stay
+/// bit-identical to the portable kernel on **both** traversals.
 #[test]
 fn sample_step_cols_traversal_split_bit_identical() {
     // (h, b): register path (≤ 64 KiB), exactly at the boundary, just
@@ -236,6 +235,9 @@ fn sample_step_cols_traversal_split_bit_identical() {
         (2048, 40),
         (256, 7),
         (4096, 8),
+        (256, 64),
+        (257, 64),
+        (190, 91),
     ];
     for (h, b) in shapes {
         for first_bit in [true, false] {

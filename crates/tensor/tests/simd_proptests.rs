@@ -2,11 +2,11 @@
 //!
 //! Three invariant classes:
 //!
-//! 1. **Every published table ↔ portable table** — each slice and
-//!    reduction kernel is one generic body instantiated per arm (same
-//!    FMA placement, same lane-striped accumulator layout, same
-//!    horizontal reduction order), and the hand-written kernels are
-//!    operation-for-operation twins, so the AVX2 and AVX-512 tables must
+//! 1. **Every published table ↔ portable table** — each slice,
+//!    reduction and panel-step kernel is one generic body instantiated
+//!    per arm (same FMA placement, same lane-striped accumulator layout,
+//!    same horizontal reduction order), and the hand-written GEMM
+//!    microkernels are operation-for-operation twins, so the AVX2 and AVX-512 tables must
 //!    agree with the portable one **bit-for-bit** on every input,
 //!    including non-lane-multiple lengths, the scalar tail, and
 //!    exceptional lanes (saturated, infinite, NaN).
@@ -364,8 +364,8 @@ proptest! {
 
     /// `sample_step_cols` — the fused batched AUTO bit step — is
     /// bit-identical per row to the unfused row path (`axpy` of the
-    /// previous W₁ column, then `relu_dot`), and the two arms agree
-    /// bit-for-bit with each other, across non-multiple `h`/`b`,
+    /// previous W₁ column, then `relu_dot`), and every vector arm agrees
+    /// bit-for-bit with the portable one, across non-multiple `h`/`b`,
     /// first-bit (`w_prev = None`) and masked-update cases.
     #[test]
     fn sample_step_cols_matches_row_path(h in 0usize..133, b in 0usize..19, seed in 0u64..10_000, first_bit in 0u64..2) {
@@ -400,21 +400,31 @@ proptest! {
         assert_bits_eq(&logits_p, &want_logits, "portable sample_step_cols logits");
         assert_bits_eq(&zt_p, &want_zt, "portable sample_step_cols panel");
 
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut zt_v = zt.clone();
-            let mut logits_v = vec![0.0f64; b];
-            (avx.sample_step_cols)(&mut zt_v, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_v);
-            assert_bits_eq(&logits_v, &logits_p, "avx2 sample_step_cols logits");
-            assert_bits_eq(&zt_v, &zt_p, "avx2 sample_step_cols panel");
-        }
+        assert_step_cols_arms_match(&zt, b, wp, &mask, &w_out, bias, &zt_p, &logits_p, "");
+    }
+}
 
-        if let Some(k512) = simd::avx512_kernels() {
-            let mut zt_v = zt.clone();
-            let mut logits_v = vec![0.0f64; b];
-            (k512.sample_step_cols)(&mut zt_v, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_v);
-            assert_bits_eq(&logits_v, &logits_p, "avx512 sample_step_cols logits");
-            assert_bits_eq(&zt_v, &zt_p, "avx512 sample_step_cols panel");
-        }
+/// Every vector arm's `sample_step_cols` against the portable result
+/// (`zt_p`, `logits_p`) on the same inputs, bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn assert_step_cols_arms_match(
+    zt: &[f64],
+    b: usize,
+    wp: Option<&[f64]>,
+    mask: &[f64],
+    w_out: &[f64],
+    bias: f64,
+    zt_p: &[f64],
+    logits_p: &[f64],
+    what: &str,
+) {
+    let mut scratch = vec![f64::NAN; 6 * b];
+    for (arm, k) in vector_arms() {
+        let mut zt_v = zt.to_vec();
+        let mut logits_v = vec![0.0f64; b];
+        (k.sample_step_cols)(&mut zt_v, b, wp, mask, w_out, bias, &mut scratch, &mut logits_v);
+        assert_bits_eq(&logits_v, logits_p, &format!("{arm} sample_step_cols logits{what}"));
+        assert_bits_eq(&zt_v, zt_p, &format!("{arm} sample_step_cols panel{what}"));
     }
 }
 
@@ -464,10 +474,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Same cross-arm identity, but on panels past the 256 KiB
-    /// traversal switch: the SIMD arms take their hidden-major path
-    /// (stripe accumulators in scratch instead of registers) for these
-    /// shapes, and must still match the portable arm bit-for-bit.
+    /// Same cross-arm identity on large panels, far past the 64 KiB
+    /// traversal switch: every arm takes its hidden-major path (stripe
+    /// accumulators in scratch instead of registers) for these shapes.
     #[test]
     fn sample_step_cols_large_panel_matches_portable(
         h in 48usize..100,
@@ -475,8 +484,7 @@ proptest! {
         seed in 0u64..10_000,
         first_bit in 0u64..2,
     ) {
-        // Smallest shape is 48·768·8 = 294912 bytes — always past the
-        // 256 KiB traversal switch.
+        // Smallest shape is 48·768·8 = 294912 bytes.
         let port = simd::portable_kernels();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB16);
         let zt: Vec<f64> = (0..h * b).map(|_| rng.gen_range(-3.0..3.0)).collect();
@@ -490,21 +498,86 @@ proptest! {
         let mut zt_p = zt.clone();
         let mut logits_p = vec![0.0f64; b];
         (port.sample_step_cols)(&mut zt_p, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_p);
+        assert_step_cols_arms_match(&zt, b, wp, &mask, &w_out, bias, &zt_p, &logits_p, " (large)");
+    }
+}
 
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut zt_v = zt.clone();
-            let mut logits_v = vec![0.0f64; b];
-            (avx.sample_step_cols)(&mut zt_v, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_v);
-            assert_bits_eq(&logits_v, &logits_p, "avx2 hidden-major logits");
-            assert_bits_eq(&zt_v, &zt_p, "avx2 hidden-major panel");
+/// Panel shapes straddling the 64 KiB register / hidden-major split
+/// (`h·b·8` bytes) with row counts around multiples of 16 and 32, so
+/// every arm's row groups, single vectors and one-lane row tail run on
+/// both traversals: each vector arm stays bit-identical to the portable
+/// kernel, and the portable kernel to the row path.
+#[test]
+fn sample_step_cols_traversal_split_bit_identical() {
+    // (h, b): exactly 64 KiB (register), one unit past it (hidden-major),
+    // and row tails of every width class on both sides.
+    let shapes = [
+        (128usize, 64usize),
+        (129, 64),
+        (256, 32),
+        (257, 32),
+        (64, 128),
+        (64, 129),
+        (40, 195),
+        (43, 195),
+        (8, 1023),
+        (9, 1025),
+        (510, 15),
+        (511, 17),
+        (67, 127),
+    ];
+    let port = simd::portable_kernels();
+    for (h, b) in shapes {
+        for first_bit in [true, false] {
+            let mut rng = StdRng::seed_from_u64((h * 31 + b) as u64);
+            let zt: Vec<f64> = (0..h * b).map(|_| rng.gen_range(-3.0..3.0)).collect();
+            let w_prev: Vec<f64> = (0..h).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let w_out: Vec<f64> = (0..h).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let mask: Vec<f64> = (0..b)
+                .map(|_| if rng.gen::<f64>() < 0.5 { 1.0 } else { 0.0 })
+                .collect();
+            let bias = rng.gen_range(-2.0..2.0);
+            let wp = (!first_bit).then_some(&w_prev[..]);
+
+            let mut scratch = vec![f64::NAN; 6 * b];
+            let mut zt_p = zt.clone();
+            let mut logits_p = vec![0.0f64; b];
+            (port.sample_step_cols)(&mut zt_p, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_p);
+            for r in 0..b {
+                let mut row: Vec<f64> = (0..h).map(|j| zt[j * b + r]).collect();
+                if !first_bit && mask[r] > 0.5 {
+                    (port.axpy)(&mut row, 1.0, &w_prev);
+                }
+                let want = bias + (port.relu_dot)(&w_out, &row);
+                assert_eq!(logits_p[r].to_bits(), want.to_bits(), "h={h} b={b} row {r}");
+            }
+            let what = format!(" h={h} b={b}");
+            assert_step_cols_arms_match(&zt, b, wp, &mask, &w_out, bias, &zt_p, &logits_p, &what);
         }
+    }
+}
 
-        if let Some(k512) = simd::avx512_kernels() {
-            let mut zt_v = zt.clone();
-            let mut logits_v = vec![0.0f64; b];
-            (k512.sample_step_cols)(&mut zt_v, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_v);
-            assert_bits_eq(&logits_v, &logits_p, "avx512 hidden-major logits");
-            assert_bits_eq(&zt_v, &zt_p, "avx512 hidden-major panel");
+/// A slice shorter than the `sample_step_cols` contract panics on every
+/// arm instead of reading or writing past its end.
+#[test]
+fn sample_step_cols_rejects_short_slices() {
+    let (h, b) = (3usize, 5usize);
+    let tables = std::iter::once(("portable", simd::portable_kernels())).chain(vector_arms());
+    for (arm, k) in tables {
+        // Which slice is one element short: zt, w_prev, prev_mask,
+        // scratch, logits.
+        for short in 0..5 {
+            let len = |n: usize, which: usize| n - usize::from(short == which);
+            let mut zt = vec![0.5; len(h * b, 0)];
+            let w_prev = vec![0.25; len(h, 1)];
+            let mask = vec![1.0; len(b, 2)];
+            let mut scratch = vec![0.0; len(6 * b, 3)];
+            let mut logits = vec![0.0; len(b, 4)];
+            let w_out = vec![1.0; h];
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                (k.sample_step_cols)(&mut zt, b, Some(&w_prev), &mask, &w_out, 0.0, &mut scratch, &mut logits)
+            }));
+            assert!(run.is_err(), "{arm}: slice {short} short did not panic");
         }
     }
 }

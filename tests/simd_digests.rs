@@ -1,13 +1,15 @@
-//! Pinned output digests of the SIMD slice and reduction kernels.
+//! Pinned output digests of the SIMD slice, reduction and panel-step
+//! kernels.
 //!
 //! Every `Kernels` / `KernelsF32` entry for an elementwise slice
-//! kernel or a reduction is run over one fixed input set, and its
-//! output bits are hashed (FNV-1a, 64-bit; every NaN hashes as one
-//! canonical pattern).  The constants below were captured before the
-//! kernels were rewritten as one lane-generic body per kernel, and must
-//! never change: a refactor that moves one output bit of one kernel on
-//! one arm fails here.  The cross-arm property tests cannot catch that
-//! when a shared body drifts on every arm at once.
+//! kernel, a reduction or the fused `sample_step_cols` is run over one
+//! fixed input set, and its output bits are hashed (FNV-1a, 64-bit;
+//! every NaN hashes as one canonical pattern).  The constants below
+//! were captured before the kernels were rewritten as one lane-generic
+//! body per kernel, and must never change: a refactor that moves one
+//! output bit of one kernel on one arm fails here.  The cross-arm
+//! property tests cannot catch that when a shared body drifts on every
+//! arm at once.
 //!
 //! Inputs:
 //!
@@ -16,7 +18,11 @@
 //!   32-wide stripe is crossed;
 //! * each exceptional value (`±0`, subnormals, `±354` and `±708` and
 //!   their neighbours one ULP away, `±∞`, NaN) placed at every position
-//!   of a two-chunk-plus-tail input, for 4- and 8-wide chunks.
+//!   of a two-chunk-plus-tail input, for 4- and 8-wide chunks;
+//! * for `sample_step_cols`, three chained bit steps (first bit, then
+//!   two masked updates) over panel shapes that cross every row and
+//!   unit tail class and both sides of the 64 KiB traversal split, with
+//!   `±0` panel and weight entries (see `STEP_SHAPES`).
 //!
 //! Every table the host publishes (`portable`, `avx2`, `avx512`) must
 //! reproduce every digest, under any `VQMC_SIMD` setting and with
@@ -249,8 +255,183 @@ fn digests_f32(k: &KernelsF32, inputs: &[Vec<f32>]) -> Vec<(&'static str, u64)> 
     ]
 }
 
+/// `(h, b)` shapes of the `sample_step_cols` digests: every `h % 4` /
+/// `h % 8` and `b % 4..32` tail class, and both sides of the 64 KiB
+/// traversal split for each element size — `(128, 64)` / `(129, 64)`
+/// in f64, `(256, 64)` / `(257, 64)` in f32 — with tail rows and tail
+/// units on the hidden-major side too.
+const STEP_SHAPES: [(usize, usize); 16] = [
+    (0, 5),
+    (1, 1),
+    (3, 7),
+    (4, 8),
+    (5, 15),
+    (7, 17),
+    (8, 16),
+    (9, 31),
+    (13, 33),
+    (31, 47),
+    (40, 65),
+    (17, 100),
+    (128, 64),
+    (129, 64),
+    (256, 64),
+    (257, 64),
+];
+
+/// Extra hidden-major shapes with row tails (`h·b·8` resp. `h·b·4`
+/// just past 64 KiB).
+const STEP_SHAPES_F64_HM: [(usize, usize); 1] = [(103, 91)];
+const STEP_SHAPES_F32_HM: [(usize, usize); 1] = [(191, 91)];
+
+/// Panel-step inputs for one shape, as `f64`: panel, `w_prev`,
+/// `w_out`, and three bits' masks.  Every seventh panel entry is `−0`
+/// and every eleventh `+0`; masks mix `0`, `1`, `0.5` (off: the test
+/// is `> 0.5`) and `0.75`.
+fn step_inputs(h: usize, b: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, [Vec<f64>; 3]) {
+    let seed = (h * 1000 + b) as u64;
+    let zt: Vec<f64> = base(h * b, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| match i {
+            _ if i % 7 == 3 => -0.0,
+            _ if i % 11 == 5 => 0.0,
+            _ => v.clamp(-4.0, 4.0),
+        })
+        .collect();
+    let w = |s: u64| -> Vec<f64> {
+        base(h, s)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                if i % 13 == 6 {
+                    -0.0
+                } else {
+                    v.clamp(-2.0, 2.0)
+                }
+            })
+            .collect()
+    };
+    let mask = |s: u64| -> Vec<f64> {
+        base(b, s)
+            .into_iter()
+            .map(|v| match ((v.abs() * 1e9) as u64) % 4 {
+                0 => 0.0,
+                1 => 1.0,
+                2 => 0.5,
+                _ => 0.75,
+            })
+            .collect()
+    };
+    (
+        zt,
+        w(seed ^ 0x11),
+        w(seed ^ 0x22),
+        [mask(seed ^ 0x33), mask(seed ^ 0x44), mask(seed ^ 0x55)],
+    )
+}
+
+/// The panel entry with `−0` canonicalised to `+0`: the AVX2 f64 arm
+/// applies the masked update as `z + (w AND mask)`, which may turn a
+/// masked-off `−0` into `+0` (invisible to every downstream use).
+fn canon64(x: f64) -> f64 {
+    if x == 0.0 {
+        0.0
+    } else {
+        x
+    }
+}
+
+fn canon32(x: f32) -> f32 {
+    if x == 0.0 {
+        0.0
+    } else {
+        x
+    }
+}
+
+/// `SampleStepCols` / `SampleStepColsF32` over panel element `T`.
+type StepCols<T> = fn(&mut [T], usize, Option<&[T]>, &[T], &[T], f64, &mut [T], &mut [f64]);
+
+/// `(logits digest, panel digest)` of three chained bit steps (the
+/// first bit without an update, then two updates) over each shape.
+fn step_digests<T: Copy>(
+    step: StepCols<T>,
+    shapes: &[(usize, usize)],
+    cast: fn(f64) -> T,
+    hash_panel: impl Fn(u64, T) -> u64,
+    nan: T,
+    scratch_per_row: usize,
+) -> (u64, u64) {
+    let (mut dl, mut dp) = (FNV_OFFSET, FNV_OFFSET);
+    for &(h, b) in shapes {
+        let (zt, w_prev, w_out, masks) = step_inputs(h, b);
+        let conv = |v: &[f64]| -> Vec<T> { v.iter().map(|&x| cast(x)).collect() };
+        let (mut zt, w_prev, w_out) = (conv(&zt), conv(&w_prev), conv(&w_out));
+        let mut scratch = vec![nan; scratch_per_row * b];
+        let mut logits = vec![f64::NAN; b];
+        for (bit, mask) in masks.iter().enumerate() {
+            let wp = (bit > 0).then_some(&w_prev[..]);
+            let bias = 0.25 - bit as f64;
+            step(
+                &mut zt,
+                b,
+                wp,
+                &conv(mask),
+                &w_out,
+                bias,
+                &mut scratch,
+                &mut logits,
+            );
+            dl = logits.iter().fold(dl, |d, &x| hash64(d, x));
+        }
+        dp = zt.iter().fold(dp, |d, &x| hash_panel(d, x));
+    }
+    (dl, dp)
+}
+
+fn step_digests_f64(k: &Kernels) -> Vec<(&'static str, u64)> {
+    let shapes: Vec<_> = STEP_SHAPES
+        .iter()
+        .chain(&STEP_SHAPES_F64_HM)
+        .copied()
+        .collect();
+    let (dl, dp) = step_digests(
+        k.sample_step_cols,
+        &shapes,
+        |v| v,
+        |d, x| hash64(d, canon64(x)),
+        f64::NAN,
+        6,
+    );
+    vec![
+        ("sample_step_cols/logits", dl),
+        ("sample_step_cols/panel", dp),
+    ]
+}
+
+fn step_digests_f32(k: &KernelsF32) -> Vec<(&'static str, u64)> {
+    let shapes: Vec<_> = STEP_SHAPES
+        .iter()
+        .chain(&STEP_SHAPES_F32_HM)
+        .copied()
+        .collect();
+    let (dl, dp) = step_digests(
+        k.sample_step_cols,
+        &shapes,
+        |v| v as f32,
+        |d, x| hash32(d, canon32(x)),
+        f32::NAN,
+        10,
+    );
+    vec![
+        ("f32/sample_step_cols/logits", dl),
+        ("f32/sample_step_cols/panel", dp),
+    ]
+}
+
 /// Pinned digests, in kernel order (f64 table, then f32 table).
-const EXPECTED: [(&str, u64); 21] = [
+const EXPECTED: [(&str, u64); 25] = [
     ("sigmoid", 0x24f7091f330b4a7f),
     ("log_sigmoid", 0x1056b550fa775403),
     ("ln_cosh", 0x5f286b8ef8ab1dc6),
@@ -264,6 +445,8 @@ const EXPECTED: [(&str, u64); 21] = [
     ("relu_dot", 0xf8ff7ef9d2ff06a1),
     ("axpy", 0x2808f3099257254a),
     ("xpby", 0x398d52f29896af19),
+    ("sample_step_cols/logits", 0x6c7a159c93962e6a),
+    ("sample_step_cols/panel", 0x1baae7e27e64ae0b),
     ("f32/sigmoid", 0xf4c4adf907e139af),
     ("f32/log_sigmoid", 0x68fb69464531989d),
     ("f32/ln_cosh", 0xff5802be305aa550),
@@ -272,6 +455,8 @@ const EXPECTED: [(&str, u64); 21] = [
     ("f32/dot", 0x8c3e37a906d17157),
     ("f32/relu_dot", 0x41bedb6f37044cd8),
     ("f32/axpy", 0xc77f813981fb93c6),
+    ("f32/sample_step_cols/logits", 0x1a2bca1e820d933e),
+    ("f32/sample_step_cols/panel", 0x199c58a9bfd32b05),
 ];
 
 #[test]
@@ -292,7 +477,9 @@ fn simd_kernel_output_is_pinned_on_every_arm() {
             continue;
         };
         let mut got = digests_f64(k64, &in64);
+        got.extend(step_digests_f64(k64));
         got.extend(digests_f32(k32, &in32));
+        got.extend(step_digests_f32(k32));
         let table: String = got
             .iter()
             .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
