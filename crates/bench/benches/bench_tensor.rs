@@ -159,7 +159,7 @@ fn bench_gemm_f32(c: &mut Criterion) {
         let mut c32 = vec![0.0f32; m * n];
         group.bench_function(format!("{m}x{n}x{k}/f32"), |bch| {
             bch.iter(|| {
-                vqmc_tensor::gemm32::gemm_nt_f32(m, n, k, &a32, &b32, &mut c32);
+                vqmc_tensor::gemm::gemm_nt_f32(m, n, k, &a32, &b32, &mut c32);
                 black_box(c32[0])
             })
         });

@@ -135,7 +135,7 @@ mod alloc_test {
     use crate::alloc_counter::{current_thread_allocs, global_allocs};
     use crate::trainer::{OptimizerChoice, Trainer, TrainerConfig};
     use vqmc_hamiltonian::{LocalEnergyConfig, MaxCut, SparseRowHamiltonian, TransverseFieldIsing};
-    use vqmc_nn::Made;
+    use vqmc_nn::{Made, MadeF32, MadeF32Workspace};
     use vqmc_sampler::{
         AutoSampler, BatchSampler, IncrementalAutoSampler, MadeBatchSampler, SampleRequest,
     };
@@ -377,6 +377,27 @@ mod alloc_test {
     fn f32_coalesced_sampling_is_allocation_free_at_steady_state() {
         assert_f32_sampling_alloc_free(&Made::new(12, 20, 5), "depth-1 f32");
         assert_f32_sampling_alloc_free(&Made::with_hidden(12, &[20, 10], 5), "depth-2 f32");
+    }
+
+    /// The serve path's f32 `LogPsi` forward: a warm
+    /// `MadeF32::log_psi_into` allocates nothing, sequentially and with
+    /// the pool active.  Its GEMMs draw their pack buffers from the
+    /// `f32` pack pool; 300 rows cross the packed driver's 256-row block.
+    fn assert_f32_log_psi_alloc_free(wf: &Made, label: &str) {
+        let f32_wf = MadeF32::for_log_psi(wf);
+        let batch = SpinBatch::from_fn(300, f32_wf.num_spins(), |s, i| {
+            ((s * 7 + i * 3) % 5 < 2) as u8
+        });
+        let (mut ws, mut out) = (MadeF32Workspace::new(), Vector::default());
+        let mut pass = || f32_wf.log_psi_into(&batch, &mut ws, &mut out);
+        par::with_threads(1, || assert_calls_alloc_free(&mut pass, label));
+        assert_pool_calls_alloc_free(&mut pass, label);
+    }
+
+    #[test]
+    fn f32_log_psi_is_allocation_free_at_steady_state() {
+        assert_f32_log_psi_alloc_free(&Made::new(12, 20, 5), "depth-1 f32 log_psi");
+        assert_f32_log_psi_alloc_free(&Made::with_hidden(12, &[20, 10], 5), "depth-2 f32 log_psi");
     }
 
     /// Every trainer builds a `MadeBatchSampler` in its setup; a fresh

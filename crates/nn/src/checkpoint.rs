@@ -308,9 +308,10 @@ impl AnyModel {
         }
     }
 
-    /// The wrapped model as a [`BatchedSampling`] trait object — the
-    /// unified sampling surface, so callers never match on the
-    /// architecture to draw configurations.
+    /// The wrapped model as a
+    /// [`BatchedSampling`](crate::sampling::BatchedSampling) trait
+    /// object — the unified sampling surface, so callers never match on
+    /// the architecture to draw configurations.
     pub fn as_batched_sampling(&self) -> &dyn crate::sampling::BatchedSampling {
         match self {
             AnyModel::Made(m) => m,

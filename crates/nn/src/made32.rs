@@ -31,7 +31,7 @@
 //! both the forward GEMMs and the deep sampling panels stream their
 //! rows.
 
-use vqmc_tensor::gemm32::gemm_nt_f32;
+use vqmc_tensor::gemm::gemm_nt_f32;
 use vqmc_tensor::simd;
 use vqmc_tensor::{SpinBatch, Vector};
 

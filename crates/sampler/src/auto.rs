@@ -87,7 +87,7 @@ impl<W: Autoregressive + ?Sized> Sampler<W> for AutoSampler {
 }
 
 /// Incremental exact sampler specialised to [`Made`] — a thin wrapper
-/// over the unified [`MadeBatchSampler`] panel engine
+/// over the unified [`MadeBatchSampler`](crate::MadeBatchSampler) panel engine
 /// ([`crate::batch`]), run as one caller-owned RNG stream.
 ///
 /// Draws the same `bs × n` uniform variates in the same order as

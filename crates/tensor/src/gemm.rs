@@ -1,122 +1,163 @@
 //! Cache-blocked, pool-parallel GEMM kernels.
 //!
-//! Three layout variants cover every dense product in the workspace:
+//! Four entry points cover every dense product in the workspace:
 //!
 //! * [`gemm_nt`] — `C[m,n] = A[m,k] * B[n,k]^T`.  The forward pass of a
-//!   fully-connected layer (`Y = X W^T`): both operands stream row-major,
-//!   so the kernel can register-block without packing.
+//!   fully-connected layer (`Y = X W^T`).
 //! * [`gemm_nn`] — `C[m,n] = A[m,k] * B[k,n]`.  Backprop's input gradient
-//!   (`dX = dY W`); implemented as an axpy-accumulation over B's rows so
-//!   B is still streamed contiguously.
+//!   (`dX = dY W`).
 //! * [`gemm_tn`] — `C[m,n] = A[k,m]^T * B[k,n]`.  Backprop's weight
-//!   gradient (`dW = dY^T X`); an outer-product accumulation.
+//!   gradient (`dW = dY^T X`).
+//! * [`gemm_nt_f32`] — `nt` over row-major `f32` slices, the forward
+//!   pass of the f32 inference arm (`MadeF32`).
 //!
-//! Each kernel has an `_into` twin writing into a caller-owned matrix
-//! (reshaped in place, so a warm buffer is never reallocated); the
-//! allocating forms are thin wrappers over those.
+//! Each f64 kernel has an `_into` twin writing into a caller-owned
+//! matrix (reshaped in place, so a warm buffer is never reallocated);
+//! the allocating forms are thin wrappers over those.
 //!
-//! ## Packed SIMD path (the production path on AVX2+FMA hosts)
+//! ## Packed path (every vector table, both precisions)
 //!
-//! When the [`crate::simd`] dispatch resolves to the AVX2 arm, all
-//! three layout variants run one shared BLIS-style packed driver
-//! ([`gemm_packed`]): operands are repacked into contiguous,
-//! lane-ordered micro-panels (`kc×8` for A, `kc×4` for B) drawn from a
-//! thread-local [`Workspace`] pool, and the inner loop is the 8×4 FMA
-//! microkernel ([`crate::simd::Kernels::micro_8x4`]).  Packing is what
-//! makes the layouts converge — `nn`/`tn` differ from `nt` only in
-//! *which* strides the pack routines gather — and is also what keeps
-//! the microkernel reading purely sequential, aligned memory.  Blocking:
-//! `k` by [`KC`] (micro-panel depth), output rows by [`MC`]
-//! (`MC×KC×8 B = 512 KiB`, half the L2), output columns by
-//! [`NC_PACKED`] (the packed B panel, L3-resident).  The pack buffers
-//! come from a thread-local pool, so steady-state training performs
-//! zero heap allocations (the PR 1 invariant).
+//! When the [`crate::simd`] dispatch resolves to a vector table (AVX2
+//! or AVX-512), the three f64 variants run one BLIS-style packed
+//! driver (`gemm_packed`), and `gemm_nt_f32` runs the same driver on
+//! every table.  The driver is generic over the element
+//! ([`PackedElem`]): operands are repacked into contiguous micro-panels
+//! (`kc×MR` for A, `kc×NR` for B) and the inner loop is the table's
+//! `MR×NR` FMA microkernel (`Kernels::gemm_micro` /
+//! `KernelsF32::gemm_micro`, one lane-generic body in `simd/micro.rs`).
+//! `MR` is [`MR_SIMD`] = 8 rows; `NR` ([`PackedElem::NR`]) is 256 bits
+//! of elements, so 4 for `f64` and 8 for `f32`.  Packing is what makes
+//! the layouts converge — `nn`/`tn` differ from `nt` only in whether
+//! `pack_rows` or `pack_cols` gathers each operand — and it keeps
+//! the microkernel reading sequential memory.  Blocking: `k` by [`KC`]
+//! (micro-panel depth), output rows by `MC` (`MC×KC×8 B = 512 KiB`
+//! in f64, half the L2), output columns by `NC_PACKED` (the packed B
+//! panel, L3-resident).  Pack buffers come from one thread-local LIFO
+//! pool per element type, zero-filled, so steady-state training and
+//! serving perform zero heap allocations.
 //!
-//! ## Scalar path (fallback arm)
+//! ## Scalar path (the portable f64 table)
 //!
-//! `gemm_nt` otherwise runs the original blocked loop nest: a 4×4
-//! register accumulator tile ([`MR`]×[`NR`]) in the innermost position,
-//! `k` blocked by [`KC`] so a 4-row A-slab stays L1-resident, and B's
-//! rows blocked by [`NC`] so the B-panel being swept is reused from L2
-//! across the whole A row-panel sweep.  `nn`/`nt` keep their axpy /
-//! outer-product formulations on this arm.
+//! On the portable table the f64 variants keep loop nests of their
+//! own: `gemm_nt` a 4×4 register tile ([`MR`]×[`NR`]) with `k` blocked
+//! by [`KC`] and B's rows by [`NC`]; `gemm_nn` / `gemm_tn` an axpy and
+//! an outer-product accumulation.  The packed driver with the portable
+//! microkernel measured 14× slower on a 2-vCPU AVX-512 Xeon at one
+//! thread (876 vs 64 ms at 1024×512×512, 830 vs 56 ms at the
+//! `train_maxcut_n1024` forward shape 1024×240×1024): built without
+//! `+fma`, `f64::mul_add` lowers to a libm `fma` call per element.  The two paths round differently, so f64 results
+//! are bit-identical across the vector tables but not between them and
+//! the portable one.
 //!
 //! ## Parallelisation (the [`crate::par`] pool)
 //!
-//! All three variants parallelise over **output-row slabs**: the packed
-//! driver splits `m` into one [`MR_SIMD`]-aligned contiguous slab per
-//! worker ([`packed_driver`]), each worker running the full BLIS loop
-//! nest on its slab with its *own* thread-local pack buffers (workers
-//! re-pack the shared B panel redundantly — an `O(1/slab_rows)`
-//! overhead that buys the absence of any cross-worker handoff).  The
-//! scalar arm stripes the same way at [`MR`] alignment.  Either way a
-//! `C` element's value is a function of its row and column alone — the
-//! per-element `k`-summation order (sequential within a `KC` block,
-//! blocks ascending) does not depend on which slab the row landed in —
-//! so the parallel results are **bit-identical** to the sequential
-//! ones at every thread count (`tests/thread_identity.rs`).  `tn`
-//! avoids a partial-`C` reduction by having each worker scan the whole
-//! shared `k` dimension for its rows.
+//! All three f64 variants parallelise over **output-row slabs**: the
+//! packed driver splits `m` into one [`MR_SIMD`]-aligned contiguous
+//! slab per worker (`packed_driver`), each worker running the full
+//! BLIS loop nest on its slab with its *own* thread-local pack buffers
+//! (workers re-pack the shared B panel redundantly — an
+//! `O(1/slab_rows)` overhead that buys the absence of any cross-worker
+//! handoff).  The scalar arm stripes the same way at [`MR`] alignment.
+//! Either way a `C` element's value is a function of its row and column
+//! alone — the per-element `k`-summation order (sequential within a
+//! `KC` block, blocks ascending) does not depend on which slab the row
+//! landed in — so the parallel results are **bit-identical** to the
+//! sequential ones at every thread count (`tests/thread_identity.rs`).
+//! `tn` avoids a partial-`C` reduction by having each worker scan the
+//! whole shared `k` dimension for its rows.  `gemm_nt_f32` is
+//! sequential: the serving path parallelises one level up, across
+//! requests.
 
 use std::cell::RefCell;
+use std::ops::AddAssign;
+use std::thread::LocalKey;
 
 use crate::matrix::Matrix;
 use crate::par;
-use crate::simd::{self, MicroKernel};
+use crate::simd::{self, GemmMicro};
 use crate::vector::{axpy, dot};
-use crate::workspace::Workspace;
 
-/// Microkernel accumulator tile height (A rows per tile).
+/// Scalar-path accumulator tile height (A rows per tile).
 pub const MR: usize = 4;
-/// Microkernel accumulator tile width (B rows per tile).
+/// Scalar-path accumulator tile width (B rows per tile).
 pub const NR: usize = 4;
 /// `k`-dimension block: `MR` A-rows × `KC` f64 = 8 KiB, safely L1.
 pub const KC: usize = 256;
 /// B-row block: `NC` rows × `KC` f64 = 128 KiB, sized for L2 residency.
 pub const NC: usize = 64;
 
-/// Packed-path microkernel tile height (8 C rows, two `ymm` per column).
+/// Packed-path microtile height (A rows per tile).
 pub const MR_SIMD: usize = 8;
-/// Packed-path microkernel tile width (one `ymm` of C columns).
-pub const NR_SIMD: usize = 4;
-/// Packed A-block rows: `MC`×[`KC`]×8 B = 512 KiB, half the L2.
+/// Packed A-block rows: `MC`×[`KC`]×8 B = 512 KiB in f64, half the L2.
 const MC: usize = 256;
-/// Packed B-panel columns: [`KC`]×`NC_PACKED`×8 B = 4 MiB, L3-resident.
+/// Packed B-panel columns: [`KC`]×`NC_PACKED`×8 B = 4 MiB in f64,
+/// L3-resident.
 const NC_PACKED: usize = 2048;
+/// Capacity of the driver's tile buffer: `MR_SIMD × NR` elements for
+/// any `NR ≤ 8`.
+const TILE: usize = MR_SIMD * 8;
+
+/// An element type the packed driver runs on: `f64` and `f32`.
+pub trait PackedElem: Copy + Default + AddAssign + Sync + 'static {
+    /// Packed-path microtile width: 256 bits of elements (4 `f64`,
+    /// 8 `f32`), the lane count the microkernel is stamped at.
+    const NR: usize = 32 / size_of::<Self>();
+
+    /// This element's thread-local pack pool.  Being thread-local,
+    /// every pool worker owns its own pack buffers — the parallel
+    /// driver needs no handoff and no locking.  Capacities grow to the
+    /// high-water mark of the shapes seen on that thread, after which
+    /// `take_pack` allocates nothing (asserted by the counting-allocator
+    /// tests in `vqmc-core`).
+    #[doc(hidden)]
+    fn pack_pool() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>>;
+}
+
+macro_rules! packed_elem {
+    ($($t:ty),*) => {$(
+        impl PackedElem for $t {
+            fn pack_pool() -> &'static LocalKey<RefCell<Vec<Vec<$t>>>> {
+                thread_local! {
+                    static POOL: RefCell<Vec<Vec<$t>>> = const { RefCell::new(Vec::new()) };
+                }
+                &POOL
+            }
+        }
+    )*};
+}
+
+packed_elem!(f64, f32);
+
+/// A zeroed pool buffer of exactly `len` elements, most recently
+/// returned first (zero-fill is what lets the pack routines skip
+/// writing the padded panel tails).
+fn take_pack<E: PackedElem>(len: usize) -> Vec<E> {
+    E::pack_pool().with(|p| {
+        let mut buf = p.borrow_mut().pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(len, E::default());
+        buf
+    })
+}
+
+fn give_pack<E: PackedElem>(buf: Vec<E>) {
+    E::pack_pool().with(|p| p.borrow_mut().push(buf))
+}
 
 /// A panel-packing routine: `(block_start, block_len, k_start, k_len, dst)`
 /// fills `dst` with the packed micro-panel layout the microkernel reads.
-type PackPanel<'a> = dyn Fn(usize, usize, usize, usize, &mut [f64]) + Sync + 'a;
+type PackPanel<'a, E> = dyn Fn(usize, usize, usize, usize, &mut [E]) + Sync + 'a;
 
-thread_local! {
-    /// Pool for the packed A/B micro-panel buffers.  Private to this
-    /// module and only borrowed transiently (`take`/`give` are single
-    /// calls), so re-entrancy cannot observe an outstanding borrow.
-    /// Being thread-local, every pool worker owns its own pack buffers
-    /// — the parallel packed driver needs no buffer handoff and no
-    /// locking.  Capacities grow to the high-water mark of the shapes
-    /// seen on that thread, after which `take` allocates nothing — the
-    /// zero-allocation steady-state invariant holds on the caller *and*
-    /// on every warm worker (asserted by the pool counting-allocator
-    /// test in `vqmc-core`).
-    static PACK_POOL: RefCell<Workspace> = RefCell::new(Workspace::new());
-}
-
-/// A zeroed pool buffer of exactly `len` elements (zero-fill is what
-/// lets the pack routines skip writing the padded panel tails).
-fn take_pack(len: usize) -> Vec<f64> {
-    PACK_POOL.with(|p| p.borrow_mut().take(len))
-}
-
-fn give_pack(buf: Vec<f64>) {
-    PACK_POOL.with(|p| p.borrow_mut().give(buf))
-}
-
-/// The packed-path microkernel, when the production dispatch resolved
-/// to a vector arm.
-fn packed_micro() -> Option<MicroKernel> {
+/// The f64 packed-path microkernel, when the production dispatch
+/// resolved to a vector table.
+fn packed_micro() -> Option<GemmMicro<f64>> {
     let k = simd::kernels();
-    (k.backend != simd::Backend::Scalar).then_some(k.micro_8x4)
+    (k.backend != simd::Backend::Scalar).then_some(k.gemm_micro)
+}
+
+/// A matrix as the `(elements, row stride)` pair the pack routines read.
+fn op(m: &Matrix) -> (&[f64], usize) {
+    (m.as_slice(), m.cols())
 }
 
 /// Parallel front-end for [`gemm_packed`]: when the shape clears
@@ -128,14 +169,14 @@ fn packed_micro() -> Option<MicroKernel> {
 /// accumulation order it sees in the sequential sweep — bit-identical
 /// output at any thread count.  Below the gate (or at one thread) this
 /// is exactly `gemm_packed`.
-fn packed_driver(
+fn packed_driver<E: PackedElem>(
     m: usize,
     n: usize,
     k: usize,
-    pack_a: &PackPanel<'_>,
-    pack_b: &PackPanel<'_>,
-    c: &mut [f64],
-    micro: MicroKernel,
+    pack_a: &PackPanel<'_, E>,
+    pack_b: &PackPanel<'_, E>,
+    c: &mut [E],
+    micro: GemmMicro<E>,
 ) {
     let units = m.div_ceil(MR_SIMD);
     let parts = par::active_threads().min(units.max(1));
@@ -166,70 +207,84 @@ fn packed_driver(
     });
 }
 
-/// Gathers *rows* `[r0, r0+rc)` (k-slice `[l0, l0+lc)`) of a row-major
-/// operand into `ph`-high micro-panels:
-/// `buf[panel*ph*lc + p*ph + r] = src[r0 + panel*ph + r, l0 + p]`.
-/// Panel tails beyond `rc` stay at the pool's zero fill.
-fn pack_rows(src: &Matrix, r0: usize, rc: usize, l0: usize, lc: usize, ph: usize, buf: &mut [f64]) {
-    for (ip, panel) in buf.chunks_mut(ph * lc).enumerate() {
-        let rows_here = ph.min(rc.saturating_sub(ip * ph));
-        for r in 0..rows_here {
-            let row = &src.row(r0 + ip * ph + r)[l0..l0 + lc];
-            for (p, &v) in row.iter().enumerate() {
-                panel[p * ph + r] = v;
+/// Packs *rows* of the row-major operand `(src, stride)` into
+/// `ph`-high micro-panels: rows `[r0, r0+rc)`, k-slice `[l0, l0+lc)`
+/// land at `buf[panel*ph*lc + p*ph + r] = src[(r0 + panel*ph + r)*stride
+/// + l0 + p]`.  Panel tails beyond `rc` stay at the pool's zero fill.
+fn pack_rows<E: PackedElem>(
+    (src, stride): (&[E], usize),
+    ph: usize,
+) -> impl Fn(usize, usize, usize, usize, &mut [E]) + Sync + '_ {
+    move |r0, rc, l0, lc, buf| {
+        for (ip, panel) in buf.chunks_mut(ph * lc).enumerate() {
+            let rows_here = ph.min(rc.saturating_sub(ip * ph));
+            for r in 0..rows_here {
+                let row = &src[(r0 + ip * ph + r) * stride + l0..][..lc];
+                for (p, &v) in row.iter().enumerate() {
+                    panel[p * ph + r] = v;
+                }
             }
         }
     }
 }
 
-/// Gathers *columns* `[c0, c0+cc)` of rows `[l0, l0+lc)` into `ph`-wide
-/// micro-panels: `buf[panel*ph*lc + p*ph + q] = src[l0 + p, c0 +
+/// Packs *columns* of the row-major operand `(src, stride)` into
+/// `ph`-wide micro-panels: columns `[c0, c0+cc)` of rows `[l0, l0+lc)`
+/// land at `buf[panel*ph*lc + p*ph + q] = src[(l0 + p)*stride + c0 +
 /// panel*ph + q]`.  Reads are contiguous runs of `ph`, so packing a
 /// `k`-major operand streams it row-major exactly once.
-fn pack_cols(src: &Matrix, c0: usize, cc: usize, l0: usize, lc: usize, ph: usize, buf: &mut [f64]) {
-    let panels = cc.div_ceil(ph);
-    for p in 0..lc {
-        let row = &src.row(l0 + p)[c0..c0 + cc];
-        for jp in 0..panels {
-            let w = ph.min(cc - jp * ph);
-            buf[jp * ph * lc + p * ph..][..w].copy_from_slice(&row[jp * ph..jp * ph + w]);
+fn pack_cols<E: PackedElem>(
+    (src, stride): (&[E], usize),
+    ph: usize,
+) -> impl Fn(usize, usize, usize, usize, &mut [E]) + Sync + '_ {
+    move |c0, cc, l0, lc, buf| {
+        let panels = cc.div_ceil(ph);
+        for p in 0..lc {
+            let row = &src[(l0 + p) * stride + c0..][..cc];
+            for jp in 0..panels {
+                let w = ph.min(cc - jp * ph);
+                buf[jp * ph * lc + p * ph..][..w].copy_from_slice(&row[jp * ph..jp * ph + w]);
+            }
         }
     }
 }
 
 /// The shared BLIS-style packed driver: loop nest `l0 (KC) → j0
 /// (NC_PACKED, pack B) → i0 (MC, pack A) → jp → ip (microkernel)`.
-/// The microkernel overwrites an 8×4 tile with the product over the
-/// current `k`-block; the valid `iv×jv` region is then accumulated into
-/// `C`, which also handles the partial-tile edges (packed tails are
-/// zero, so the extra lanes compute zeros).
+/// The microkernel overwrites an `MR_SIMD×NR` tile with the product
+/// over the current `k`-block; the valid `iv×jv` region is then
+/// accumulated into `C`, which also handles the partial-tile edges
+/// (packed tails are zero, so the extra lanes compute zeros).
 ///
 /// The `k`-summation order per element is identical to the scalar
 /// blocked path: sequential within a `KC` block, blocks in ascending
 /// order — only the fused rounding of the FMA differs.
-fn gemm_packed(
+fn gemm_packed<E: PackedElem>(
     m: usize,
     n: usize,
     k: usize,
-    pack_a: impl Fn(usize, usize, usize, usize, &mut [f64]),
-    pack_b: impl Fn(usize, usize, usize, usize, &mut [f64]),
-    c: &mut [f64],
-    micro: MicroKernel,
+    pack_a: impl Fn(usize, usize, usize, usize, &mut [E]),
+    pack_b: impl Fn(usize, usize, usize, usize, &mut [E]),
+    c: &mut [E],
+    micro: GemmMicro<E>,
 ) {
     debug_assert_eq!(c.len(), m * n);
-    c.fill(0.0);
+    c.fill(E::default());
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let mut tile = [0.0f64; MR_SIMD * NR_SIMD];
+    let nr = E::NR;
+    const { assert!(MR_SIMD * E::NR <= TILE) };
+    let mut tile = [E::default(); TILE];
+    let tile = &mut tile[..MR_SIMD * nr];
     let mut l0 = 0;
     while l0 < k {
         let lc = KC.min(k - l0);
         let mut j0 = 0;
         while j0 < n {
             let jc = NC_PACKED.min(n - j0);
-            let jpanels = jc.div_ceil(NR_SIMD);
-            let mut bbuf = take_pack(jpanels * NR_SIMD * lc);
+            let jpanels = jc.div_ceil(nr);
+            let mut bbuf = take_pack(jpanels * nr * lc);
             pack_b(j0, jc, l0, lc, &mut bbuf);
             let mut i0 = 0;
             while i0 < m {
@@ -238,22 +293,16 @@ fn gemm_packed(
                 let mut abuf = take_pack(ipanels * MR_SIMD * lc);
                 pack_a(i0, ic, l0, lc, &mut abuf);
                 for jp in 0..jpanels {
-                    let j = j0 + jp * NR_SIMD;
-                    let jv = NR_SIMD.min(j0 + jc - j);
-                    let bp = bbuf[jp * NR_SIMD * lc..].as_ptr();
+                    let j = j0 + jp * nr;
+                    let jv = nr.min(j0 + jc - j);
+                    let bp = &bbuf[jp * nr * lc..];
                     for ip in 0..ipanels {
                         let i = i0 + ip * MR_SIMD;
                         let iv = MR_SIMD.min(i0 + ic - i);
-                        let ap = abuf[ip * MR_SIMD * lc..].as_ptr();
-                        // SAFETY: the packed panels hold `lc` groups of
-                        // MR_SIMD/NR_SIMD elements, `tile` has 32, and
-                        // vector microkernels are only installed after
-                        // runtime feature detection.
-                        unsafe { micro(lc, ap, bp, tile.as_mut_ptr()) };
-                        for r in 0..iv {
+                        micro(lc, &abuf[ip * MR_SIMD * lc..], bp, tile);
+                        for (r, t) in tile.chunks_exact(nr).take(iv).enumerate() {
                             let base = (i + r) * n + j;
-                            for (cv, tv) in c[base..base + jv].iter_mut().zip(&tile[r * NR_SIMD..])
-                            {
+                            for (cv, &tv) in c[base..base + jv].iter_mut().zip(t) {
                                 *cv += tv;
                             }
                         }
@@ -269,69 +318,96 @@ fn gemm_packed(
     }
 }
 
-/// Packed `nt` with an explicit microkernel.  Hidden: the property
-/// tests use it to pit the AVX2 microkernel against its scalar twin;
-/// production code goes through [`gemm_nt_into`].
-#[doc(hidden)]
-pub fn gemm_nt_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: MicroKernel) {
+/// `(m, n, k)` of `A[m,k] * B[n,k]^T`, panicking on disagreement.
+fn nt_dims(a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
     let (m, k) = a.shape();
     let (n, kb) = b.shape();
     assert_eq!(
         k, kb,
         "gemm_nt: inner dimensions disagree (A is {m}x{k}, B^T is {kb}x{n})"
     );
-    c.resize(m, n);
-    gemm_packed(
-        m,
-        n,
-        k,
-        |i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-        |j0, jc, l0, lc, buf| pack_rows(b, j0, jc, l0, lc, NR_SIMD, buf),
-        c.as_mut_slice(),
-        micro,
-    );
+    (m, n, k)
 }
 
-/// Packed `nn` with an explicit microkernel (see [`gemm_nt_packed_with`]).
-#[doc(hidden)]
-pub fn gemm_nn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: MicroKernel) {
+/// `(m, n, k)` of `A[m,k] * B[k,n]`, panicking on disagreement.
+fn nn_dims(a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(
         k, kb,
         "gemm_nn: inner dimensions disagree (A is {m}x{k}, B is {kb}x{n})"
     );
-    c.resize(m, n);
-    gemm_packed(
-        m,
-        n,
-        k,
-        |i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-        |j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
-        c.as_mut_slice(),
-        micro,
-    );
+    (m, n, k)
 }
 
-/// Packed `tn` with an explicit microkernel (see [`gemm_nt_packed_with`]).
-#[doc(hidden)]
-pub fn gemm_tn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: MicroKernel) {
+/// `(m, n, k)` of `A[k,m]^T * B[k,n]`, panicking on disagreement.
+fn tn_dims(a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
     let (k, m) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(
         k, kb,
         "gemm_tn: outer dimensions disagree (A^T is {m}x{k}, B is {kb}x{n})"
     );
+    (m, n, k)
+}
+
+/// Packed `nt` with an explicit microkernel, sequential.  Hidden: the
+/// property and digest tests use it to run every table's microkernel
+/// on one machine; production code goes through [`gemm_nt_into`].
+#[doc(hidden)]
+pub fn gemm_nt_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
+    let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
-    gemm_packed(
-        m,
-        n,
-        k,
-        |i0, ic, l0, lc, buf| pack_cols(a, i0, ic, l0, lc, MR_SIMD, buf),
-        |j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
-        c.as_mut_slice(),
-        micro,
-    );
+    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), f64::NR));
+    gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
+}
+
+/// Packed `nn` with an explicit microkernel (see [`gemm_nt_packed_with`]).
+#[doc(hidden)]
+pub fn gemm_nn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
+    let (m, n, k) = nn_dims(a, b);
+    c.resize(m, n);
+    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+    gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
+}
+
+/// Packed `tn` with an explicit microkernel (see [`gemm_nt_packed_with`]).
+#[doc(hidden)]
+pub fn gemm_tn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
+    let (m, n, k) = tn_dims(a, b);
+    c.resize(m, n);
+    let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+    gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
+}
+
+/// `C[m,n] = A[m,k] * B[n,k]^T` over row-major `f32` slices, `C`
+/// overwritten: the packed driver with the dispatched f32 microkernel,
+/// on every table.  Sequential (see the module docs).  Its error
+/// against the f64 product is pure rounding, within the usual
+/// `O(k·ε₃₂)` dot-product bound (`tests/simd_f32_proptests.rs`).
+pub fn gemm_nt_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_nt_f32_with(m, n, k, a, b, c, simd::kernels_f32().gemm_micro)
+}
+
+/// [`gemm_nt_f32`] with an explicit microkernel.  Hidden: the property
+/// and digest tests use it to run every table's microkernel on one
+/// machine.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_nt_f32_with(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    micro: GemmMicro<f32>,
+) {
+    assert_eq!(a.len(), m * k, "gemm_nt_f32: A is not {m}x{k}");
+    assert_eq!(b.len(), n * k, "gemm_nt_f32: B^T is not {n}x{k}");
+    assert_eq!(c.len(), m * n, "gemm_nt_f32: C is not {m}x{n}");
+    let (pa, pb) = (pack_rows((a, k), MR_SIMD), pack_rows((b, k), f32::NR));
+    gemm_packed(m, n, k, pa, pb, c, micro);
 }
 
 /// `C[m,n] = A[m,k] * B[n,k]^T` (B transposed: both row-major streams).
@@ -343,23 +419,11 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// [`gemm_nt`] into a caller-owned output (reshaped in place).
 pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(
-        k, kb,
-        "gemm_nt: inner dimensions disagree (A is {m}x{k}, B^T is {kb}x{n})"
-    );
+    let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        packed_driver(
-            m,
-            n,
-            k,
-            &|i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-            &|j0, jc, l0, lc, buf| pack_rows(b, j0, jc, l0, lc, NR_SIMD, buf),
-            c.as_mut_slice(),
-            micro,
-        );
+        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), f64::NR));
+        packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
     } else {
         nt_striped(a, b, c.as_mut_slice());
     }
@@ -399,12 +463,7 @@ fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
 /// kept callable so the benches can report the pre-SIMD baseline.
 #[doc(hidden)]
 pub fn gemm_nt_blocked_scalar_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(
-        k, kb,
-        "gemm_nt: inner dimensions disagree (A is {m}x{k}, B^T is {kb}x{n})"
-    );
+    let (m, n, _) = nt_dims(a, b);
     c.resize(m, n);
     nt_panel(a, b, c.as_mut_slice(), 0);
 }
@@ -530,23 +589,11 @@ pub fn gemm_nn(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// [`gemm_nn`] into a caller-owned output (reshaped in place).
 pub fn gemm_nn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "gemm_nn: inner dimensions disagree (A is {m}x{k}, B is {kb}x{n})"
-    );
+    let (m, n, k) = nn_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        packed_driver(
-            m,
-            n,
-            k,
-            &|i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-            &|j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
-            c.as_mut_slice(),
-            micro,
-        );
+        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+        packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
         return;
     }
     c.fill(0.0);
@@ -592,23 +639,11 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// [`gemm_tn`] into a caller-owned output (reshaped in place).
 pub fn gemm_tn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "gemm_tn: outer dimensions disagree (A^T is {m}x{k}, B is {kb}x{n})"
-    );
+    let (m, n, k) = tn_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        packed_driver(
-            m,
-            n,
-            k,
-            &|i0, ic, l0, lc, buf| pack_cols(a, i0, ic, l0, lc, MR_SIMD, buf),
-            &|j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
-            c.as_mut_slice(),
-            micro,
-        );
+        let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+        packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
         return;
     }
     c.fill(0.0);
@@ -660,6 +695,22 @@ pub fn gemm_reference(a: &Matrix, b: &Matrix) -> Matrix {
                 acc += a.get(r, l) * b.get(l, j);
             }
             c.set(r, j, acc);
+        }
+    }
+    c
+}
+
+/// Naive triple-loop f64-accumulated reference for [`gemm_nt_f32`]: the
+/// "infinitely precise" answer the f32 kernel is bounded against.
+pub fn gemm_nt_f32_reference(m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f64> {
+    let mut c = vec![0.0f64; m * n];
+    for r in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f64;
+            for l in 0..k {
+                acc += a[r * k + l] as f64 * b[j * k + l] as f64;
+            }
+            c[r * n + j] = acc;
         }
     }
     c
@@ -806,6 +857,52 @@ mod tests {
         let b = mat(1, 1, 12);
         let c = gemm_nt(&a, &b);
         assert!((c.get(0, 0) - a.get(0, 0) * b.get(0, 0)).abs() < 1e-15);
+    }
+
+    fn fill_f32(len: usize, seed: u64) -> Vec<f32> {
+        mat(1, len, seed)
+            .as_slice()
+            .iter()
+            .map(|&v| v as f32)
+            .collect()
+    }
+
+    /// `|C - C_ref| ≤ 2k²·ε₃₂` — the standard `γ_k·Σ|aᵢbᵢ|` dot bound
+    /// with operands in [-1, 1] (so `Σ|aᵢbᵢ| ≤ k`), doubled for slack.
+    #[test]
+    fn nt_f32_matches_reference_across_tile_remainders() {
+        for &(m, n, k) in &[
+            (1, 1, 1),
+            (3, 3, 3),
+            (8, 8, 8),
+            (5, 7, 9),
+            (9, 11, KC + 5),
+            (MR_SIMD * 3 + 2, f32::NR * 5 + 1, 17),
+            (64, 33, 300),
+        ] {
+            let a = fill_f32(m * k, m as u64 + 1);
+            let b = fill_f32(n * k, n as u64 + 100);
+            let mut c = vec![0.0f32; m * n];
+            gemm_nt_f32(m, n, k, &a, &b, &mut c);
+            let kf = k as f64;
+            let bound = (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6);
+            let c_ref = gemm_nt_f32_reference(m, n, k, &a, &b);
+            for (i, (&cv, &rv)) in c.iter().zip(&c_ref).enumerate() {
+                assert!(
+                    (cv as f64 - rv).abs() <= bound,
+                    "({m},{n},{k}) element {i}: {cv} vs {rv}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nt_f32_degenerate_shapes() {
+        let mut c = vec![7.0f32; 6];
+        gemm_nt_f32(2, 3, 0, &[], &[], &mut c);
+        assert!(c.iter().all(|&v| v == 0.0));
+        let mut empty: Vec<f32> = Vec::new();
+        gemm_nt_f32(0, 3, 4, &[], &fill_f32(12, 1), &mut empty);
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   `ln_cosh`, `relu`, ...) and their derivatives.
 //! * [`reduce`] — reductions (mean, variance, log-sum-exp, weighted dots),
 //!   pairwise-compensated for batch-scale accumulations.
-//! * [`simd`] — the runtime-dispatched kernel table: AVX2+FMA vector
-//!   kernels (packed GEMM microkernel, vectorized transcendentals) with
-//!   a portable scalar twin, selected once per process (see
+//! * [`simd`] — the runtime-dispatched kernel tables (AVX-512, AVX2+FMA,
+//!   portable), each kernel one lane-generic body stamped per table
+//!   (packed GEMM microkernel, vectorised transcendentals, reductions,
+//!   the batched sampling step), selected once per process (see
 //!   [`simd::kernels`]).  Disable with `--features force-scalar` or
 //!   `VQMC_SIMD=off`.
 //!
@@ -52,7 +53,6 @@
 
 pub mod batch;
 pub mod gemm;
-pub mod gemm32;
 pub mod matrix;
 pub mod ops;
 pub mod par;
@@ -60,6 +60,15 @@ pub mod reduce;
 pub mod simd;
 pub mod vector;
 pub mod workspace;
+
+/// The f32 GEMM's former home, kept as a path only: the end-to-end
+/// benchmark crate (`bench-e2e/src/micro.rs`) imports
+/// `vqmc_tensor::gemm32::gemm_nt_f32`, and that crate is held fixed so
+/// its measurements compare across commits.  New code uses
+/// [`gemm::gemm_nt_f32`].
+pub mod gemm32 {
+    pub use crate::gemm::gemm_nt_f32;
+}
 
 pub use batch::SpinBatch;
 pub use matrix::Matrix;

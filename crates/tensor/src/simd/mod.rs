@@ -8,24 +8,24 @@
 //!
 //! * **AVX-512**: the AVX2 table with 512-bit overrides where they pay
 //!   (the batched sampling step, the signed pair sum).
-//! * **AVX2+FMA** ([`avx2`]): 4-wide `f64` / 8-wide `f32` vectors.
-//!   Installed only after both features are detected, so the
-//!   `target_feature` functions are sound to call through the table.
-//! * **Portable** ([`portable`]): the production arm on non-x86_64
-//!   targets and the fallback everywhere else.
+//! * **AVX2+FMA**: 4-wide `f64` / 8-wide `f32` vectors.  Installed only
+//!   after both features are detected, so the `target_feature` shims
+//!   are sound to call through the table.
+//! * **Portable**: the production arm on non-x86_64 targets and the
+//!   fallback everywhere else.
 //!
-//! Every kernel but the GEMM microkernel is **one body** over the lane
-//! types of `lanes.rs`, instantiated per arm: the slice and reduction
-//! kernels (`slices.rs`) and the batched sampling step (`panel.rs`) at
-//! `[f64; 4]` / `[f32; 8]` portable and, under `#[target_feature]`,
-//! `__m256d` / `__m256` for AVX2 (the sampling step also at `__m512d` /
-//! `__m512` for AVX-512); [`signed_sum`] is one body over plain arrays.
-//! Only `micro_8x4` is still written per arm.
-
+//! Every kernel is **one body** over the lane types of `lanes.rs`,
+//! instantiated per arm: the slice and reduction kernels (`slices.rs`),
+//! the batched sampling step (`panel.rs`) and the packed-GEMM
+//! microkernel (`micro.rs`) at `[f64; 4]` / `[f32; 8]` portable and,
+//! under `#[target_feature]`, `__m256d` / `__m256` for AVX2 (the
+//! sampling step also at `__m512d` / `__m512` for AVX-512);
+//! [`signed_sum`] is one body over plain arrays.
+//!
 //! Fallback policy (first match wins):
 //!
 //! 1. `--features force-scalar`, or a non-x86_64 target → portable arm
-//!    (the AVX2 module is not even compiled).
+//!    (the vector tables are not even compiled).
 //! 2. `VQMC_SIMD` set to `off`/`0`/`scalar`/`false` (case-insensitive)
 //!    → portable arm (runtime kill-switch, read once); `VQMC_SIMD=avx2`
 //!    caps the dispatch at the AVX2 table.
@@ -52,21 +52,14 @@ use std::sync::OnceLock;
 
 pub mod exp;
 mod lanes;
+mod micro;
 mod panel;
-pub mod portable;
-pub mod portable32;
 pub mod signed_sum;
 mod slices;
 
-use slices::{Exp, LnCosh, LogSigmoid, Sigmoid, Tanh};
+use slices::{map_via_f64, Exp, LnCosh, LogSigmoid, Sigmoid, Tanh};
 
 pub use signed_sum::PAIR_TILE;
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-pub mod avx2;
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-pub mod avx2f32;
 
 /// Which kernel arm the dispatch resolved to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,15 +73,12 @@ pub enum Backend {
     Scalar,
 }
 
-/// The packed-GEMM microkernel signature: multiply a `kc×8` packed A
-/// micro-panel by a `kc×4` packed B micro-panel, **overwriting** the
-/// row-major 8×4 `tile`.
-///
-/// # Safety
-/// `ap`, `bp` and `tile` must be valid for `kc*8`, `kc*4` and 32
-/// elements respectively; AVX2 implementations additionally require
-/// the caller to have verified CPU support.
-pub type MicroKernel = unsafe fn(kc: usize, ap: *const f64, bp: *const f64, tile: *mut f64);
+/// The packed-GEMM microkernel over element `E`: `(kc, ap, bp, tile)`
+/// multiplies a `kc×8` packed A micro-panel by a `kc×NR` packed B
+/// micro-panel and **overwrites** the row-major `8×NR` `tile`, where
+/// `NR` is 256 bits of `E` (4 `f64`, 8 `f32`; see
+/// [`crate::gemm::PackedElem`]).  Panics if a slice is short.
+pub type GemmMicro<E> = fn(usize, &[E], &[E], &mut [E]);
 
 /// Fused batched AUTO bit-step over a transposed f64 activation panel:
 /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`.
@@ -138,8 +128,9 @@ pub struct Kernels {
     pub sq_dev_sum: fn(&[f64], f64) -> f64,
     /// `Σ e^{x−m}` (`log_sum_exp` base block).
     pub sum_exp_shifted: fn(&[f64], f64) -> f64,
-    /// The packed-GEMM 8×4 microkernel.
-    pub micro_8x4: MicroKernel,
+    /// The packed-GEMM microkernel: an 8×4 `f64` tile, one `__m256d`
+    /// (or `[f64; 4]`) per tile row.
+    pub gemm_micro: GemmMicro<f64>,
     /// `Σ_{i<j} B_ij σ_i σ_j` for [`PAIR_TILE`] samples over an
     /// upper-triangle CSR, spins as sign masks (one body, all arms).
     pub signed_pair_sum: SignedPairSum,
@@ -161,7 +152,7 @@ static PORTABLE: Kernels = Kernels {
     sum: slices::sum::<[f64; 4]>,
     sq_dev_sum: slices::sq_dev_sum::<[f64; 4]>,
     sum_exp_shifted: slices::sum_exp_shifted::<[f64; 4]>,
-    micro_8x4: portable::micro_8x4 as MicroKernel,
+    gemm_micro: micro::gemm_micro::<[f64; 4]>,
     signed_pair_sum: signed_sum::portable,
 };
 
@@ -221,6 +212,8 @@ mod avx2_table {
         signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx2(offsets, cols, vals, masks, acc);
+        gemm_micro(kc: usize, ap: &[f64], bp: &[f64], tile: &mut [f64])
+            => micro::gemm_micro::<__m256d>(kc, ap, bp, tile);
     }
 
     pub(super) static AVX2: Kernels = Kernels {
@@ -238,7 +231,7 @@ mod avx2_table {
         sum,
         sq_dev_sum,
         sum_exp_shifted,
-        micro_8x4: avx2::micro_8x4 as MicroKernel,
+        gemm_micro,
         signed_pair_sum,
     };
 }
@@ -332,14 +325,6 @@ pub fn backend() -> Backend {
     kernels().backend
 }
 
-/// The packed-GEMM microkernel signature of the **f32** arm: multiply a
-/// `kc×8` packed A micro-panel by a `kc×4` packed B micro-panel,
-/// **overwriting** the row-major 8×4 `tile`.
-///
-/// # Safety
-/// Same contract as [`MicroKernel`], with `f32` elements.
-pub type MicroKernelF32 = unsafe fn(kc: usize, ap: *const f32, bp: *const f32, tile: *mut f32);
-
 /// f32 variant of [`SampleStepCols`] (f32 panel, `f64` logits).
 pub type SampleStepColsF32 =
     fn(&mut [f32], usize, Option<&[f32]>, &[f32], &[f32], f64, &mut [f32], &mut [f64]);
@@ -348,12 +333,13 @@ pub type SampleStepColsF32 =
 /// [`Kernels`], covering the inference hot path only (no trainer-side
 /// kernels: no `xpby`, `sq_dev_sum`, `sum_exp_shifted`, `tanh`).
 ///
-/// Reduction results (`dot`, `relu_dot`, `sum`, logits) are `f64`:
-/// stripe accumulators stay `f32` in registers, the cross-stripe
-/// combine widens (see [`portable32`]).  The transcendental slice
-/// entries route each chunk through the *same arm's* f64 kernel
-/// (widen → apply → narrow), inheriting the f64 cross-arm
-/// bit-identity.
+/// Weights and activations are `f32` — half the bytes streamed, twice
+/// the SIMD lanes — while reduction results (`dot`, `relu_dot`, `sum`,
+/// logits) are `f64`: stripe accumulators stay `f32` in registers, the
+/// cross-stripe combine widens.  Agreement with the f64 table is
+/// bound-based, never bit-based.  The transcendental slice entries
+/// route each chunk through the *same arm's* f64 kernel (widen → apply
+/// → narrow), inheriting the f64 cross-arm bit-identity.
 #[derive(Clone, Copy)]
 pub struct KernelsF32 {
     /// Which arm this table belongs to.
@@ -382,23 +368,24 @@ pub struct KernelsF32 {
     /// mask stash in `scratch`, on every arm.  Panics if a slice is
     /// short.
     pub sample_step_cols: SampleStepColsF32,
-    /// The packed-GEMM 8×4 `f32` microkernel.
-    pub micro_8x4: MicroKernelF32,
+    /// The packed-GEMM microkernel: an 8×8 `f32` tile, one `__m256`
+    /// (or `[f32; 8]`) per tile row.
+    pub gemm_micro: GemmMicro<f32>,
 }
 
 /// The portable f32 arm as a constant table.
 static PORTABLE_F32: KernelsF32 = KernelsF32 {
     backend: Backend::Scalar,
-    sigmoid_slice: |xs| portable32::map_via_f64(xs, PORTABLE.sigmoid_slice),
-    log_sigmoid_slice: |xs| portable32::map_via_f64(xs, PORTABLE.log_sigmoid_slice),
-    ln_cosh_slice: |xs| portable32::map_via_f64(xs, PORTABLE.ln_cosh_slice),
-    exp_slice: |xs| portable32::map_via_f64(xs, PORTABLE.exp_slice),
+    sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.sigmoid_slice),
+    log_sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.log_sigmoid_slice),
+    ln_cosh_slice: |xs| map_via_f64(xs, PORTABLE.ln_cosh_slice),
+    exp_slice: |xs| map_via_f64(xs, PORTABLE.exp_slice),
     dot: slices::dot::<[f32; 8]>,
     axpy: slices::axpy::<[f32; 8]>,
     relu_dot: slices::relu_dot::<[f32; 8]>,
     sum: slices::sum::<[f32; 8]>,
     sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
-    micro_8x4: portable32::micro_8x4 as MicroKernelF32,
+    gemm_micro: micro::gemm_micro::<[f32; 8]>,
 };
 
 /// The portable-scalar f32 table, regardless of what the production
@@ -424,22 +411,24 @@ mod avx2_table_f32 {
             w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
             => panel::sample_step_cols::<__m256, 8, 1>(zt, b, w_prev, prev_mask, w_out, bias,
                 scratch, logits);
+        gemm_micro(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
+            => micro::gemm_micro::<__m256>(kc, ap, bp, tile);
     }
 
     /// The transcendental entries widen each chunk through *this arm's*
     /// f64 kernel.
     pub(super) static AVX2_F32: KernelsF32 = KernelsF32 {
         backend: Backend::Avx2Fma,
-        sigmoid_slice: |xs| portable32::map_via_f64(xs, AVX2.sigmoid_slice),
-        log_sigmoid_slice: |xs| portable32::map_via_f64(xs, AVX2.log_sigmoid_slice),
-        ln_cosh_slice: |xs| portable32::map_via_f64(xs, AVX2.ln_cosh_slice),
-        exp_slice: |xs| portable32::map_via_f64(xs, AVX2.exp_slice),
+        sigmoid_slice: |xs| map_via_f64(xs, AVX2.sigmoid_slice),
+        log_sigmoid_slice: |xs| map_via_f64(xs, AVX2.log_sigmoid_slice),
+        ln_cosh_slice: |xs| map_via_f64(xs, AVX2.ln_cosh_slice),
+        exp_slice: |xs| map_via_f64(xs, AVX2.exp_slice),
         dot,
         axpy,
         relu_dot,
         sum,
         sample_step_cols,
-        micro_8x4: avx2f32::micro_8x4 as MicroKernelF32,
+        gemm_micro,
     };
 }
 

@@ -63,6 +63,29 @@ pub(super) fn map<K: Elementwise, L: ExpLanes>(xs: &mut [f64]) {
     }
 }
 
+/// Chunk size of the widen → f64 kernel → narrow route (a 1 KiB stack
+/// buffer).
+const WIDEN_CHUNK: usize = 128;
+
+/// The f32 transcendental entries of every table: `kernel` (that arm's
+/// f64 slice kernel) over `xs` chunk-wise through a stack buffer —
+/// widen (exact), apply, narrow (one rounding).  That inherits the f64
+/// cross-arm bit-identity and is more accurate than a native f32
+/// polynomial would be.
+pub(super) fn map_via_f64(xs: &mut [f32], kernel: fn(&mut [f64])) {
+    let mut buf = [0.0f64; WIDEN_CHUNK];
+    for chunk in xs.chunks_mut(WIDEN_CHUNK) {
+        let wide = &mut buf[..chunk.len()];
+        for (d, &s) in wide.iter_mut().zip(chunk.iter()) {
+            *d = s as f64;
+        }
+        kernel(wide);
+        for (d, &w) in chunk.iter_mut().zip(wide.iter()) {
+            *d = w as f32;
+        }
+    }
+}
+
 /// `σ(x) = 1/(1+e^{-x})` via `t = e^{-|x|}`, which never overflows:
 /// `x ≥ 0 → 1/(1+t)`, `x < 0 → t/(1+t)`.
 pub(super) struct Sigmoid;

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqmc_tensor::gemm32::{self, KC, MR, NR};
+use vqmc_tensor::gemm::{self, PackedElem, KC, MR_SIMD};
 use vqmc_tensor::simd::{self, KernelsF32};
 
 /// Asserts two f32 slices are bitwise identical (NaN ≡ NaN).
@@ -186,7 +186,8 @@ proptest! {
 
     /// Packed f32 GEMM: driver + microkernel agree bit-for-bit across
     /// arms and track the f64 reference within the dot bound, across
-    /// shapes oscillating around the `MR`/`NR`/`KC` boundaries.
+    /// shapes oscillating around the `MR_SIMD`/`NR`/`KC` boundaries
+    /// (the f32 tile is 8×8).
     #[test]
     fn packed_gemm_f32_remainder_sweep(mr in 0usize..40, nr in 0usize..40, kr in 0usize..512, seed in 0u64..1000) {
         let near = |tile: usize, raw: usize| match raw % 8 {
@@ -198,12 +199,12 @@ proptest! {
             5 => 2 * tile + 3,
             _ => raw % (2 * tile + 7),
         };
-        let (m, n, k) = (near(MR, mr), near(NR, nr), near(KC, kr));
+        let (m, n, k) = (near(MR_SIMD, mr), near(f32::NR, nr), near(KC, kr));
         let a = rand_f32(m * k, seed, -1.0, 1.0);
         let b = rand_f32(n * k, seed ^ 0xAB, -1.0, 1.0);
         let mut c_port = vec![0.0f32; m * n];
-        gemm32::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, simd::portable_kernels_f32().micro_8x4);
-        let want = gemm32::gemm_nt_f32_reference(m, n, k, &a, &b);
+        gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, simd::portable_kernels_f32().gemm_micro);
+        let want = gemm::gemm_nt_f32_reference(m, n, k, &a, &b);
         let kf = k.max(1) as f64;
         let bound = (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6);
         for (i, (&cv, &rv)) in c_port.iter().zip(&want).enumerate() {
@@ -211,7 +212,7 @@ proptest! {
         }
         for (name, arm) in vector_arms() {
             let mut c_vec = vec![0.0f32; m * n];
-            gemm32::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_vec, arm.micro_8x4);
+            gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_vec, arm.gemm_micro);
             assert_bits_eq32(&c_vec, &c_port, &format!("{name} packed f32 nt"));
         }
     }

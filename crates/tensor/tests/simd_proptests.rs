@@ -3,18 +3,18 @@
 //! Three invariant classes:
 //!
 //! 1. **Every published table ↔ portable table** — each slice,
-//!    reduction and panel-step kernel is one generic body instantiated
-//!    per arm (same FMA placement, same lane-striped accumulator layout,
-//!    same horizontal reduction order), and the hand-written GEMM
-//!    microkernels are operation-for-operation twins, so the AVX2 and AVX-512 tables must
-//!    agree with the portable one **bit-for-bit** on every input,
-//!    including non-lane-multiple lengths, the scalar tail, and
-//!    exceptional lanes (saturated, infinite, NaN).
-//! 2. **Packed GEMM remainder sweep** — the packed driver run with the
-//!    AVX2 8×4 microkernel equals the same driver run with the portable
-//!    twin bit-for-bit, and both match the naive triple loop to a
-//!    length-scaled tolerance, across shapes oscillating around every
-//!    blocking boundary (`MR_SIMD`/`NR_SIMD`/`KC` and the `MC` /
+//!    reduction, panel-step and GEMM microkernel is one generic body
+//!    instantiated per arm (same FMA placement, same lane-striped
+//!    accumulator layout, same horizontal reduction order), so the AVX2
+//!    and AVX-512 tables must agree with the portable one
+//!    **bit-for-bit** on every input, including non-lane-multiple
+//!    lengths, the scalar tail, and exceptional lanes (saturated,
+//!    infinite, NaN).
+//! 2. **Packed GEMM remainder sweep** — the packed driver run with each
+//!    vector table's 8×4 microkernel equals the same driver run with the
+//!    portable one bit-for-bit, and both match the naive triple loop to
+//!    a length-scaled tolerance, across shapes oscillating around every
+//!    blocking boundary (`MR_SIMD`/`NR`/`KC` and the `MC` /
 //!    `NC_PACKED` outer blocks).
 //! 3. **Vendored `exp` accuracy** — ≤ 2 ULP against `f64::exp` over the
 //!    full finite range, including the overflow edge, the subnormal
@@ -28,7 +28,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqmc_tensor::gemm::{self, gemm_reference, KC, MR_SIMD, NR_SIMD};
+use vqmc_tensor::gemm::{self, gemm_reference, PackedElem, KC, MR_SIMD};
 use vqmc_tensor::simd::{self, Kernels};
 use vqmc_tensor::Matrix;
 
@@ -207,56 +207,57 @@ proptest! {
         }
     }
 
-    /// The packed GEMM driver is microkernel-agnostic: the AVX2 8×4
-    /// kernel and its portable twin produce bit-identical C across
-    /// shapes oscillating around the `MR_SIMD`/`NR_SIMD`/`KC`
-    /// boundaries, and both match the naive reference.
+    /// The packed GEMM driver is microkernel-agnostic: every vector
+    /// table's 8×4 kernel and the portable one produce bit-identical C
+    /// across shapes oscillating around the `MR_SIMD`/`NR`/`KC`
+    /// boundaries, and all match the naive reference.
     #[test]
     fn packed_gemm_remainder_sweep(mr in 0usize..64, nr in 0usize..64, kr in 0usize..512, seed in 0u64..1000) {
-        let (m, n, k) = (near(MR_SIMD, mr), near(NR_SIMD, nr), near(KC, kr));
+        let (m, n, k) = (near(MR_SIMD, mr), near(f64::NR, nr), near(KC, kr));
         let a = rand_matrix(m, k, seed);
         let b = rand_matrix(n, k, seed ^ 0xAB);
-        let mut c_port = Matrix::zeros(0, 0);
-        gemm::gemm_nt_packed_with(&a, &b, &mut c_port, simd::portable_kernels().micro_8x4);
+        let c_port = packed_across_arms(gemm::gemm_nt_packed_with, &a, &b, "packed nt");
         let want = gemm_reference(&a, &b.transpose());
         let tol = 1e-12 * (1.0 + k as f64);
         prop_assert!(c_port.max_abs_diff(&want) <= tol, "portable micro vs reference");
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut c_avx = Matrix::zeros(0, 0);
-            gemm::gemm_nt_packed_with(&a, &b, &mut c_avx, avx.micro_8x4);
-            assert_bits_eq(c_avx.as_slice(), c_port.as_slice(), "packed nt micro");
-        }
     }
 
     /// Same sweep for the `nn` and `tn` packing variants (column
     /// gather paths).
     #[test]
     fn packed_gemm_variants_remainder_sweep(mr in 0usize..64, nr in 0usize..64, k in 0usize..40, seed in 0u64..1000) {
-        let (m, n) = (near(MR_SIMD, mr), near(NR_SIMD, nr));
+        let (m, n) = (near(MR_SIMD, mr), near(f64::NR, nr));
         let a_nn = rand_matrix(m, k, seed);
         let b_nn = rand_matrix(k, n, seed ^ 0x11);
         let a_tn = rand_matrix(k, m, seed ^ 0x12);
         let tol = 1e-12 * (1.0 + k as f64);
 
-        let port = simd::portable_kernels().micro_8x4;
-        let mut c_port = Matrix::zeros(0, 0);
-        gemm::gemm_nn_packed_with(&a_nn, &b_nn, &mut c_port, port);
+        let c_port = packed_across_arms(gemm::gemm_nn_packed_with, &a_nn, &b_nn, "packed nn");
         prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_nn, &b_nn)) <= tol, "packed nn");
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut c_avx = Matrix::zeros(0, 0);
-            gemm::gemm_nn_packed_with(&a_nn, &b_nn, &mut c_avx, avx.micro_8x4);
-            assert_bits_eq(c_avx.as_slice(), c_port.as_slice(), "packed nn micro");
-        }
 
-        let mut c_port = Matrix::zeros(0, 0);
-        gemm::gemm_tn_packed_with(&a_tn, &b_nn, &mut c_port, port);
+        let c_port = packed_across_arms(gemm::gemm_tn_packed_with, &a_tn, &b_nn, "packed tn");
         prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_tn.transpose(), &b_nn)) <= tol, "packed tn");
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut c_avx = Matrix::zeros(0, 0);
-            gemm::gemm_tn_packed_with(&a_tn, &b_nn, &mut c_avx, avx.micro_8x4);
-            assert_bits_eq(c_avx.as_slice(), c_port.as_slice(), "packed tn micro");
-        }
     }
+}
+
+/// A packed-GEMM seam (`gemm::gemm_{nt,nn,tn}_packed_with`).
+type PackedSeam = fn(&Matrix, &Matrix, &mut Matrix, simd::GemmMicro<f64>);
+
+/// `seam` with the portable microkernel, after asserting every vector
+/// table's microkernel returns the same bits.
+fn packed_across_arms(seam: PackedSeam, a: &Matrix, b: &Matrix, label: &str) -> Matrix {
+    let mut c_port = Matrix::zeros(0, 0);
+    seam(a, b, &mut c_port, simd::portable_kernels().gemm_micro);
+    for (name, arm) in vector_arms() {
+        let mut c_vec = Matrix::zeros(0, 0);
+        seam(a, b, &mut c_vec, arm.gemm_micro);
+        assert_bits_eq(
+            c_vec.as_slice(),
+            c_port.as_slice(),
+            &format!("{name} {label}"),
+        );
+    }
+    c_port
 }
 
 /// Deterministic crossings of the *outer* cache blocks (`MC` = 256
@@ -267,8 +268,7 @@ fn packed_gemm_crosses_outer_blocks() {
     for &(m, n, k) in &[(259usize, 7usize, 301usize), (9, 2051, 5)] {
         let a = rand_matrix(m, k, 42);
         let b = rand_matrix(n, k, 43);
-        let mut c = Matrix::zeros(0, 0);
-        gemm::gemm_nt_packed_with(&a, &b, &mut c, simd::portable_kernels().micro_8x4);
+        let c = packed_across_arms(gemm::gemm_nt_packed_with, &a, &b, "outer-block nt");
         let want = gemm_reference(&a, &b.transpose());
         let tol = 1e-12 * (1.0 + k as f64);
         assert!(
@@ -276,11 +276,6 @@ fn packed_gemm_crosses_outer_blocks() {
             "({m},{n},{k}): {:e}",
             c.max_abs_diff(&want)
         );
-        if let Some(avx) = simd::avx2_kernels() {
-            let mut c_avx = Matrix::zeros(0, 0);
-            gemm::gemm_nt_packed_with(&a, &b, &mut c_avx, avx.micro_8x4);
-            assert_bits_eq(c_avx.as_slice(), c.as_slice(), "outer-block micro");
-        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Pinned output digests of the SIMD slice, reduction and panel-step
-//! kernels.
+//! kernels, and of the packed GEMM.
 //!
 //! Every `Kernels` / `KernelsF32` entry for an elementwise slice
 //! kernel, a reduction or the fused `sample_step_cols` is run over one
@@ -22,13 +22,22 @@
 //! * for `sample_step_cols`, three chained bit steps (first bit, then
 //!   two masked updates) over panel shapes that cross every row and
 //!   unit tail class and both sides of the 64 KiB traversal split, with
-//!   `±0` panel and weight entries (see `STEP_SHAPES`).
+//!   `±0` panel and weight entries (see `STEP_SHAPES`);
+//! * for the packed GEMM (f64 `nt`/`nn`/`tn` through the
+//!   `gemm_*_packed_with` seams, f32 `nt` through `gemm_nt_f32_with`,
+//!   each with every table's microkernel), shapes that cross the 8-row
+//!   tile, both tile widths, the `KC`, `MC` and `NC_PACKED` blocks and
+//!   `k ∈ {0, 1}`, with `±0`, subnormal and large operands (see
+//!   `GEMM_SHAPES`).  These constants were captured with the per-arm
+//!   8×4 microkernels, before the f32 tile became 8×8.
 //!
 //! Every table the host publishes (`portable`, `avx2`, `avx512`) must
 //! reproduce every digest, under any `VQMC_SIMD` setting and with
 //! `--features force-scalar`.
 
-use vqmc::tensor::simd::{self, Kernels, KernelsF32};
+use vqmc::tensor::gemm;
+use vqmc::tensor::simd::{self, GemmMicro, Kernels, KernelsF32};
+use vqmc::tensor::Matrix;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -490,6 +499,166 @@ fn simd_kernel_output_is_pinned_on_every_arm() {
             assert_eq!(
                 d, want,
                 "{arm} {name}: kernel output moved; current table:\n{table}"
+            );
+        }
+    }
+}
+
+/// `(m, n, k)` shapes of the packed-GEMM digests: `m` around the
+/// 8-row microtile and the 256-row `MC` block, `n` around both tile
+/// widths (4 f64, 8 f32) and the 2 048-column `NC_PACKED` panel, `k`
+/// around the 256-deep `KC` block, plus empty operands and `k ∈ {0, 1}`.
+const GEMM_SHAPES: [(usize, usize, usize); 24] = [
+    (0, 5, 3),
+    (4, 0, 3),
+    (5, 7, 0),
+    (9, 5, 1),
+    (1, 1, 1),
+    (7, 3, 2),
+    (8, 4, 8),
+    (8, 8, 5),
+    (9, 9, 13),
+    (15, 15, 7),
+    (16, 16, 9),
+    (17, 17, 31),
+    (23, 5, 64),
+    (10, 11, 256),
+    (11, 10, 257),
+    (9, 13, 513),
+    (256, 7, 4),
+    (257, 6, 4),
+    (263, 9, 3),
+    (257, 9, 260),
+    (9, 2048, 3),
+    (9, 2049, 3),
+    (3, 2056, 2),
+    (5, 2049, 257),
+];
+
+/// A `rows × cols` GEMM operand: mixed-scale values with `−0`, `+0`,
+/// subnormals and `±big` scattered through it.
+fn gemm_operand(rows: usize, cols: usize, seed: u64, tiny: f64, big: f64) -> Vec<f64> {
+    base(rows * cols, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, v)| match i {
+            _ if i % 7 == 3 => -0.0,
+            _ if i % 11 == 5 => 0.0,
+            _ if i % 13 == 6 => tiny * (1 + i % 5) as f64 * if i % 2 == 0 { 1.0 } else { -1.0 },
+            _ if i % 17 == 8 => big * if v < 0.0 { -1.0 } else { 1.0 },
+            _ => v,
+        })
+        .collect()
+}
+
+/// Digest of `C` over every [`GEMM_SHAPES`] entry, for a product that
+/// takes `(a, b, m, n, k)` with `a` and `b` already shaped for it.
+fn gemm_digest<T: Copy>(
+    salt: u64,
+    cast: fn(f64) -> T,
+    hash: fn(u64, T) -> u64,
+    tiny: f64,
+    big: f64,
+    product: impl Fn(&[T], &[T], usize, usize, usize) -> Vec<T>,
+) -> u64 {
+    GEMM_SHAPES.iter().fold(FNV_OFFSET, |d, &(m, n, k)| {
+        let seed = (m * 1_000_000 + n * 1000 + k) as u64 ^ salt << 40;
+        let a: Vec<T> = gemm_operand(m, k, seed ^ 0xa, tiny, big)
+            .into_iter()
+            .map(cast)
+            .collect();
+        let b: Vec<T> = gemm_operand(k, n, seed ^ 0xb, tiny, big)
+            .into_iter()
+            .map(cast)
+            .collect();
+        product(&a, &b, m, n, k).into_iter().fold(d, hash)
+    })
+}
+
+fn gemm_digests_f64(micro: GemmMicro<f64>) -> Vec<(&'static str, u64)> {
+    type Seam = fn(&Matrix, &Matrix, &mut Matrix, GemmMicro<f64>);
+    // Each variant reads the same `m×k` / `k×n` values in its own layout.
+    let run = |seam: Seam, salt: u64, a_t: bool, b_t: bool| {
+        gemm_digest(
+            salt,
+            |v| v,
+            hash64,
+            f64::from_bits(3),
+            1e100,
+            |a, b, m, n, k| {
+                let a = Matrix::from_vec(m, k, a.to_vec());
+                let b = Matrix::from_vec(k, n, b.to_vec());
+                let a = if a_t { a.transpose() } else { a };
+                let b = if b_t { b.transpose() } else { b };
+                let mut c = Matrix::zeros(0, 0);
+                seam(&a, &b, &mut c, micro);
+                assert_eq!(c.shape(), (m, n));
+                c.as_slice().to_vec()
+            },
+        )
+    };
+    vec![
+        ("gemm_nt", run(gemm::gemm_nt_packed_with, 1, false, true)),
+        ("gemm_nn", run(gemm::gemm_nn_packed_with, 2, false, false)),
+        ("gemm_tn", run(gemm::gemm_tn_packed_with, 3, true, false)),
+    ]
+}
+
+fn gemm_digest_f32(micro: GemmMicro<f32>) -> (&'static str, u64) {
+    let d = gemm_digest(
+        4,
+        |v| v as f32,
+        hash32,
+        f32::from_bits(3) as f64,
+        1e18,
+        |a, b, m, n, k| {
+            // `gemm_nt_f32` takes `B` as `n×k`.
+            let bt: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+            let mut c = vec![f32::NAN; m * n];
+            gemm::gemm_nt_f32_with(m, n, k, a, &bt, &mut c, micro);
+            c
+        },
+    );
+    ("f32/gemm_nt", d)
+}
+
+/// Pinned packed-GEMM digests (f64 `nt`/`nn`/`tn`, then f32 `nt`).
+const EXPECTED_GEMM: [(&str, u64); 4] = [
+    ("gemm_nt", 0x2316bb793308349e),
+    ("gemm_nn", 0xc9ca062971d3fb82),
+    ("gemm_tn", 0x7bd96da4b5b196f2),
+    ("f32/gemm_nt", 0xe0f3a50922f45b18),
+];
+
+/// The packed GEMM through its explicit-microkernel seams: every
+/// published table's microkernel must reproduce the pinned bits, in
+/// both precisions.
+#[test]
+fn packed_gemm_output_is_pinned_on_every_arm() {
+    let arms: [(&str, Option<&Kernels>, Option<&KernelsF32>); 3] = [
+        (
+            "portable",
+            Some(simd::portable_kernels()),
+            Some(simd::portable_kernels_f32()),
+        ),
+        ("avx2", simd::avx2_kernels(), simd::avx2_kernels_f32()),
+        ("avx512", simd::avx512_kernels(), simd::avx512_kernels_f32()),
+    ];
+    for (arm, k64, k32) in arms {
+        let (Some(k64), Some(k32)) = (k64, k32) else {
+            continue;
+        };
+        let mut got = gemm_digests_f64(k64.gemm_micro);
+        got.push(gemm_digest_f32(k32.gemm_micro));
+        let table: String = got
+            .iter()
+            .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+            .collect();
+        for (&(name, d), &(want_name, want)) in got.iter().zip(&EXPECTED_GEMM) {
+            assert_eq!(name, want_name, "kernel order changed");
+            assert_eq!(
+                d, want,
+                "{arm} {name}: GEMM output moved; current table:\n{table}"
             );
         }
     }
