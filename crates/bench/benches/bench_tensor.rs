@@ -78,7 +78,7 @@ fn bench_gemm_blocked_vs_naive(c: &mut Criterion) {
     // The acceptance shape: C[1024,512] = A[1024,512] · B[512,512]^T.
     // "blocked" / "blocked_into" pin the scalar 4×4 loop nest (the
     // pre-SIMD baseline); "simd" is the production dispatch, i.e. the
-    // packed AVX2 8×4 microkernel on capable hosts.
+    // packed microkernel (8×4 on AVX2 hosts, 8×16 on AVX-512 hosts).
     let mut group = c.benchmark_group("gemm_nt_1024x512x512");
     group.sample_size(10);
     let a = mat(1024, 512, 5);

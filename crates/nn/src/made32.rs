@@ -14,8 +14,9 @@
 //!
 //! Bound-based against the f64 model, never bit-based: for parameters
 //! and inputs in the trained range, `|logψ₃₂ − logψ₆₄| ≤ 1e-5·n`
-//! (property-tested in `tests/f32_parity.rs` — the bound is dominated
-//! by the `O(h·ε₃₂)` GEMM rounding entering `n` log-sigmoid terms).
+//! (tested by this module's `log_psi_tracks_f64_within_bound` and
+//! `deep_log_psi_tracks_f64_within_bound` — the bound is dominated by
+//! the `O(h·ε₃₂)` GEMM rounding entering `n` log-sigmoid terms).
 //! *Within* the f32 arm, results are bit-identical across SIMD arms and
 //! thread counts, inherited from the kernel-table contracts.
 //!

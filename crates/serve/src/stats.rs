@@ -1,9 +1,13 @@
 //! Live serving statistics: lock-free counters and log-bucketed
 //! histograms, snapshotted on demand by the `Stats` frame.
 //!
-//! Everything here is plain relaxed atomics — recording a latency or a
-//! batch occupancy is a handful of `fetch_add`s on shared cache lines,
-//! cheap enough to sit on the per-request hot path of both runtimes.
+//! Everything here is plain atomics, relaxed except for one
+//! release/acquire pair — recording a latency or a batch occupancy is a
+//! handful of `fetch_add`s on shared cache lines, cheap enough to sit on
+//! the per-request hot path of both runtimes.  The pair orders a
+//! latency record after its request's admission: a snapshot reads the
+//! latency buckets (acquire) before `accepted`, so a histogram never
+//! counts more requests than the snapshot says were accepted.
 //! Percentiles are derived from power-of-two latency buckets at
 //! snapshot time, so a reported p99 is the *upper edge* of the bucket
 //! containing the 99th-percentile request (≤ 2× the true value — the
@@ -33,16 +37,18 @@ pub enum StatOp {
 
 #[derive(Default)]
 struct LatencyHist {
+    /// Requests per bucket; their sum is the histogram's count.
     buckets: [AtomicU64; LATENCY_BUCKETS],
-    count: AtomicU64,
     sum_us: AtomicU64,
 }
 
 impl LatencyHist {
+    /// The count increment is `Release`, so a snapshot that sees it
+    /// (`Acquire`) also sees everything recorded before it — the
+    /// request's `accepted` increment included.
     fn record(&self, us: u64) {
         let bucket = (64 - us.leading_zeros() as usize).min(LATENCY_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket].fetch_add(1, Ordering::Release);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
     }
 
@@ -50,7 +56,7 @@ impl LatencyHist {
         let counts: Vec<u64> = self
             .buckets
             .iter()
-            .map(|b| b.load(Ordering::Relaxed))
+            .map(|b| b.load(Ordering::Acquire))
             .collect();
         let total: u64 = counts.iter().sum();
         let percentile = |p: f64| -> u64 {
@@ -145,9 +151,18 @@ impl ServerStats {
     }
 
     /// Builds the wire snapshot; `queue_depth` and `tier` are owned by
-    /// the admission layer and passed in.
+    /// the admission layer and passed in.  The latency cells are read
+    /// first (see the module docs), so no histogram count exceeds
+    /// `accepted`.
     pub fn snapshot(&self, queue_depth: u32, tier: u8) -> StatsSnapshot {
+        let mut latency = [[OpLatency::default(); STATS_PRECISIONS]; STATS_OPS];
+        for (op, hists) in latency.iter_mut().zip(&self.latency) {
+            for (arm, hist) in op.iter_mut().zip(hists) {
+                *arm = hist.snapshot();
+            }
+        }
         let mut s = StatsSnapshot {
+            latency,
             accepted: self.accepted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             refused: self.refused.load(Ordering::Relaxed),
@@ -157,11 +172,6 @@ impl ServerStats {
             tier,
             ..StatsSnapshot::default()
         };
-        for (op, hists) in s.latency.iter_mut().zip(&self.latency) {
-            for (arm, hist) in op.iter_mut().zip(hists) {
-                *arm = hist.snapshot();
-            }
-        }
         for (dst, src) in s.occupancy.iter_mut().zip(&self.occupancy) {
             *dst = src.load(Ordering::Relaxed);
         }

@@ -25,8 +25,10 @@
 //! (`kc×MR` for A, `kc×NR` for B) and the inner loop is the table's
 //! `MR×NR` FMA microkernel (`Kernels::gemm_micro` /
 //! `KernelsF32::gemm_micro`, one lane-generic body in `simd/micro.rs`).
-//! `MR` is [`MR_SIMD`] = 8 rows; `NR` ([`PackedElem::NR`]) is 256 bits
-//! of elements, so 4 for `f64` and 8 for `f32`.  Packing is what makes
+//! `MR` is [`MR_SIMD`] = 8 rows; `NR` is the width the table entry
+//! carries ([`GemmMicro::nr`]): one 256-bit vector of elements per tile
+//! row on the portable and AVX2 tables (4 `f64`, 8 `f32`), two 512-bit
+//! vectors on the AVX-512 table (16 `f64`, 32 `f32`).  Packing is what makes
 //! the layouts converge — `nn`/`tn` differ from `nt` only in whether
 //! `pack_rows` or `pack_cols` gathers each operand — and it keeps
 //! the microkernel reading sequential memory.  Blocking: `k` by [`KC`]
@@ -94,15 +96,11 @@ const MC: usize = 256;
 /// L3-resident.
 const NC_PACKED: usize = 2048;
 /// Capacity of the driver's tile buffer: `MR_SIMD × NR` elements for
-/// any `NR ≤ 8`.
-const TILE: usize = MR_SIMD * 8;
+/// any `NR ≤ 32`.
+const TILE: usize = MR_SIMD * 32;
 
 /// An element type the packed driver runs on: `f64` and `f32`.
 pub trait PackedElem: Copy + Default + AddAssign + Sync + 'static {
-    /// Packed-path microtile width: 256 bits of elements (4 `f64`,
-    /// 8 `f32`), the lane count the microkernel is stamped at.
-    const NR: usize = 32 / size_of::<Self>();
-
     /// This element's thread-local pack pool.  Being thread-local,
     /// every pool worker owns its own pack buffers — the parallel
     /// driver needs no handoff and no locking.  Capacities grow to the
@@ -273,8 +271,11 @@ fn gemm_packed<E: PackedElem>(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let nr = E::NR;
-    const { assert!(MR_SIMD * E::NR <= TILE) };
+    let nr = micro.nr;
+    assert!(
+        (1..=TILE / MR_SIMD).contains(&nr),
+        "gemm_packed: tile width {nr} does not fit the tile buffer"
+    );
     let mut tile = [E::default(); TILE];
     let tile = &mut tile[..MR_SIMD * nr];
     let mut l0 = 0;
@@ -299,7 +300,7 @@ fn gemm_packed<E: PackedElem>(
                     for ip in 0..ipanels {
                         let i = i0 + ip * MR_SIMD;
                         let iv = MR_SIMD.min(i0 + ic - i);
-                        micro(lc, &abuf[ip * MR_SIMD * lc..], bp, tile);
+                        (micro.run)(lc, &abuf[ip * MR_SIMD * lc..], bp, tile);
                         for (r, t) in tile.chunks_exact(nr).take(iv).enumerate() {
                             let base = (i + r) * n + j;
                             for (cv, &tv) in c[base..base + jv].iter_mut().zip(t) {
@@ -358,7 +359,7 @@ fn tn_dims(a: &Matrix, b: &Matrix) -> (usize, usize, usize) {
 pub fn gemm_nt_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
     let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
-    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), f64::NR));
+    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), micro.nr));
     gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
 }
 
@@ -367,7 +368,7 @@ pub fn gemm_nt_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMi
 pub fn gemm_nn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
     let (m, n, k) = nn_dims(a, b);
     c.resize(m, n);
-    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+    let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), micro.nr));
     gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
 }
 
@@ -376,7 +377,7 @@ pub fn gemm_nn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMi
 pub fn gemm_tn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMicro<f64>) {
     let (m, n, k) = tn_dims(a, b);
     c.resize(m, n);
-    let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+    let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), micro.nr));
     gemm_packed(m, n, k, pa, pb, c.as_mut_slice(), micro);
 }
 
@@ -406,7 +407,7 @@ pub fn gemm_nt_f32_with(
     assert_eq!(a.len(), m * k, "gemm_nt_f32: A is not {m}x{k}");
     assert_eq!(b.len(), n * k, "gemm_nt_f32: B^T is not {n}x{k}");
     assert_eq!(c.len(), m * n, "gemm_nt_f32: C is not {m}x{n}");
-    let (pa, pb) = (pack_rows((a, k), MR_SIMD), pack_rows((b, k), f32::NR));
+    let (pa, pb) = (pack_rows((a, k), MR_SIMD), pack_rows((b, k), micro.nr));
     gemm_packed(m, n, k, pa, pb, c, micro);
 }
 
@@ -422,7 +423,7 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), f64::NR));
+        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), micro.nr));
         packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
     } else {
         nt_striped(a, b, c.as_mut_slice());
@@ -592,7 +593,7 @@ pub fn gemm_nn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, n, k) = nn_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_cols(op(b), micro.nr));
         packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
         return;
     }
@@ -642,7 +643,7 @@ pub fn gemm_tn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, n, k) = tn_dims(a, b);
     c.resize(m, n);
     if let Some(micro) = packed_micro() {
-        let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), f64::NR));
+        let (pa, pb) = (pack_cols(op(a), MR_SIMD), pack_cols(op(b), micro.nr));
         packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
         return;
     }
@@ -877,7 +878,7 @@ mod tests {
             (8, 8, 8),
             (5, 7, 9),
             (9, 11, KC + 5),
-            (MR_SIMD * 3 + 2, f32::NR * 5 + 1, 17),
+            (MR_SIMD * 3 + 2, simd::kernels_f32().gemm_micro.nr * 5 + 1, 17),
             (64, 33, 300),
         ] {
             let a = fill_f32(m * k, m as u64 + 1);
@@ -903,6 +904,75 @@ mod tests {
         assert!(c.iter().all(|&v| v == 0.0));
         let mut empty: Vec<f32> = Vec::new();
         gemm_nt_f32(0, 3, 4, &[], &fill_f32(12, 1), &mut empty);
+    }
+
+    /// Runs `micro` on one `kc = 3` block with a tile of exactly
+    /// `MR_SIMD·nr` NaNs: a body wider than `nr` panics at its length
+    /// assert, a narrower one leaves NaN behind.  Small integer
+    /// operands make every product exact, so each element must equal
+    /// its dot product whatever the arm.
+    fn assert_entry_width<E: PackedElem + From<i8> + Into<f64>>(
+        label: &str,
+        micro: GemmMicro<E>,
+        nan: E,
+        want_nr: usize,
+    ) {
+        let nr = micro.nr;
+        assert_eq!(nr, want_nr, "{label}: tile width");
+        assert!(MR_SIMD * nr <= TILE, "{label}: width {nr} overflows the tile buffer");
+        let kc = 3;
+        let ap: Vec<E> = (0..kc * MR_SIMD).map(|i| E::from((i % 7) as i8 - 3)).collect();
+        let bp: Vec<E> = (0..kc * nr).map(|i| E::from((i % 5) as i8 - 2)).collect();
+        let mut tile = vec![nan; MR_SIMD * nr];
+        (micro.run)(kc, &ap, &bp, &mut tile);
+        for (i, row) in tile.chunks_exact(nr).enumerate() {
+            for (j, &got) in row.iter().enumerate() {
+                let want: f64 = (0..kc)
+                    .map(|p| ap[p * MR_SIMD + i].into() * bp[p * nr + j].into())
+                    .sum();
+                assert_eq!(got.into(), want, "{label}: tile[{i}][{j}]");
+            }
+        }
+    }
+
+    /// The width travels with the kernel: every published table's
+    /// entry carries vectors per row × lane width of its stamp — one
+    /// 256-bit vector (4 `f64`, 8 `f32`) on the portable and AVX2
+    /// tables, two 512-bit vectors (16 `f64`, 32 `f32`) on AVX-512 —
+    /// and fits the driver's tile buffer.
+    #[test]
+    fn every_table_entry_carries_its_stamp_width() {
+        let tables = [
+            ("portable", Some(simd::portable_kernels()), Some(simd::portable_kernels_f32()), 4, 8),
+            ("avx2", simd::avx2_kernels(), simd::avx2_kernels_f32(), 4, 8),
+            ("avx512", simd::avx512_kernels(), simd::avx512_kernels_f32(), 16, 32),
+        ];
+        for (label, k64, k32, nr64, nr32) in tables {
+            if let Some(k) = k64 {
+                assert_entry_width(label, k.gemm_micro, f64::NAN, nr64);
+            }
+            if let Some(k) = k32 {
+                assert_entry_width(label, k.gemm_micro, f32::NAN, nr32);
+            }
+        }
+    }
+
+    /// An entry whose `nr` is narrower than its body must stop at the
+    /// kernel's length assert rather than write past the tile.
+    #[test]
+    #[should_panic(expected = "gemm_micro: slice lengths break the kernel contract")]
+    fn an_entry_narrower_than_its_stamp_panics_in_the_kernel() {
+        let widest = simd::avx512_kernels()
+            .or_else(simd::avx2_kernels)
+            .unwrap_or(simd::portable_kernels())
+            .gemm_micro;
+        let narrow = GemmMicro {
+            nr: widest.nr / 2,
+            ..widest
+        };
+        let (a, b) = (mat(9, 5, 1), mat(40, 5, 2));
+        let mut c = Matrix::zeros(0, 0);
+        gemm_nt_packed_with(&a, &b, &mut c, narrow);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! through [`kernels()`].  Three arms exist:
 //!
 //! * **AVX-512**: the AVX2 table with 512-bit overrides where they pay
-//!   (the batched sampling step, the signed pair sum).
+//!   (the batched sampling step, the signed pair sum, and the
+//!   packed-GEMM microkernel at two `__m512d` / `__m512` per tile row).
 //! * **AVX2+FMA**: 4-wide `f64` / 8-wide `f32` vectors.  Installed only
 //!   after both features are detected, so the `target_feature` shims
 //!   are sound to call through the table.
@@ -19,7 +20,8 @@
 //! the batched sampling step (`panel.rs`) and the packed-GEMM
 //! microkernel (`micro.rs`) at `[f64; 4]` / `[f32; 8]` portable and,
 //! under `#[target_feature]`, `__m256d` / `__m256` for AVX2 (the
-//! sampling step also at `__m512d` / `__m512` for AVX-512);
+//! sampling step and the microkernel also at `__m512d` / `__m512` for
+//! AVX-512, the microkernel two vectors per tile row);
 //! [`signed_sum`] is one body over plain arrays.
 //!
 //! Fallback policy (first match wins):
@@ -73,12 +75,21 @@ pub enum Backend {
     Scalar,
 }
 
-/// The packed-GEMM microkernel over element `E`: `(kc, ap, bp, tile)`
-/// multiplies a `kc×8` packed A micro-panel by a `kc×NR` packed B
-/// micro-panel and **overwrites** the row-major `8×NR` `tile`, where
-/// `NR` is 256 bits of `E` (4 `f64`, 8 `f32`; see
-/// [`crate::gemm::PackedElem`]).  Panics if a slice is short.
-pub type GemmMicro<E> = fn(usize, &[E], &[E], &mut [E]);
+/// The packed-GEMM microkernel over element `E` together with the tile
+/// width it computes, so the driver packs B for the kernel it runs.
+/// Every table builds its entry from the stamp (`V` vectors of `L` per
+/// tile row, `nr = V·L::WIDTH`); an entry whose `nr` is narrower than
+/// its kernel panics at the kernel's length check.
+#[derive(Clone, Copy)]
+pub struct GemmMicro<E> {
+    /// `(kc, ap, bp, tile)` multiplies a `kc×8` packed A micro-panel by
+    /// a `kc×nr` packed B micro-panel and **overwrites** the row-major
+    /// `8×nr` `tile`.  Panics if a slice is shorter than that.
+    pub run: fn(usize, &[E], &[E], &mut [E]),
+    /// Tile width: vectors per tile row × lanes per vector of the stamp
+    /// behind `run` (4 or 16 `f64`, 8 or 32 `f32`).
+    pub nr: usize,
+}
 
 /// Fused batched AUTO bit-step over a transposed f64 activation panel:
 /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`.
@@ -129,7 +140,7 @@ pub struct Kernels {
     /// `Σ e^{x−m}` (`log_sum_exp` base block).
     pub sum_exp_shifted: fn(&[f64], f64) -> f64,
     /// The packed-GEMM microkernel: an 8×4 `f64` tile, one `__m256d`
-    /// (or `[f64; 4]`) per tile row.
+    /// (or `[f64; 4]`) per tile row; 8×16 on AVX-512, two `__m512d`.
     pub gemm_micro: GemmMicro<f64>,
     /// `Σ_{i<j} B_ij σ_i σ_j` for [`PAIR_TILE`] samples over an
     /// upper-triangle CSR, spins as sign masks (one body, all arms).
@@ -152,7 +163,7 @@ static PORTABLE: Kernels = Kernels {
     sum: slices::sum::<[f64; 4]>,
     sq_dev_sum: slices::sq_dev_sum::<[f64; 4]>,
     sum_exp_shifted: slices::sum_exp_shifted::<[f64; 4]>,
-    gemm_micro: micro::gemm_micro::<[f64; 4]>,
+    gemm_micro: micro::entry::<[f64; 4], 1>(micro::gemm_micro::<[f64; 4], 1>),
     signed_pair_sum: signed_sum::portable,
 };
 
@@ -213,7 +224,7 @@ mod avx2_table {
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx2(offsets, cols, vals, masks, acc);
         gemm_micro(kc: usize, ap: &[f64], bp: &[f64], tile: &mut [f64])
-            => micro::gemm_micro::<__m256d>(kc, ap, bp, tile);
+            => micro::gemm_micro::<__m256d, 1>(kc, ap, bp, tile);
     }
 
     pub(super) static AVX2: Kernels = Kernels {
@@ -231,7 +242,7 @@ mod avx2_table {
         sum,
         sq_dev_sum,
         sum_exp_shifted,
-        gemm_micro,
+        gemm_micro: micro::entry::<__m256d, 1>(gemm_micro),
         signed_pair_sum,
     };
 }
@@ -251,6 +262,8 @@ mod avx512_table {
         signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx512(offsets, cols, vals, masks, acc);
+        gemm_micro(kc: usize, ap: &[f64], bp: &[f64], tile: &mut [f64])
+            => micro::gemm_micro::<__m512d, 2>(kc, ap, bp, tile);
     }
 
     /// The AVX2 table with AVX-512 overrides.
@@ -258,6 +271,7 @@ mod avx512_table {
         backend: Backend::Avx512,
         sample_step_cols,
         signed_pair_sum,
+        gemm_micro: micro::entry::<__m512d, 2>(gemm_micro),
         ..avx2_table::AVX2
     };
 }
@@ -369,7 +383,7 @@ pub struct KernelsF32 {
     /// short.
     pub sample_step_cols: SampleStepColsF32,
     /// The packed-GEMM microkernel: an 8×8 `f32` tile, one `__m256`
-    /// (or `[f32; 8]`) per tile row.
+    /// (or `[f32; 8]`) per tile row; 8×32 on AVX-512, two `__m512`.
     pub gemm_micro: GemmMicro<f32>,
 }
 
@@ -385,7 +399,7 @@ static PORTABLE_F32: KernelsF32 = KernelsF32 {
     relu_dot: slices::relu_dot::<[f32; 8]>,
     sum: slices::sum::<[f32; 8]>,
     sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
-    gemm_micro: micro::gemm_micro::<[f32; 8]>,
+    gemm_micro: micro::entry::<[f32; 8], 1>(micro::gemm_micro::<[f32; 8], 1>),
 };
 
 /// The portable-scalar f32 table, regardless of what the production
@@ -412,7 +426,7 @@ mod avx2_table_f32 {
             => panel::sample_step_cols::<__m256, 8, 1>(zt, b, w_prev, prev_mask, w_out, bias,
                 scratch, logits);
         gemm_micro(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
-            => micro::gemm_micro::<__m256>(kc, ap, bp, tile);
+            => micro::gemm_micro::<__m256, 1>(kc, ap, bp, tile);
     }
 
     /// The transcendental entries widen each chunk through *this arm's*
@@ -428,7 +442,7 @@ mod avx2_table_f32 {
         relu_dot,
         sum,
         sample_step_cols,
-        gemm_micro,
+        gemm_micro: micro::entry::<__m256, 1>(gemm_micro),
     };
 }
 
@@ -444,12 +458,16 @@ mod avx512_table_f32 {
             w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
             => panel::sample_step_cols::<__m512, 8, 2>(zt, b, w_prev, prev_mask, w_out, bias,
                 scratch, logits);
+        gemm_micro(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
+            => micro::gemm_micro::<__m512, 2>(kc, ap, bp, tile);
     }
 
-    /// The AVX2 f32 table with the 16-wide panel-step override.
+    /// The AVX2 f32 table with the 16-wide panel-step and 8×32 GEMM
+    /// overrides.
     pub(super) static AVX512_F32: KernelsF32 = KernelsF32 {
         backend: Backend::Avx512,
         sample_step_cols,
+        gemm_micro: micro::entry::<__m512, 2>(gemm_micro),
         ..avx2_table_f32::AVX2_F32
     };
 }

@@ -23,7 +23,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqmc_tensor::gemm::{self, PackedElem, KC, MR_SIMD};
+use vqmc_tensor::gemm::{self, KC, MR_SIMD};
 use vqmc_tensor::simd::{self, KernelsF32};
 
 /// Asserts two f32 slices are bitwise identical (NaN ≡ NaN).
@@ -73,6 +73,18 @@ fn vector_arms() -> Vec<(&'static str, &'static KernelsF32)> {
         arms.push(("avx512", t));
     }
     arms
+}
+
+/// Every f32 table's packed-GEMM tile width (`gemm_micro.nr`),
+/// deduplicated: the `n` sweep oscillates around each of them.
+fn gemm_tile_widths() -> Vec<usize> {
+    let mut widths: Vec<usize> = std::iter::once(simd::portable_kernels_f32())
+        .chain(vector_arms().into_iter().map(|(_, arm)| arm))
+        .map(|t| t.gemm_micro.nr)
+        .collect();
+    widths.sort_unstable();
+    widths.dedup();
+    widths
 }
 
 proptest! {
@@ -186,8 +198,8 @@ proptest! {
 
     /// Packed f32 GEMM: driver + microkernel agree bit-for-bit across
     /// arms and track the f64 reference within the dot bound, across
-    /// shapes oscillating around the `MR_SIMD`/`NR`/`KC` boundaries
-    /// (the f32 tile is 8×8).
+    /// shapes oscillating around `MR_SIMD`, `KC` and every table's tile
+    /// width (8×8, or 8×32 on AVX-512).
     #[test]
     fn packed_gemm_f32_remainder_sweep(mr in 0usize..40, nr in 0usize..40, kr in 0usize..512, seed in 0u64..1000) {
         let near = |tile: usize, raw: usize| match raw % 8 {
@@ -199,21 +211,23 @@ proptest! {
             5 => 2 * tile + 3,
             _ => raw % (2 * tile + 7),
         };
-        let (m, n, k) = (near(MR_SIMD, mr), near(f32::NR, nr), near(KC, kr));
-        let a = rand_f32(m * k, seed, -1.0, 1.0);
-        let b = rand_f32(n * k, seed ^ 0xAB, -1.0, 1.0);
-        let mut c_port = vec![0.0f32; m * n];
-        gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, simd::portable_kernels_f32().gemm_micro);
-        let want = gemm::gemm_nt_f32_reference(m, n, k, &a, &b);
-        let kf = k.max(1) as f64;
-        let bound = (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6);
-        for (i, (&cv, &rv)) in c_port.iter().zip(&want).enumerate() {
-            prop_assert!((cv as f64 - rv).abs() <= bound, "({m},{n},{k})[{i}]");
-        }
-        for (name, arm) in vector_arms() {
-            let mut c_vec = vec![0.0f32; m * n];
-            gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_vec, arm.gemm_micro);
-            assert_bits_eq32(&c_vec, &c_port, &format!("{name} packed f32 nt"));
+        for w in gemm_tile_widths() {
+            let (m, n, k) = (near(MR_SIMD, mr), near(w, nr), near(KC, kr));
+            let a = rand_f32(m * k, seed, -1.0, 1.0);
+            let b = rand_f32(n * k, seed ^ 0xAB, -1.0, 1.0);
+            let mut c_port = vec![0.0f32; m * n];
+            gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, simd::portable_kernels_f32().gemm_micro);
+            let want = gemm::gemm_nt_f32_reference(m, n, k, &a, &b);
+            let kf = k.max(1) as f64;
+            let bound = (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6);
+            for (i, (&cv, &rv)) in c_port.iter().zip(&want).enumerate() {
+                prop_assert!((cv as f64 - rv).abs() <= bound, "({m},{n},{k})[{i}]");
+            }
+            for (name, arm) in vector_arms() {
+                let mut c_vec = vec![0.0f32; m * n];
+                gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_vec, arm.gemm_micro);
+                assert_bits_eq32(&c_vec, &c_port, &format!("{name} packed f32 nt"));
+            }
         }
     }
 }

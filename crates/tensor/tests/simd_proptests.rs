@@ -11,11 +11,12 @@
 //!    lengths, the scalar tail, and exceptional lanes (saturated,
 //!    infinite, NaN).
 //! 2. **Packed GEMM remainder sweep** — the packed driver run with each
-//!    vector table's 8×4 microkernel equals the same driver run with the
-//!    portable one bit-for-bit, and both match the naive triple loop to
-//!    a length-scaled tolerance, across shapes oscillating around every
-//!    blocking boundary (`MR_SIMD`/`NR`/`KC` and the `MC` /
-//!    `NC_PACKED` outer blocks).
+//!    vector table's microkernel (8×4, 8×16 on AVX-512) equals the same
+//!    driver run with the portable one bit-for-bit, and both match the
+//!    naive triple loop to a length-scaled tolerance, across shapes
+//!    oscillating around every blocking boundary (`MR_SIMD`, every
+//!    table's tile width, `KC`, and the `MC` / `NC_PACKED` outer
+//!    blocks).
 //! 3. **Vendored `exp` accuracy** — ≤ 2 ULP against `f64::exp` over the
 //!    full finite range, including the overflow edge, the subnormal
 //!    regime, and the underflow edge.
@@ -28,7 +29,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqmc_tensor::gemm::{self, gemm_reference, PackedElem, KC, MR_SIMD};
+use vqmc_tensor::gemm::{self, gemm_reference, KC, MR_SIMD};
 use vqmc_tensor::simd::{self, Kernels};
 use vqmc_tensor::Matrix;
 
@@ -130,6 +131,18 @@ fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
 }
 
+/// Every table's packed-GEMM tile width (`gemm_micro.nr`), deduplicated:
+/// the `n` sweeps oscillate around each of them.
+fn gemm_tile_widths() -> Vec<usize> {
+    let mut widths: Vec<usize> = std::iter::once(simd::portable_kernels())
+        .chain(vector_arms().into_iter().map(|(_, arm)| arm))
+        .map(|t| t.gemm_micro.nr)
+        .collect();
+    widths.sort_unstable();
+    widths.dedup();
+    widths
+}
+
 /// Shape oscillating around a tile/block boundary (see
 /// `kernel_proptests::near`).
 fn near(tile: usize, raw: usize) -> usize {
@@ -208,35 +221,40 @@ proptest! {
     }
 
     /// The packed GEMM driver is microkernel-agnostic: every vector
-    /// table's 8×4 kernel and the portable one produce bit-identical C
-    /// across shapes oscillating around the `MR_SIMD`/`NR`/`KC`
-    /// boundaries, and all match the naive reference.
+    /// table's kernel (8×4, or 8×16 on AVX-512) and the portable one
+    /// produce bit-identical C across shapes oscillating around
+    /// `MR_SIMD`, `KC` and every table's tile width, and all match the
+    /// naive reference.
     #[test]
     fn packed_gemm_remainder_sweep(mr in 0usize..64, nr in 0usize..64, kr in 0usize..512, seed in 0u64..1000) {
-        let (m, n, k) = (near(MR_SIMD, mr), near(f64::NR, nr), near(KC, kr));
-        let a = rand_matrix(m, k, seed);
-        let b = rand_matrix(n, k, seed ^ 0xAB);
-        let c_port = packed_across_arms(gemm::gemm_nt_packed_with, &a, &b, "packed nt");
-        let want = gemm_reference(&a, &b.transpose());
-        let tol = 1e-12 * (1.0 + k as f64);
-        prop_assert!(c_port.max_abs_diff(&want) <= tol, "portable micro vs reference");
+        for w in gemm_tile_widths() {
+            let (m, n, k) = (near(MR_SIMD, mr), near(w, nr), near(KC, kr));
+            let a = rand_matrix(m, k, seed);
+            let b = rand_matrix(n, k, seed ^ 0xAB);
+            let c_port = packed_across_arms(gemm::gemm_nt_packed_with, &a, &b, "packed nt");
+            let want = gemm_reference(&a, &b.transpose());
+            let tol = 1e-12 * (1.0 + k as f64);
+            prop_assert!(c_port.max_abs_diff(&want) <= tol, "portable micro vs reference");
+        }
     }
 
     /// Same sweep for the `nn` and `tn` packing variants (column
     /// gather paths).
     #[test]
     fn packed_gemm_variants_remainder_sweep(mr in 0usize..64, nr in 0usize..64, k in 0usize..40, seed in 0u64..1000) {
-        let (m, n) = (near(MR_SIMD, mr), near(f64::NR, nr));
-        let a_nn = rand_matrix(m, k, seed);
-        let b_nn = rand_matrix(k, n, seed ^ 0x11);
-        let a_tn = rand_matrix(k, m, seed ^ 0x12);
-        let tol = 1e-12 * (1.0 + k as f64);
+        for w in gemm_tile_widths() {
+            let (m, n) = (near(MR_SIMD, mr), near(w, nr));
+            let a_nn = rand_matrix(m, k, seed);
+            let b_nn = rand_matrix(k, n, seed ^ 0x11);
+            let a_tn = rand_matrix(k, m, seed ^ 0x12);
+            let tol = 1e-12 * (1.0 + k as f64);
 
-        let c_port = packed_across_arms(gemm::gemm_nn_packed_with, &a_nn, &b_nn, "packed nn");
-        prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_nn, &b_nn)) <= tol, "packed nn");
+            let c_port = packed_across_arms(gemm::gemm_nn_packed_with, &a_nn, &b_nn, "packed nn");
+            prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_nn, &b_nn)) <= tol, "packed nn");
 
-        let c_port = packed_across_arms(gemm::gemm_tn_packed_with, &a_tn, &b_nn, "packed tn");
-        prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_tn.transpose(), &b_nn)) <= tol, "packed tn");
+            let c_port = packed_across_arms(gemm::gemm_tn_packed_with, &a_tn, &b_nn, "packed tn");
+            prop_assert!(c_port.max_abs_diff(&gemm_reference(&a_tn.transpose(), &b_nn)) <= tol, "packed tn");
+        }
     }
 }
 

@@ -29,7 +29,13 @@
 //!   tile, both tile widths, the `KC`, `MC` and `NC_PACKED` blocks and
 //!   `k ∈ {0, 1}`, with `±0`, subnormal and large operands (see
 //!   `GEMM_SHAPES`).  These constants were captured with the per-arm
-//!   8×4 microkernels, before the f32 tile became 8×8.
+//!   8×4 microkernels, before the f32 tile became 8×8;
+//! * for the same four products, `n` around the 512-bit tile widths
+//!   (16 `f64`, 32 `f32`) and the `NC_PACKED` panel, crossed with `m`
+//!   around the 8-row tile and `k` around `KC` (see
+//!   `WIDE_GEMM_SHAPES`).  These constants were captured while every
+//!   table still ran the 256-bit tile (8×4 f64, 8×8 f32), before the
+//!   AVX-512 table got its 8×16 / 8×32 stamp.
 //!
 //! Every table the host publishes (`portable`, `avx2`, `avx512`) must
 //! reproduce every digest, under any `VQMC_SIMD` setting and with
@@ -535,6 +541,22 @@ const GEMM_SHAPES: [(usize, usize, usize); 24] = [
     (5, 2049, 257),
 ];
 
+/// `(m, n, k)` shapes of the wide-tile packed-GEMM digests: every
+/// `n` in `WIDE_N` (around the 16-`f64` and 32-`f32` tile widths and
+/// their multiples, and the 2 048-column `NC_PACKED` panel) crossed
+/// with `m ∈ MR_SIMD−1..=MR_SIMD+1` and `k ∈ KC−1..=KC+1`.
+const WIDE_GEMM_SHAPES: [(usize, usize, usize); 90] = {
+    const WIDE_N: [usize; 10] = [15, 16, 17, 31, 32, 33, 47, 49, 2047, 2049];
+    let mut shapes = [(0, 0, 0); 90];
+    let mut i = 0;
+    while i < shapes.len() {
+        let (m, k) = (gemm::MR_SIMD - 1 + i % 3, gemm::KC - 1 + i / 3 % 3);
+        shapes[i] = (m, WIDE_N[i / 9], k);
+        i += 1;
+    }
+    shapes
+};
+
 /// A `rows × cols` GEMM operand: mixed-scale values with `−0`, `+0`,
 /// subnormals and `±big` scattered through it.
 fn gemm_operand(rows: usize, cols: usize, seed: u64, tiny: f64, big: f64) -> Vec<f64> {
@@ -551,9 +573,10 @@ fn gemm_operand(rows: usize, cols: usize, seed: u64, tiny: f64, big: f64) -> Vec
         .collect()
 }
 
-/// Digest of `C` over every [`GEMM_SHAPES`] entry, for a product that
+/// Digest of `C` over every entry of `shapes`, for a product that
 /// takes `(a, b, m, n, k)` with `a` and `b` already shaped for it.
 fn gemm_digest<T: Copy>(
+    shapes: &[(usize, usize, usize)],
     salt: u64,
     cast: fn(f64) -> T,
     hash: fn(u64, T) -> u64,
@@ -561,7 +584,7 @@ fn gemm_digest<T: Copy>(
     big: f64,
     product: impl Fn(&[T], &[T], usize, usize, usize) -> Vec<T>,
 ) -> u64 {
-    GEMM_SHAPES.iter().fold(FNV_OFFSET, |d, &(m, n, k)| {
+    shapes.iter().fold(FNV_OFFSET, |d, &(m, n, k)| {
         let seed = (m * 1_000_000 + n * 1000 + k) as u64 ^ salt << 40;
         let a: Vec<T> = gemm_operand(m, k, seed ^ 0xa, tiny, big)
             .into_iter()
@@ -575,11 +598,15 @@ fn gemm_digest<T: Copy>(
     })
 }
 
-fn gemm_digests_f64(micro: GemmMicro<f64>) -> Vec<(&'static str, u64)> {
+fn gemm_digests_f64(
+    shapes: &[(usize, usize, usize)],
+    micro: GemmMicro<f64>,
+) -> Vec<(&'static str, u64)> {
     type Seam = fn(&Matrix, &Matrix, &mut Matrix, GemmMicro<f64>);
     // Each variant reads the same `m×k` / `k×n` values in its own layout.
     let run = |seam: Seam, salt: u64, a_t: bool, b_t: bool| {
         gemm_digest(
+            shapes,
             salt,
             |v| v,
             hash64,
@@ -604,8 +631,9 @@ fn gemm_digests_f64(micro: GemmMicro<f64>) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn gemm_digest_f32(micro: GemmMicro<f32>) -> (&'static str, u64) {
+fn gemm_digest_f32(shapes: &[(usize, usize, usize)], micro: GemmMicro<f32>) -> (&'static str, u64) {
     let d = gemm_digest(
+        shapes,
         4,
         |v| v as f32,
         hash32,
@@ -630,11 +658,19 @@ const EXPECTED_GEMM: [(&str, u64); 4] = [
     ("f32/gemm_nt", 0xe0f3a50922f45b18),
 ];
 
-/// The packed GEMM through its explicit-microkernel seams: every
-/// published table's microkernel must reproduce the pinned bits, in
-/// both precisions.
-#[test]
-fn packed_gemm_output_is_pinned_on_every_arm() {
+/// Pinned wide-tile packed-GEMM digests over [`WIDE_GEMM_SHAPES`]
+/// (f64 `nt`/`nn`/`tn`, then f32 `nt`).
+const EXPECTED_WIDE_GEMM: [(&str, u64); 4] = [
+    ("gemm_nt", 0x1358fad5637f584c),
+    ("gemm_nn", 0x9b7f1c8d4d4f92bb),
+    ("gemm_tn", 0x092f88cfc8ae3177),
+    ("f32/gemm_nt", 0xfa350fb2488359bb),
+];
+
+/// Every published table's packed GEMM, through its
+/// explicit-microkernel seams, must reproduce `expected` over `shapes`
+/// in both precisions.
+fn assert_gemm_pinned(shapes: &[(usize, usize, usize)], expected: &[(&str, u64); 4]) {
     let arms: [(&str, Option<&Kernels>, Option<&KernelsF32>); 3] = [
         (
             "portable",
@@ -648,13 +684,13 @@ fn packed_gemm_output_is_pinned_on_every_arm() {
         let (Some(k64), Some(k32)) = (k64, k32) else {
             continue;
         };
-        let mut got = gemm_digests_f64(k64.gemm_micro);
-        got.push(gemm_digest_f32(k32.gemm_micro));
+        let mut got = gemm_digests_f64(shapes, k64.gemm_micro);
+        got.push(gemm_digest_f32(shapes, k32.gemm_micro));
         let table: String = got
             .iter()
             .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
             .collect();
-        for (&(name, d), &(want_name, want)) in got.iter().zip(&EXPECTED_GEMM) {
+        for (&(name, d), &(want_name, want)) in got.iter().zip(expected) {
             assert_eq!(name, want_name, "kernel order changed");
             assert_eq!(
                 d, want,
@@ -662,4 +698,17 @@ fn packed_gemm_output_is_pinned_on_every_arm() {
             );
         }
     }
+}
+
+/// The packed GEMM over [`GEMM_SHAPES`] on every published table.
+#[test]
+fn packed_gemm_output_is_pinned_on_every_arm() {
+    assert_gemm_pinned(&GEMM_SHAPES, &EXPECTED_GEMM);
+}
+
+/// The packed GEMM over [`WIDE_GEMM_SHAPES`], which straddle the
+/// AVX-512 tile widths, on every published table.
+#[test]
+fn wide_packed_gemm_output_is_pinned_on_every_arm() {
+    assert_gemm_pinned(&WIDE_GEMM_SHAPES, &EXPECTED_WIDE_GEMM);
 }
