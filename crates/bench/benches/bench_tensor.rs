@@ -10,6 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use vqmc_tensor::simd::KernelElem;
 use vqmc_tensor::vector::dot;
 use vqmc_tensor::{gemm, ops, par, simd, Matrix};
 
@@ -116,7 +117,7 @@ fn bench_ops_slice(c: &mut Criterion) {
         m.as_slice().iter().map(|v| v * 6.0).collect()
     };
     let prod = simd::kernels();
-    let port = simd::portable_kernels();
+    let port = f64::portable_kernels();
     let mut group = c.benchmark_group("ops_slice");
     let kernels: [(&str, fn(&mut [f64]), fn(&mut [f64])); 4] = [
         ("sigmoid_4096", prod.sigmoid_slice, port.sigmoid_slice),
@@ -181,8 +182,7 @@ fn bench_ops_slice_f32(c: &mut Criterion) {
         m.as_slice().iter().map(|v| v * 6.0).collect()
     };
     let xs32: Vec<f32> = xs64.iter().map(|&v| v as f32).collect();
-    let k64 = simd::kernels();
-    let k32 = simd::kernels_f32();
+    let (k64, k32) = (f64::kernels(), f32::kernels());
     let mut group = c.benchmark_group("ops_slice_f32");
     let pairs: [(&str, fn(&mut [f32]), fn(&mut [f64])); 3] = [
         ("sigmoid_4096", k32.sigmoid_slice, k64.sigmoid_slice),

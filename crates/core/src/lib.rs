@@ -385,7 +385,7 @@ mod alloc_test {
     /// `f32` pack pool; 300 rows cross the packed driver's 256-row block.
     fn assert_f32_log_psi_alloc_free(wf: &Made, label: &str) {
         let f32_wf = MadeF32::for_log_psi(wf);
-        let batch = SpinBatch::from_fn(300, f32_wf.num_spins(), |s, i| {
+        let batch = SpinBatch::from_fn(300, f32_wf.view().num_spins(), |s, i| {
             ((s * 7 + i * 3) % 5 < 2) as u8
         });
         let (mut ws, mut out) = (MadeF32Workspace::new(), Vector::default());

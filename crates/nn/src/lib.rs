@@ -34,8 +34,8 @@
 
 pub mod checkpoint;
 pub mod init;
+pub mod layers;
 pub mod made;
-pub mod made32;
 pub mod masks;
 pub mod nade;
 pub mod rbm;
@@ -44,7 +44,7 @@ pub mod sampling;
 use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
 
 pub use made::{Made, MadeWorkspace, MaskedLinear, MAX_LAYERS};
-pub use made32::{MadeF32, MadeF32Workspace};
+pub use layers::{LayerView, MadeElem, MadeF32, MadeF32Workspace, MadeView};
 pub use nade::Nade;
 pub use rbm::Rbm;
 pub use sampling::{BatchedSampling, SamplingEngine};

@@ -39,6 +39,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
 
+use crate::layers::{self, LayerView, MadeView};
 use crate::masks;
 use crate::{init, Autoregressive, WaveFunction};
 
@@ -143,7 +144,9 @@ impl MadeWorkspace {
         MadeWorkspace::default()
     }
 
-    /// Output logits of the last forward pass (`bs × n`).
+    /// Output logits of the last forward pass (`bs × n`); after
+    /// [`Made::log_psi_with`], the per-bit log-probabilities
+    /// `logσ(±aᵢ)` it overwrote them with.
     pub fn logits(&self) -> &Matrix {
         &self.z[self.num_layers - 1]
     }
@@ -339,23 +342,25 @@ impl Made {
         &self.layers[self.layers.len() - 1].mask
     }
 
+    /// The model's weights as a [`MadeView`], borrowed from its own
+    /// layers (no `W₁ᵀ`).
+    pub fn view(&self) -> MadeView<'_, f64> {
+        let layers = self.layers.iter().map(|l| LayerView {
+            w: l.w.as_slice(),
+            b: l.b.as_slice(),
+            out_dim: l.out_dim(),
+            in_dim: l.in_dim(),
+        });
+        MadeView::new(layers)
+    }
+
     /// Forward pass into `ws` (fills `ws.x`, the per-layer
     /// pre-activations and ReLU activations; allocation-free once `ws`
     /// is warm).
     pub fn forward_with(&self, batch: &SpinBatch, ws: &mut MadeWorkspace) {
-        assert_eq!(batch.num_spins(), self.n, "Made: spin-count mismatch");
-        let ll = self.layers.len();
-        ws.ensure_layers(ll);
-        batch.to_matrix_into(&mut ws.x);
+        ws.ensure_layers(self.layers.len());
         let MadeWorkspace { x, z, h, .. } = ws;
-        x.matmul_nt_into(&self.layers[0].w, &mut z[0]);
-        z[0].add_row_bias(&self.layers[0].b);
-        for l in 1..ll {
-            h[l - 1].copy_from(&z[l - 1]);
-            h[l - 1].map_inplace(ops::relu);
-            h[l - 1].matmul_nt_into(&self.layers[l].w, &mut z[l]);
-            z[l].add_row_bias(&self.layers[l].b);
-        }
+        layers::forward(&self.view(), batch, x, z, h);
     }
 
     /// Output logits `aᵢ` (pre-sigmoid conditionals) for a batch — the
@@ -367,38 +372,14 @@ impl Made {
         std::mem::take(&mut ws.z[ll - 1])
     }
 
-    /// Per-sample `logπ(x) = Σᵢ xᵢ·logσ(aᵢ) + (1−xᵢ)·logσ(−aᵢ)`,
-    /// computed from logits for stability.
-    ///
-    /// Uses `ln(1−σ(a)) = ln σ(−a)`: the logits are copied with the
-    /// sign flipped wherever the bit is 0, one vectorised
-    /// `log_sigmoid_slice` handles the whole row, and the row is
-    /// pairwise-summed.  `scratch` is a warm workspace buffer.
-    fn log_prob_from_logits_into(
-        batch: &SpinBatch,
-        logits: &Matrix,
-        scratch: &mut Vec<f64>,
-        out: &mut Vector,
-    ) {
-        out.resize(batch.batch_size());
-        scratch.resize(logits.cols(), 0.0);
-        for s in 0..batch.batch_size() {
-            let a_row = logits.row(s);
-            for ((dst, &bit), &a) in scratch.iter_mut().zip(batch.sample(s)).zip(a_row) {
-                *dst = if bit == 1 { a } else { -a };
-            }
-            ops::log_sigmoid_slice(scratch);
-            out[s] = vqmc_tensor::reduce::sum(scratch);
-        }
-    }
-
-    /// [`WaveFunction::log_psi`] with caller-owned scratch and output.
+    /// [`WaveFunction::log_psi`] with caller-owned scratch and output:
+    /// the one `logψ` body of [`crate::layers`] at `f64`.  It leaves
+    /// the per-bit log-probabilities where [`MadeWorkspace::logits`]
+    /// reads.
     pub fn log_psi_with(&self, batch: &SpinBatch, ws: &mut MadeWorkspace, out: &mut Vector) {
-        self.forward_with(batch, ws);
-        let last = self.layers.len() - 1;
-        let MadeWorkspace { z, delta_rows, .. } = ws;
-        Self::log_prob_from_logits_into(batch, &z[last], &mut delta_rows[last], out);
-        out.scale(0.5);
+        ws.ensure_layers(self.layers.len());
+        let MadeWorkspace { x, z, h, .. } = ws;
+        layers::log_psi_into(&self.view(), batch, x, z, h, out);
     }
 
     /// [`Autoregressive::conditionals`] with caller-owned scratch and

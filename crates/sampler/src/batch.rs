@@ -24,7 +24,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vqmc_nn::{BatchedSampling, Made, MadeF32, Nade, Rbm, SamplingEngine, WaveFunction};
+use vqmc_nn::{
+    BatchedSampling, Made, MadeElem, MadeF32, MadeView, Nade, Rbm, SamplingEngine, WaveFunction,
+};
 use vqmc_tensor::{ops, par, Matrix, Precision, SpinBatch, Vector};
 
 use crate::{McmcSampler, SampleOutput, SampleStats};
@@ -173,7 +175,7 @@ pub struct MadeBatchSampler {
     /// Layout override (tests / benchmarks only).
     layout: PanelLayout,
     /// Execution precision (DESIGN.md §4.1.1).  `F32` runs the panel
-    /// path on the `f32` kernel twins — `f32` panels and weights, `f64`
+    /// path on the `Kernels<f32>` table — `f32` panels and weights, `f64`
     /// logit accumulation, so the RNG draw loop and `logπ` pipeline are
     /// *shared verbatim* with the f64 arm; NADE/RBM stay f64 (no f32
     /// twins — documented fallback).
@@ -211,7 +213,7 @@ struct PanelBufs<T> {
     /// update mask for `sample_step_cols`.
     prev_mask: Vec<T>,
     /// Kernel accumulator stripes plus mask stash, honouring the
-    /// kernel's scratch contract per stripe (`SCRATCH_PER_ROW · rows`).
+    /// kernel's scratch contract per stripe (`MadeElem::STEP_SCRATCH · rows`).
     scratch: Vec<T>,
 }
 
@@ -241,83 +243,6 @@ struct DrawBufs {
     /// bit-order accumulation into `log_prob` are unchanged, so this
     /// stays bit-identical to the per-bit path.
     ls_buf: Vec<f64>,
-}
-
-/// The fused bit-step kernel over a `T` panel, `f64` logits — the
-/// shape shared by `Kernels::sample_step_cols` and its f32 twin.
-type StepCols<T> = fn(&mut [T], usize, Option<&[T]>, &[T], &[T], f64, &mut [T], &mut [f64]);
-
-/// Everything the f64 and f32 panel passes do differently.  The pass
-/// itself ([`panel_pass`]) is written once against this trait.
-trait PanelArm: Sync {
-    /// Panel, mask and weight element.
-    type Elem: Copy + Send + Sync + From<u8> + Into<f64>;
-    /// Kernel scratch per row (the kernel table's contract).
-    const SCRATCH_PER_ROW: usize;
-    /// The dispatched `sample_step_cols` for this element.
-    fn step() -> StepCols<Self::Elem>;
-    /// `W₁ᵀ` row `i` (column `i` of `W₁`).
-    fn w1t_row(&self, i: usize) -> &[Self::Elem];
-    /// Row `k` of layer `l`'s weights (`l ≥ 1`).
-    fn w_row(&self, l: usize, k: usize) -> &[Self::Elem];
-    /// Layer `l`'s bias.
-    fn b(&self, l: usize) -> &[Self::Elem];
-    /// Runs the kernel call `f` for one hidden unit bound for
-    /// `panel_row`: f64 lets it write the row in place, f32 lets it
-    /// write `stage` and narrows the result into the row.
-    fn unit(panel_row: &mut [Self::Elem], stage: &mut [f64], f: impl FnOnce(&mut [f64]));
-}
-
-/// The f64 weight view: the cached `W₁ᵀ` plus the model's own layers.
-struct F64Weights<'a> {
-    w1_t: &'a Matrix,
-    wf: &'a Made,
-}
-
-impl PanelArm for F64Weights<'_> {
-    type Elem = f64;
-    const SCRATCH_PER_ROW: usize = 6;
-    fn step() -> StepCols<f64> {
-        vqmc_tensor::simd::kernels().sample_step_cols
-    }
-    fn w1t_row(&self, i: usize) -> &[f64] {
-        self.w1_t.row(i)
-    }
-    fn w_row(&self, l: usize, k: usize) -> &[f64] {
-        self.wf.layers()[l].w().row(k)
-    }
-    fn b(&self, l: usize) -> &[f64] {
-        self.wf.layers()[l].b().as_slice()
-    }
-    fn unit(panel_row: &mut [f64], _stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
-        f(panel_row)
-    }
-}
-
-/// The f32 weight view: the cached narrowed copy.  The f32 kernel
-/// accumulates each unit in f64, which is staged and narrowed once per
-/// panel row.
-impl PanelArm for MadeF32 {
-    type Elem = f32;
-    const SCRATCH_PER_ROW: usize = 10;
-    fn step() -> StepCols<f32> {
-        vqmc_tensor::simd::kernels_f32().sample_step_cols
-    }
-    fn w1t_row(&self, i: usize) -> &[f32] {
-        MadeF32::w1t_row(self, i)
-    }
-    fn w_row(&self, l: usize, k: usize) -> &[f32] {
-        self.layer_w_row(l, k)
-    }
-    fn b(&self, l: usize) -> &[f32] {
-        self.layer_b(l)
-    }
-    fn unit(panel_row: &mut [f32], stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
-        f(stage);
-        for (dst, &v) in panel_row.iter_mut().zip(&*stage) {
-            *dst = v as f32;
-        }
-    }
 }
 
 impl MadeBatchSampler {
@@ -413,8 +338,7 @@ impl MadeBatchSampler {
             }
             let m32 = self.m32.as_ref().expect("f32 weights cached above");
             panel_pass(
-                m32,
-                wf,
+                &m32.view(),
                 &mut self.panel32,
                 draw,
                 counts,
@@ -427,13 +351,8 @@ impl MadeBatchSampler {
                 self.cached_version = Some(wf.params_version());
             }
             if path == SamplerPath::PanelF64 {
-                let weights = F64Weights {
-                    w1_t: &self.w1_t,
-                    wf,
-                };
                 panel_pass(
-                    &weights,
-                    wf,
+                    &wf.view().with_w1t(self.w1_t.as_slice()),
                     &mut self.panel64,
                     draw,
                     counts,
@@ -505,7 +424,9 @@ impl MadeBatchSampler {
     }
 }
 
-/// The panel pass — one body for f64 and f32 panels at every depth.
+/// The panel pass — one body for f64 and f32 panels at every depth,
+/// over the weights of a [`MadeView`] (the model's own layers plus the
+/// cached `W₁ᵀ`, or the narrowed f32 copy).
 ///
 /// Per bit `i`, each pool stripe runs one fused `sample_step_cols` call
 /// per hidden unit of layers `2…D` (each a `bias + Σⱼ w[j]·relu(panel[j])`
@@ -524,21 +445,20 @@ impl MadeBatchSampler {
 /// order at any width — property-tested), and the RNG variates are
 /// pre-drawn sequentially, so output is **bit-identical at every thread
 /// count**, and coalesced ≡ solo per request.
-fn panel_pass<A: PanelArm>(
-    arm: &A,
-    wf: &Made,
-    panel: &mut PanelBufs<A::Elem>,
+fn panel_pass<E: MadeElem>(
+    view: &MadeView<'_, E>,
+    panel: &mut PanelBufs<E>,
     draw: &mut DrawBufs,
     counts: &[usize],
     mut external: Option<&mut StdRng>,
     out_batch: &mut SpinBatch,
 ) {
-    let n = wf.num_spins();
-    let hidden = wf.hidden_sizes();
-    let depth = hidden.len();
-    let h1 = hidden[0];
+    let n = view.num_spins();
+    let layers = view.layers();
+    let depth = layers.len() - 1;
+    let h1 = layers[0].out_dim;
     let rows: usize = counts.iter().sum();
-    let step = A::step();
+    let step = E::kernels().sample_step_cols;
     let sigmoid = vqmc_tensor::simd::kernels().sigmoid_slice;
     // Panel offsets, on the stack (no per-call allocation): hidden
     // layer `l ≥ 2` (index `l−1 ≥ 1`) owns `hidden[l−1]·rows` elements
@@ -547,7 +467,7 @@ fn panel_pass<A: PanelArm>(
     let mut total = 0usize;
     for l in 1..depth {
         doff[l] = total;
-        total += hidden[l] * rows;
+        total += layers[l].out_dim * rows;
     }
     // No clear first: every byte is overwritten in the bit loop, so
     // only grow (and zero) when the geometry changes.
@@ -571,17 +491,17 @@ fn panel_pass<A: PanelArm>(
     panel.z1t.reserve(h1 * rows);
     for w in 0..parts {
         let (start, end) = stripe(w);
-        for &bj in arm.b(0) {
+        for &bj in layers[0].b {
             panel.z1t.extend(std::iter::repeat_n(bj, end - start));
         }
     }
     // Deep panel contents are fully overwritten every bit, so the
     // resize fill value is never read.
-    let zero = A::Elem::from(0);
+    let zero = E::from(0);
     panel.zdeep.resize(total, zero);
     panel.prev_mask.clear();
     panel.prev_mask.resize(rows, zero);
-    panel.scratch.resize(A::SCRATCH_PER_ROW * rows, zero);
+    panel.scratch.resize(E::STEP_SCRATCH * rows, zero);
     draw.ls_buf.clear();
     draw.ls_buf.resize(LS_CHUNK.min(n.max(1)) * rows, 0.0);
     draw.u_buf.clear();
@@ -601,7 +521,7 @@ fn panel_pass<A: PanelArm>(
                 s += 1;
             }
         }
-        let w_prev = (i > 0).then(|| arm.w1t_row(i - 1));
+        let w_prev = (i > 0).then(|| view.w1t_row(i - 1));
         let c = i % LS_CHUNK;
         let pz = par::SendPtr(panel.z1t.as_mut_ptr());
         let pzd = par::SendPtr(panel.zdeep.as_mut_ptr());
@@ -625,7 +545,7 @@ fn panel_pass<A: PanelArm>(
             // joins before any of the borrows end.
             unsafe {
                 use std::slice::from_raw_parts_mut;
-                let spr = A::SCRATCH_PER_ROW;
+                let spr = E::STEP_SCRATCH;
                 let scratch_s = from_raw_parts_mut(pscratch.get().add(spr * start), spr * bw);
                 let logits_s = from_raw_parts_mut(plogits.get().add(start), bw);
                 let probs_s = from_raw_parts_mut(pprobs.get().add(start), bw);
@@ -636,26 +556,24 @@ fn panel_pass<A: PanelArm>(
                 // W₁-column update is taken by the first call, which is
                 // the first one to read the layer-1 panel.
                 let mut wp = w_prev;
-                let mut reduce =
-                    |src: &mut [A::Elem], w: &[A::Elem], bias: A::Elem, out: &mut [f64]| {
-                        step(src, bw, wp.take(), &*mask_s, w, bias.into(), scratch_s, out)
-                    };
+                let mut reduce = |src: &mut [E], w: &[E], bias: E, out: &mut [f64]| {
+                    step(src, bw, wp.take(), &*mask_s, w, bias.into(), scratch_s, out)
+                };
                 let mut src = from_raw_parts_mut(pz.get().add(h1 * start), h1 * bw);
-                for l in 1..depth {
-                    let dst = from_raw_parts_mut(
-                        pzd.get().add(doff[l] + hidden[l] * start),
-                        hidden[l] * bw,
-                    );
+                for (l, layer) in layers.iter().enumerate().take(depth).skip(1) {
+                    let hl = layer.out_dim;
+                    let dst = from_raw_parts_mut(pzd.get().add(doff[l] + hl * start), hl * bw);
                     // The logits stripe is free until the output
                     // reduction, so it stages the f32 arm's units.
                     for (k, row) in dst.chunks_exact_mut(bw).enumerate() {
-                        A::unit(row, logits_s, |out| {
-                            reduce(src, arm.w_row(l, k), arm.b(l)[k], out)
+                        E::unit(row, logits_s, |out| {
+                            reduce(src, layer.row(k), layer.b[k], out)
                         });
                     }
                     src = dst;
                 }
-                reduce(src, arm.w_row(depth, i), arm.b(depth)[i], logits_s);
+                let out_layer = &layers[depth];
+                reduce(src, out_layer.row(i), out_layer.b[i], logits_s);
                 probs_s.copy_from_slice(logits_s);
                 sigmoid(probs_s);
                 // Same draw order as the row path; the update is
@@ -670,7 +588,7 @@ fn panel_pass<A: PanelArm>(
                     debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
                     let bit = (u < p) as u8;
                     bits_s[s] = bit;
-                    mask_s[s] = A::Elem::from(bit);
+                    mask_s[s] = E::from(bit);
                     signed_s[s] = if bit == 1 { logits_s[s] } else { -logits_s[s] };
                 }
             }

@@ -58,7 +58,9 @@ fn hammered_stats_stay_sane_under_concurrent_snapshots() {
                 let mut prev_refused = 0u64;
                 let mut prev_latency_counts = [[0u64; 2]; 3];
                 let mut snapshots = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                // Do-while: every probe takes at least one snapshot,
+                // even when the recorders finish before it is scheduled.
+                loop {
                     let s = stats.snapshot(3, 1);
                     // Pass-through fields.
                     assert_eq!(s.queue_depth, 3);
@@ -102,6 +104,9 @@ fn hammered_stats_stay_sane_under_concurrent_snapshots() {
                         }
                     }
                     snapshots += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 snapshots
             })

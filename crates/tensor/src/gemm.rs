@@ -9,11 +9,13 @@
 //! * [`gemm_tn`] — `C[m,n] = A[k,m]^T * B[k,n]`.  Backprop's weight
 //!   gradient (`dW = dY^T X`).
 //! * [`gemm_nt_f32`] — `nt` over row-major `f32` slices, the forward
-//!   pass of the f32 inference arm (`MadeF32`).
+//!   pass of the f32 inference arm (`vqmc_nn::MadeF32`).
 //!
 //! Each f64 kernel has an `_into` twin writing into a caller-owned
 //! matrix (reshaped in place, so a warm buffer is never reallocated);
-//! the allocating forms are thin wrappers over those.
+//! the allocating forms are thin wrappers over those.  The f64 `nt`
+//! also runs over row-major slices ([`gemm_nt_slices`]), the MADE
+//! forward pass's entry for weights it borrows rather than owns.
 //!
 //! ## Packed path (every vector table, both precisions)
 //!
@@ -23,8 +25,8 @@
 //! every table.  The driver is generic over the element
 //! ([`PackedElem`]): operands are repacked into contiguous micro-panels
 //! (`kc×MR` for A, `kc×NR` for B) and the inner loop is the table's
-//! `MR×NR` FMA microkernel (`Kernels::gemm_micro` /
-//! `KernelsF32::gemm_micro`, one lane-generic body in `simd/micro.rs`).
+//! `MR×NR` FMA microkernel (`Kernels<E>::gemm_micro`, one lane-generic
+//! body in `simd/micro.rs`).
 //! `MR` is [`MR_SIMD`] = 8 rows; `NR` is the width the table entry
 //! carries ([`GemmMicro::nr`]): one 256-bit vector of elements per tile
 //! row on the portable and AVX2 tables (4 `f64`, 8 `f32`), two 512-bit
@@ -76,7 +78,7 @@ use std::thread::LocalKey;
 
 use crate::matrix::Matrix;
 use crate::par;
-use crate::simd::{self, GemmMicro};
+use crate::simd::{self, Backend, GemmMicro, KernelElem};
 use crate::vector::{axpy, dot};
 
 /// Scalar-path accumulator tile height (A rows per tile).
@@ -150,7 +152,7 @@ type PackPanel<'a, E> = dyn Fn(usize, usize, usize, usize, &mut [E]) + Sync + 'a
 /// resolved to a vector table.
 fn packed_micro() -> Option<GemmMicro<f64>> {
     let k = simd::kernels();
-    (k.backend != simd::Backend::Scalar).then_some(k.gemm_micro)
+    (k.backend != Backend::Scalar).then_some(k.gemm_micro)
 }
 
 /// A matrix as the `(elements, row stride)` pair the pack routines read.
@@ -387,7 +389,7 @@ pub fn gemm_tn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: GemmMi
 /// against the f64 product is pure rounding, within the usual
 /// `O(k·ε₃₂)` dot-product bound (`tests/simd_f32_proptests.rs`).
 pub fn gemm_nt_f32(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    gemm_nt_f32_with(m, n, k, a, b, c, simd::kernels_f32().gemm_micro)
+    gemm_nt_f32_with(m, n, k, a, b, c, f32::kernels().gemm_micro)
 }
 
 /// [`gemm_nt_f32`] with an explicit microkernel.  Hidden: the property
@@ -422,11 +424,20 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
 pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
     let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
+    gemm_nt_slices(m, n, k, a.as_slice(), b.as_slice(), c.as_mut_slice());
+}
+
+/// [`gemm_nt_into`] over row-major slices: `C[m,n] = A[m,k] * B[n,k]^T`,
+/// `C` overwritten, pooled like every f64 kernel.
+pub fn gemm_nt_slices(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    assert_eq!(a.len(), m * k, "gemm_nt: A is not {m}x{k}");
+    assert_eq!(b.len(), n * k, "gemm_nt: B^T is not {n}x{k}");
+    assert_eq!(c.len(), m * n, "gemm_nt: C is not {m}x{n}");
     if let Some(micro) = packed_micro() {
-        let (pa, pb) = (pack_rows(op(a), MR_SIMD), pack_rows(op(b), micro.nr));
-        packed_driver(m, n, k, &pa, &pb, c.as_mut_slice(), micro);
+        let (pa, pb) = (pack_rows((a, k), MR_SIMD), pack_rows((b, k), micro.nr));
+        packed_driver(m, n, k, &pa, &pb, c, micro);
     } else {
-        nt_striped(a, b, c.as_mut_slice());
+        nt_striped(m, n, k, a, b, c);
     }
 }
 
@@ -436,13 +447,11 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// quad-tile/remainder classification it has in the sequential sweep
 /// (quad rows hit [`micro_4x4`], remainder rows hit [`dot`]) — the
 /// per-row value is partition-invariant, hence bit-identical.
-fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
-    let (m, k) = a.shape();
-    let n = b.rows();
+fn nt_striped(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     let units = m.div_ceil(MR);
     let parts = par::active_threads().min(units.max(1));
     if parts <= 1 || !par::should_parallelize_gemm(m * n * k) {
-        nt_panel(a, b, c, 0);
+        nt_panel(k, n, a, b, c, 0);
         return;
     }
     let base = par::SendPtr(c.as_mut_ptr());
@@ -455,7 +464,7 @@ fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
             // the borrow of `c` ends.
             let slab =
                 unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * n), (r1 - r0) * n) };
-            nt_panel(a, b, slab, r0);
+            nt_panel(k, n, a, b, slab, r0);
         }
     });
 }
@@ -464,9 +473,9 @@ fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
 /// kept callable so the benches can report the pre-SIMD baseline.
 #[doc(hidden)]
 pub fn gemm_nt_blocked_scalar_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
-    let (m, n, _) = nt_dims(a, b);
+    let (m, n, k) = nt_dims(a, b);
     c.resize(m, n);
-    nt_panel(a, b, c.as_mut_slice(), 0);
+    nt_panel(k, n, a.as_slice(), b.as_slice(), c.as_mut_slice(), 0);
 }
 
 /// The 4×4 register-tile inner product: `acc[i][j] = aᵢ · bⱼ` over one
@@ -519,10 +528,11 @@ fn micro_4x4(
     ]
 }
 
-/// Blocked `nt` sweep writing output rows `[row0, row0 + c_panel.len()/n)`.
-fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
-    let k = a.cols();
-    let n = b.rows();
+/// Blocked `nt` sweep over row-major `A` (`·×k`) and `B` (`n×k`)
+/// writing output rows `[row0, row0 + c_panel.len()/n)`.
+fn nt_panel(k: usize, n: usize, a: &[f64], b: &[f64], c_panel: &mut [f64], row0: usize) {
+    let a_row = |r: usize| &a[r * k..(r + 1) * k];
+    let b_row = |j: usize| &b[j * k..(j + 1) * k];
     if n == 0 || c_panel.is_empty() {
         return;
     }
@@ -537,16 +547,16 @@ fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
             let j_end = j0 + NC.min(n - j0);
             let mut r = 0;
             while r + MR <= rows_here {
-                let a0 = &a.row(row0 + r)[l0..l0 + lc];
-                let a1 = &a.row(row0 + r + 1)[l0..l0 + lc];
-                let a2 = &a.row(row0 + r + 2)[l0..l0 + lc];
-                let a3 = &a.row(row0 + r + 3)[l0..l0 + lc];
+                let a0 = &a_row(row0 + r)[l0..l0 + lc];
+                let a1 = &a_row(row0 + r + 1)[l0..l0 + lc];
+                let a2 = &a_row(row0 + r + 2)[l0..l0 + lc];
+                let a3 = &a_row(row0 + r + 3)[l0..l0 + lc];
                 let mut j = j0;
                 while j + NR <= j_end {
-                    let b0 = &b.row(j)[l0..l0 + lc];
-                    let b1 = &b.row(j + 1)[l0..l0 + lc];
-                    let b2 = &b.row(j + 2)[l0..l0 + lc];
-                    let b3 = &b.row(j + 3)[l0..l0 + lc];
+                    let b0 = &b_row(j)[l0..l0 + lc];
+                    let b1 = &b_row(j + 1)[l0..l0 + lc];
+                    let b2 = &b_row(j + 2)[l0..l0 + lc];
+                    let b3 = &b_row(j + 3)[l0..l0 + lc];
                     let acc = micro_4x4(a0, a1, a2, a3, b0, b1, b2, b3);
                     for (ri, acc_row) in acc.iter().enumerate() {
                         let base = (r + ri) * n + j;
@@ -558,20 +568,20 @@ fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
                 }
                 // Column remainder: one B row against the four A rows.
                 while j < j_end {
-                    let b_row = &b.row(j)[l0..l0 + lc];
-                    c_panel[r * n + j] += dot(a0, b_row);
-                    c_panel[(r + 1) * n + j] += dot(a1, b_row);
-                    c_panel[(r + 2) * n + j] += dot(a2, b_row);
-                    c_panel[(r + 3) * n + j] += dot(a3, b_row);
+                    let bj = &b_row(j)[l0..l0 + lc];
+                    c_panel[r * n + j] += dot(a0, bj);
+                    c_panel[(r + 1) * n + j] += dot(a1, bj);
+                    c_panel[(r + 2) * n + j] += dot(a2, bj);
+                    c_panel[(r + 3) * n + j] += dot(a3, bj);
                     j += 1;
                 }
                 r += MR;
             }
             // Row remainder: plain dots over the current block.
             while r < rows_here {
-                let a_row = &a.row(row0 + r)[l0..l0 + lc];
+                let ar = &a_row(row0 + r)[l0..l0 + lc];
                 for j in j0..j_end {
-                    c_panel[r * n + j] += dot(a_row, &b.row(j)[l0..l0 + lc]);
+                    c_panel[r * n + j] += dot(ar, &b_row(j)[l0..l0 + lc]);
                 }
                 r += 1;
             }
@@ -878,7 +888,7 @@ mod tests {
             (8, 8, 8),
             (5, 7, 9),
             (9, 11, KC + 5),
-            (MR_SIMD * 3 + 2, simd::kernels_f32().gemm_micro.nr * 5 + 1, 17),
+            (MR_SIMD * 3 + 2, f32::kernels().gemm_micro.nr * 5 + 1, 17),
             (64, 33, 300),
         ] {
             let a = fill_f32(m * k, m as u64 + 1);
@@ -943,9 +953,9 @@ mod tests {
     #[test]
     fn every_table_entry_carries_its_stamp_width() {
         let tables = [
-            ("portable", Some(simd::portable_kernels()), Some(simd::portable_kernels_f32()), 4, 8),
-            ("avx2", simd::avx2_kernels(), simd::avx2_kernels_f32(), 4, 8),
-            ("avx512", simd::avx512_kernels(), simd::avx512_kernels_f32(), 16, 32),
+            ("portable", Some(f64::portable_kernels()), Some(f32::portable_kernels()), 4, 8),
+            ("avx2", f64::table(Backend::Avx2Fma), f32::table(Backend::Avx2Fma), 4, 8),
+            ("avx512", f64::table(Backend::Avx512), f32::table(Backend::Avx512), 16, 32),
         ];
         for (label, k64, k32, nr64, nr32) in tables {
             if let Some(k) = k64 {
@@ -962,9 +972,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "gemm_micro: slice lengths break the kernel contract")]
     fn an_entry_narrower_than_its_stamp_panics_in_the_kernel() {
-        let widest = simd::avx512_kernels()
-            .or_else(simd::avx2_kernels)
-            .unwrap_or(simd::portable_kernels())
+        let widest = f64::table(Backend::Avx512)
+            .or_else(|| f64::table(Backend::Avx2Fma))
+            .unwrap_or(f64::portable_kernels())
             .gemm_micro;
         let narrow = GemmMicro {
             nr: widest.nr / 2,

@@ -2,9 +2,12 @@
 //!
 //! One-time runtime feature detection
 //! (`is_x86_feature_detected!("avx2")` + `"fma"`, and `"avx512f"`)
-//! resolves into a [`OnceLock`]-cached table of plain function pointers
-//! — the [`Kernels`] struct — that every hot-path consumer reads
-//! through [`kernels()`].  Three arms exist:
+//! resolves into a [`OnceLock`]-cached [`Backend`] that selects, per
+//! element, a table of plain function pointers — the [`Kernels<E>`]
+//! struct — that every hot-path consumer reads through
+//! [`KernelElem::kernels`] (`f64::kernels()` / `f32::kernels()`;
+//! [`kernels()`] is the `f64` one).  Three arms exist, each with an
+//! `f64` and an `f32` table:
 //!
 //! * **AVX-512**: the AVX2 table with 512-bit overrides where they pay
 //!   (the batched sampling step, the signed pair sum, and the
@@ -52,6 +55,8 @@
 
 use std::sync::OnceLock;
 
+use crate::gemm::PackedElem;
+
 pub mod exp;
 mod lanes;
 mod micro;
@@ -91,59 +96,77 @@ pub struct GemmMicro<E> {
     pub nr: usize,
 }
 
-/// Fused batched AUTO bit-step over a transposed f64 activation panel:
+/// Fused batched AUTO bit-step over a transposed activation panel of
+/// element `E`, `f64` logits:
 /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`.
-pub type SampleStepCols =
-    fn(&mut [f64], usize, Option<&[f64]>, &[f64], &[f64], f64, &mut [f64], &mut [f64]);
+pub type SampleStepCols<E = f64> =
+    fn(&mut [E], usize, Option<&[E]>, &[E], &[E], f64, &mut [E], &mut [f64]);
 
 /// Sample-tiled signed pair sum over a strict-upper-triangle CSR:
 /// `(offsets, cols, vals, masks, acc)` — see [`signed_sum`].
 pub type SignedPairSum = fn(&[usize], &[u32], &[f64], &[[u64; PAIR_TILE]], &mut [f64; PAIR_TILE]);
 
-/// The resolved kernel table: one function pointer per hot-path
-/// primitive.  `Copy` — consumers hold `&'static Kernels`.
+/// The resolved kernel table over element `E`: one function pointer
+/// per hot-path primitive.  `Copy` — consumers hold
+/// `&'static Kernels<E>`.
+///
+/// `Kernels<f64>` (the default) is the training and reference table.
+/// `Kernels<f32>` is the inference table: weights and activations are
+/// `f32` — half the bytes streamed, twice the SIMD lanes — while
+/// reduction results (`dot`, `relu_dot`, `sum`, `sq_dev_sum`, logits)
+/// are `f64`: stripe accumulators stay `f32` in registers, the
+/// cross-stripe combine widens.  Its agreement with the f64 table is
+/// bound-based, never bit-based.  Its transcendental slice entries
+/// route each chunk through the *same arm's* f64 kernel (widen → apply
+/// → narrow), inheriting the f64 cross-arm bit-identity, and its
+/// `sum_exp_shifted` and `signed_pair_sum` are that arm's f64 entries.
 #[derive(Clone, Copy)]
-pub struct Kernels {
+pub struct Kernels<E: 'static = f64> {
     /// Which arm this table belongs to.
     pub backend: Backend,
     /// In-place sigmoid over a slice.
-    pub sigmoid_slice: fn(&mut [f64]),
+    pub sigmoid_slice: fn(&mut [E]),
     /// In-place `log σ` over a slice.
-    pub log_sigmoid_slice: fn(&mut [f64]),
+    pub log_sigmoid_slice: fn(&mut [E]),
     /// In-place `ln cosh` over a slice.
-    pub ln_cosh_slice: fn(&mut [f64]),
+    pub ln_cosh_slice: fn(&mut [E]),
     /// In-place `tanh` over a slice.
-    pub tanh_slice: fn(&mut [f64]),
+    pub tanh_slice: fn(&mut [E]),
     /// In-place `e^x` over a slice (full input range).
-    pub exp_slice: fn(&mut [f64]),
-    /// Fused dot product.
-    pub dot: fn(&[f64], &[f64]) -> f64,
+    pub exp_slice: fn(&mut [E]),
+    /// Fused dot product, `f64` result.
+    pub dot: fn(&[E], &[E]) -> f64,
     /// `y ← y + α·x`.
-    pub axpy: fn(&mut [f64], f64, &[f64]),
+    pub axpy: fn(&mut [E], E, &[E]),
     /// `y ← x + β·y` (CG direction update).
-    pub xpby: fn(&mut [f64], f64, &[f64]),
-    /// `Σ w·max(z, 0)` (incremental-sampler logit).
-    pub relu_dot: fn(&[f64], &[f64]) -> f64,
+    pub xpby: fn(&mut [E], E, &[E]),
+    /// `Σ w·max(z, 0)` (incremental-sampler logit), `f64` result.
+    pub relu_dot: fn(&[E], &[E]) -> f64,
     /// Fused batched AUTO bit step over a transposed `h×b` activation
     /// panel: masked `+w_prev[j]` column update + per-row
     /// `Σⱼ w_out[j]·max(z,0)` in one memory pass.  Per-row results are
     /// bit-identical to `axpy` + `relu_dot` on that row alone.
-    /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch ≥ 6·b, logits)`;
-    /// `logits[r] = bias + Σ` matches the row path's `b2[i] + relu_dot`.
-    /// Panels over 64 KiB keep five accumulator stripes and a mask
-    /// stash in `scratch`, on every arm.  Panics if a slice is short.
-    pub sample_step_cols: SampleStepCols,
-    /// Plain lane-striped sum (pairwise-summation base block).
-    pub sum: fn(&[f64]) -> f64,
+    /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`;
+    /// `logits[r] = bias + Σ` matches the row path's `b2[i] + relu_dot`,
+    /// in `f64` for either panel element.  `scratch` holds at least
+    /// 6·b `f64` / 10·b `f32`: panels over 64 KiB keep five (`f64`) or
+    /// nine (`f32`) accumulator stripes and a mask stash there, on
+    /// every arm.  Panics if a slice is short.
+    pub sample_step_cols: SampleStepCols<E>,
+    /// Plain lane-striped sum with `f64` combine (pairwise-summation
+    /// base block).
+    pub sum: fn(&[E]) -> f64,
     /// `Σ (x−m)²` (variance base block).
-    pub sq_dev_sum: fn(&[f64], f64) -> f64,
-    /// `Σ e^{x−m}` (`log_sum_exp` base block).
+    pub sq_dev_sum: fn(&[E], E) -> f64,
+    /// `Σ e^{x−m}` (`log_sum_exp` base block), `f64` in every table.
     pub sum_exp_shifted: fn(&[f64], f64) -> f64,
-    /// The packed-GEMM microkernel: an 8×4 `f64` tile, one `__m256d`
-    /// (or `[f64; 4]`) per tile row; 8×16 on AVX-512, two `__m512d`.
-    pub gemm_micro: GemmMicro<f64>,
+    /// The packed-GEMM microkernel: an 8×4 `f64` / 8×8 `f32` tile, one
+    /// `__m256d` / `__m256` (or `[f64; 4]` / `[f32; 8]`) per tile row;
+    /// 8×16 / 8×32 on AVX-512, two 512-bit vectors.
+    pub gemm_micro: GemmMicro<E>,
     /// `Σ_{i<j} B_ij σ_i σ_j` for [`PAIR_TILE`] samples over an
-    /// upper-triangle CSR, spins as sign masks (one body, all arms).
+    /// upper-triangle CSR, spins as sign masks (one body, all arms;
+    /// `f64` in every table).
     pub signed_pair_sum: SignedPairSum,
 }
 
@@ -167,12 +190,25 @@ static PORTABLE: Kernels = Kernels {
     signed_pair_sum: signed_sum::portable,
 };
 
-/// The portable-scalar table, regardless of what the production
-/// dispatch resolved to.  Used by property tests and benches to
-/// compare arms on one machine.
-pub fn portable_kernels() -> &'static Kernels {
-    &PORTABLE
-}
+/// The portable f32 arm as a constant table.
+static PORTABLE_F32: Kernels<f32> = Kernels {
+    backend: Backend::Scalar,
+    sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.sigmoid_slice),
+    log_sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.log_sigmoid_slice),
+    ln_cosh_slice: |xs| map_via_f64(xs, PORTABLE.ln_cosh_slice),
+    tanh_slice: |xs| map_via_f64(xs, PORTABLE.tanh_slice),
+    exp_slice: |xs| map_via_f64(xs, PORTABLE.exp_slice),
+    dot: slices::dot::<[f32; 8]>,
+    axpy: slices::axpy::<[f32; 8]>,
+    xpby: slices::xpby::<[f32; 8]>,
+    relu_dot: slices::relu_dot::<[f32; 8]>,
+    sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
+    sum: slices::sum::<[f32; 8]>,
+    sq_dev_sum: slices::sq_dev_sum::<[f32; 8]>,
+    sum_exp_shifted: PORTABLE.sum_exp_shifted,
+    gemm_micro: micro::entry::<[f32; 8], 1>(micro::gemm_micro::<[f32; 8], 1>),
+    signed_pair_sum: PORTABLE.signed_pair_sum,
+};
 
 /// Safe table shims over vector bodies: each `name(args) => body;`
 /// becomes a plain `fn name(args)` that runs `body` inside an inner
@@ -199,7 +235,7 @@ macro_rules! shims {
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx2_table {
     use super::*;
-    use core::arch::x86_64::__m256d;
+    use core::arch::x86_64::{__m256, __m256d};
 
     shims! {
         #[target_feature(enable = "avx2", enable = "fma")]
@@ -245,12 +281,50 @@ mod avx2_table {
         gemm_micro: micro::entry::<__m256d, 1>(gemm_micro),
         signed_pair_sum,
     };
+
+    shims! {
+        #[target_feature(enable = "avx2", enable = "fma")]
+        dot_f32(a: &[f32], b: &[f32]) -> f64 => slices::dot::<__m256>(a, b);
+        axpy_f32(y: &mut [f32], alpha: f32, x: &[f32]) => slices::axpy::<__m256>(y, alpha, x);
+        xpby_f32(y: &mut [f32], beta: f32, x: &[f32]) => slices::xpby::<__m256>(y, beta, x);
+        relu_dot_f32(w: &[f32], z: &[f32]) -> f64 => slices::relu_dot::<__m256>(w, z);
+        sum_f32(xs: &[f32]) -> f64 => slices::sum::<__m256>(xs);
+        sq_dev_sum_f32(xs: &[f32], m: f32) -> f64 => slices::sq_dev_sum::<__m256>(xs, m);
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols_f32(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>,
+            prev_mask: &[f32], w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
+            => panel::sample_step_cols::<__m256, 8, 1>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
+        gemm_micro_f32(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
+            => micro::gemm_micro::<__m256, 1>(kc, ap, bp, tile);
+    }
+
+    /// The transcendental entries widen each chunk through this arm's
+    /// f64 kernel.
+    pub(super) static AVX2_F32: Kernels<f32> = Kernels {
+        backend: Backend::Avx2Fma,
+        sigmoid_slice: |xs| map_via_f64(xs, sigmoid_slice),
+        log_sigmoid_slice: |xs| map_via_f64(xs, log_sigmoid_slice),
+        ln_cosh_slice: |xs| map_via_f64(xs, ln_cosh_slice),
+        tanh_slice: |xs| map_via_f64(xs, tanh_slice),
+        exp_slice: |xs| map_via_f64(xs, exp_slice),
+        dot: dot_f32,
+        axpy: axpy_f32,
+        xpby: xpby_f32,
+        relu_dot: relu_dot_f32,
+        sample_step_cols: sample_step_cols_f32,
+        sum: sum_f32,
+        sq_dev_sum: sq_dev_sum_f32,
+        sum_exp_shifted,
+        gemm_micro: micro::entry::<__m256, 1>(gemm_micro_f32),
+        signed_pair_sum,
+    };
 }
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 mod avx512_table {
     use super::*;
-    use core::arch::x86_64::__m512d;
+    use core::arch::x86_64::{__m512, __m512d};
 
     shims! {
         #[target_feature(enable = "avx512f")]
@@ -259,11 +333,18 @@ mod avx512_table {
             w_out: &[f64], bias: f64, scratch: &mut [f64], logits: &mut [f64])
             => panel::sample_step_cols::<__m512d, 4, 2>(zt, b, w_prev, prev_mask, w_out, bias,
                 scratch, logits);
+        #[allow(clippy::too_many_arguments)]
+        sample_step_cols_f32(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>,
+            prev_mask: &[f32], w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
+            => panel::sample_step_cols::<__m512, 8, 2>(zt, b, w_prev, prev_mask, w_out, bias,
+                scratch, logits);
         signed_pair_sum(offsets: &[usize], cols: &[u32], vals: &[f64],
             masks: &[[u64; PAIR_TILE]], acc: &mut [f64; PAIR_TILE])
             => signed_sum::avx512(offsets, cols, vals, masks, acc);
         gemm_micro(kc: usize, ap: &[f64], bp: &[f64], tile: &mut [f64])
             => micro::gemm_micro::<__m512d, 2>(kc, ap, bp, tile);
+        gemm_micro_f32(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
+            => micro::gemm_micro::<__m512, 2>(kc, ap, bp, tile);
     }
 
     /// The AVX2 table with AVX-512 overrides.
@@ -274,37 +355,78 @@ mod avx512_table {
         gemm_micro: micro::entry::<__m512d, 2>(gemm_micro),
         ..avx2_table::AVX2
     };
+
+    /// The AVX2 f32 table with the 16-wide panel-step and 8×32 GEMM
+    /// overrides.
+    pub(super) static AVX512_F32: Kernels<f32> = Kernels {
+        backend: Backend::Avx512,
+        sample_step_cols: sample_step_cols_f32,
+        signed_pair_sum,
+        gemm_micro: micro::entry::<__m512, 2>(gemm_micro_f32),
+        ..avx2_table::AVX2_F32
+    };
 }
 
-/// The AVX2 table when the CPU supports it, `None` otherwise (always
-/// `None` on non-x86_64 or under `force-scalar`).  Detection runs
-/// once.  Property tests use this to pit the arms against each other
-/// on the same inputs.
-pub fn avx2_kernels() -> Option<&'static Kernels> {
+/// Whether this CPU (and build) can run `arm`'s tables; `std` caches
+/// the feature detection.
+fn supports(arm: Backend) -> bool {
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        let ok = *DETECTED
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"));
-        if ok {
-            return Some(&avx2_table::AVX2);
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        match arm {
+            Backend::Scalar => true,
+            Backend::Avx2Fma => avx2,
+            Backend::Avx512 => avx2 && is_x86_feature_detected!("avx512f"),
         }
     }
-    None
+    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
+    {
+        arm == Backend::Scalar
+    }
 }
 
-/// The AVX-512 table (AVX2 kernels plus 512-bit overrides) when the
-/// CPU supports `avx512f` on top of `avx2`+`fma`, `None` otherwise.
-pub fn avx512_kernels() -> Option<&'static Kernels> {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        let ok = *DETECTED.get_or_init(|| is_x86_feature_detected!("avx512f"));
-        if ok && avx2_kernels().is_some() {
-            return Some(&avx512_table::AVX512);
-        }
+/// An element with a kernel table per arm — `f64` (training and
+/// reference) and `f32` (inference) — under one dispatch policy.
+pub trait KernelElem: PackedElem {
+    /// This element's table for `arm`, or `None` when this CPU (or
+    /// build) cannot run it.  Property tests and benches use it to pit
+    /// the arms against each other on one machine.
+    fn table(arm: Backend) -> Option<&'static Kernels<Self>>;
+
+    /// The production table (see the module docs for the fallback
+    /// policy; one resolution serves every element).
+    fn kernels() -> &'static Kernels<Self> {
+        Self::table(backend()).expect("the resolved arm runs here")
     }
-    None
+
+    /// The portable-scalar table, whatever the dispatch resolved to.
+    fn portable_kernels() -> &'static Kernels<Self> {
+        Self::table(Backend::Scalar).expect("the portable arm runs everywhere")
+    }
+}
+
+impl KernelElem for f64 {
+    fn table(arm: Backend) -> Option<&'static Kernels> {
+        supports(arm).then_some(match arm {
+            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+            Backend::Avx512 => &avx512_table::AVX512,
+            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+            Backend::Avx2Fma => &avx2_table::AVX2,
+            _ => &PORTABLE,
+        })
+    }
+}
+
+impl KernelElem for f32 {
+    fn table(arm: Backend) -> Option<&'static Kernels<f32>> {
+        supports(arm).then_some(match arm {
+            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+            Backend::Avx512 => &avx512_table::AVX512_F32,
+            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+            Backend::Avx2Fma => &avx2_table::AVX2_F32,
+            _ => &PORTABLE_F32,
+        })
+    }
 }
 
 /// `VQMC_SIMD` runtime switch (read once at first dispatch):
@@ -321,189 +443,28 @@ fn env_simd_cap() -> Option<Backend> {
     }
 }
 
-/// The production kernel table, resolved once per process (see the
-/// module docs for the fallback policy).
-pub fn kernels() -> &'static Kernels {
-    static ACTIVE: OnceLock<&'static Kernels> = OnceLock::new();
-    ACTIVE.get_or_init(|| match env_simd_cap() {
-        Some(Backend::Scalar) => &PORTABLE,
-        Some(_) => avx2_kernels().unwrap_or(&PORTABLE),
-        None => avx512_kernels()
-            .or_else(avx2_kernels)
-            .unwrap_or(&PORTABLE),
-    })
-}
-
-/// The arm the production dispatch resolved to.
+/// The arm the production dispatch resolved to, once per process (see
+/// the module docs for the fallback policy).
 pub fn backend() -> Backend {
-    kernels().backend
-}
-
-/// f32 variant of [`SampleStepCols`] (f32 panel, `f64` logits).
-pub type SampleStepColsF32 =
-    fn(&mut [f32], usize, Option<&[f32]>, &[f32], &[f32], f64, &mut [f32], &mut [f64]);
-
-/// The resolved **f32** kernel table — the mixed-precision twin of
-/// [`Kernels`], covering the inference hot path only (no trainer-side
-/// kernels: no `xpby`, `sq_dev_sum`, `sum_exp_shifted`, `tanh`).
-///
-/// Weights and activations are `f32` — half the bytes streamed, twice
-/// the SIMD lanes — while reduction results (`dot`, `relu_dot`, `sum`,
-/// logits) are `f64`: stripe accumulators stay `f32` in registers, the
-/// cross-stripe combine widens.  Agreement with the f64 table is
-/// bound-based, never bit-based.  The transcendental slice entries
-/// route each chunk through the *same arm's* f64 kernel (widen → apply
-/// → narrow), inheriting the f64 cross-arm bit-identity.
-#[derive(Clone, Copy)]
-pub struct KernelsF32 {
-    /// Which arm this table belongs to.
-    pub backend: Backend,
-    /// In-place sigmoid over an `f32` slice.
-    pub sigmoid_slice: fn(&mut [f32]),
-    /// In-place `log σ` over an `f32` slice.
-    pub log_sigmoid_slice: fn(&mut [f32]),
-    /// In-place `ln cosh` over an `f32` slice.
-    pub ln_cosh_slice: fn(&mut [f32]),
-    /// In-place `e^x` over an `f32` slice.
-    pub exp_slice: fn(&mut [f32]),
-    /// Fused dot product, `f64` result.
-    pub dot: fn(&[f32], &[f32]) -> f64,
-    /// `y ← y + α·x` over `f32`.
-    pub axpy: fn(&mut [f32], f32, &[f32]),
-    /// `Σ w·max(z, 0)` over `f32` operands, `f64` result.
-    pub relu_dot: fn(&[f32], &[f32]) -> f64,
-    /// Lane-striped sum with `f64` combine.
-    pub sum: fn(&[f32]) -> f64,
-    /// Fused batched AUTO bit step over a transposed `h×b` **f32**
-    /// activation panel; logits land in `f64` so the downstream draw
-    /// machinery is shared with the f64 path.
-    /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch ≥ 10·b, logits)`
-    /// — panels over 64 KiB keep nine `f32` accumulator stripes and a
-    /// mask stash in `scratch`, on every arm.  Panics if a slice is
-    /// short.
-    pub sample_step_cols: SampleStepColsF32,
-    /// The packed-GEMM microkernel: an 8×8 `f32` tile, one `__m256`
-    /// (or `[f32; 8]`) per tile row; 8×32 on AVX-512, two `__m512`.
-    pub gemm_micro: GemmMicro<f32>,
-}
-
-/// The portable f32 arm as a constant table.
-static PORTABLE_F32: KernelsF32 = KernelsF32 {
-    backend: Backend::Scalar,
-    sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.sigmoid_slice),
-    log_sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.log_sigmoid_slice),
-    ln_cosh_slice: |xs| map_via_f64(xs, PORTABLE.ln_cosh_slice),
-    exp_slice: |xs| map_via_f64(xs, PORTABLE.exp_slice),
-    dot: slices::dot::<[f32; 8]>,
-    axpy: slices::axpy::<[f32; 8]>,
-    relu_dot: slices::relu_dot::<[f32; 8]>,
-    sum: slices::sum::<[f32; 8]>,
-    sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
-    gemm_micro: micro::entry::<[f32; 8], 1>(micro::gemm_micro::<[f32; 8], 1>),
-};
-
-/// The portable-scalar f32 table, regardless of what the production
-/// dispatch resolved to (property tests / benches).
-pub fn portable_kernels_f32() -> &'static KernelsF32 {
-    &PORTABLE_F32
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-mod avx2_table_f32 {
-    use super::avx2_table::AVX2;
-    use super::*;
-    use core::arch::x86_64::__m256;
-
-    shims! {
-        #[target_feature(enable = "avx2", enable = "fma")]
-        dot(a: &[f32], b: &[f32]) -> f64 => slices::dot::<__m256>(a, b);
-        axpy(y: &mut [f32], alpha: f32, x: &[f32]) => slices::axpy::<__m256>(y, alpha, x);
-        relu_dot(w: &[f32], z: &[f32]) -> f64 => slices::relu_dot::<__m256>(w, z);
-        sum(xs: &[f32]) -> f64 => slices::sum::<__m256>(xs);
-        #[allow(clippy::too_many_arguments)]
-        sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
-            w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
-            => panel::sample_step_cols::<__m256, 8, 1>(zt, b, w_prev, prev_mask, w_out, bias,
-                scratch, logits);
-        gemm_micro(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
-            => micro::gemm_micro::<__m256, 1>(kc, ap, bp, tile);
-    }
-
-    /// The transcendental entries widen each chunk through *this arm's*
-    /// f64 kernel.
-    pub(super) static AVX2_F32: KernelsF32 = KernelsF32 {
-        backend: Backend::Avx2Fma,
-        sigmoid_slice: |xs| map_via_f64(xs, AVX2.sigmoid_slice),
-        log_sigmoid_slice: |xs| map_via_f64(xs, AVX2.log_sigmoid_slice),
-        ln_cosh_slice: |xs| map_via_f64(xs, AVX2.ln_cosh_slice),
-        exp_slice: |xs| map_via_f64(xs, AVX2.exp_slice),
-        dot,
-        axpy,
-        relu_dot,
-        sum,
-        sample_step_cols,
-        gemm_micro: micro::entry::<__m256, 1>(gemm_micro),
-    };
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-mod avx512_table_f32 {
-    use super::*;
-    use core::arch::x86_64::__m512;
-
-    shims! {
-        #[target_feature(enable = "avx512f")]
-        #[allow(clippy::too_many_arguments)]
-        sample_step_cols(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>, prev_mask: &[f32],
-            w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
-            => panel::sample_step_cols::<__m512, 8, 2>(zt, b, w_prev, prev_mask, w_out, bias,
-                scratch, logits);
-        gemm_micro(kc: usize, ap: &[f32], bp: &[f32], tile: &mut [f32])
-            => micro::gemm_micro::<__m512, 2>(kc, ap, bp, tile);
-    }
-
-    /// The AVX2 f32 table with the 16-wide panel-step and 8×32 GEMM
-    /// overrides.
-    pub(super) static AVX512_F32: KernelsF32 = KernelsF32 {
-        backend: Backend::Avx512,
-        sample_step_cols,
-        gemm_micro: micro::entry::<__m512, 2>(gemm_micro),
-        ..avx2_table_f32::AVX2_F32
-    };
-}
-
-/// The AVX2 f32 table when the CPU supports avx2+fma, `None` otherwise.
-/// Shares the detection gate with [`avx2_kernels`].
-pub fn avx2_kernels_f32() -> Option<&'static KernelsF32> {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if avx2_kernels().is_some() {
-        return Some(&avx2_table_f32::AVX2_F32);
-    }
-    None
-}
-
-/// The AVX-512 f32 table when `avx512f` (plus avx2+fma) is available,
-/// `None` otherwise.  Shares the detection gate with [`avx512_kernels`].
-pub fn avx512_kernels_f32() -> Option<&'static KernelsF32> {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if avx512_kernels().is_some() {
-        return Some(&avx512_table_f32::AVX512_F32);
-    }
-    None
-}
-
-/// The production **f32** kernel table, resolved once per process with
-/// the same fallback policy (and the same `VQMC_SIMD` cap) as
-/// [`kernels`].
-pub fn kernels_f32() -> &'static KernelsF32 {
-    static ACTIVE: OnceLock<&'static KernelsF32> = OnceLock::new();
-    ACTIVE.get_or_init(|| match env_simd_cap() {
-        Some(Backend::Scalar) => &PORTABLE_F32,
-        Some(_) => avx2_kernels_f32().unwrap_or(&PORTABLE_F32),
-        None => avx512_kernels_f32()
-            .or_else(avx2_kernels_f32)
-            .unwrap_or(&PORTABLE_F32),
+    static ACTIVE: OnceLock<Backend> = OnceLock::new();
+    *ACTIVE.get_or_init(|| {
+        let cap = match env_simd_cap() {
+            Some(Backend::Scalar) => Backend::Scalar,
+            Some(_) => Backend::Avx2Fma,
+            None => Backend::Avx512,
+        };
+        // The widest supported arm at or below the cap.
+        [cap, Backend::Avx2Fma, Backend::Scalar]
+            .into_iter()
+            .find(|&arm| supports(arm))
+            .unwrap_or(Backend::Scalar)
     })
+}
+
+/// The production `f64` kernel table: [`KernelElem::kernels`] at
+/// `f64`.
+pub fn kernels() -> &'static Kernels {
+    f64::kernels()
 }
 
 #[cfg(test)]
@@ -512,19 +473,23 @@ mod tests {
 
     #[test]
     fn portable_table_is_scalar() {
-        assert_eq!(portable_kernels().backend, Backend::Scalar);
+        assert_eq!(f64::portable_kernels().backend, Backend::Scalar);
+        assert_eq!(f32::portable_kernels().backend, Backend::Scalar);
     }
 
     #[test]
     fn dispatch_is_stable() {
         assert_eq!(backend(), backend());
         assert!(std::ptr::eq(kernels(), kernels()));
+        assert!(std::ptr::eq(f32::kernels(), f32::kernels()));
+        assert_eq!(f32::kernels().backend, backend());
     }
 
     #[cfg(feature = "force-scalar")]
     #[test]
     fn force_scalar_feature_pins_scalar() {
         assert_eq!(backend(), Backend::Scalar);
-        assert!(avx2_kernels().is_none());
+        assert!(f64::table(Backend::Avx2Fma).is_none());
+        assert!(f32::table(Backend::Avx512).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Property tests for the **f32** kernel table (`simd::KernelsF32`).
+//! Property tests for the **f32** kernel table (`simd::Kernels<f32>`).
 //!
 //! Two invariant classes, mirroring `simd_proptests.rs`:
 //!
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqmc_tensor::gemm::{self, KC, MR_SIMD};
-use vqmc_tensor::simd::{self, KernelsF32};
+use vqmc_tensor::simd::{self, Backend, KernelElem, Kernels};
 
 /// Asserts two f32 slices are bitwise identical (NaN ≡ NaN).
 fn assert_bits_eq32(got: &[f32], want: &[f32], label: &str) {
@@ -52,7 +52,7 @@ fn rand_f32(len: usize, seed: u64, lo: f64, hi: f64) -> Vec<f32> {
     (0..len).map(|_| rng.gen_range(lo..hi) as f32).collect()
 }
 
-fn run_slice_kernel(k: &KernelsF32, which: usize, xs: &mut [f32]) {
+fn run_slice_kernel(k: &Kernels<f32>, which: usize, xs: &mut [f32]) {
     match which {
         0 => (k.sigmoid_slice)(xs),
         1 => (k.log_sigmoid_slice)(xs),
@@ -64,12 +64,12 @@ fn run_slice_kernel(k: &KernelsF32, which: usize, xs: &mut [f32]) {
 const KERNEL_NAMES: [&str; 4] = ["sigmoid", "log_sigmoid", "ln_cosh", "exp"];
 
 /// The vector f32 tables that exist on this host, labelled.
-fn vector_arms() -> Vec<(&'static str, &'static KernelsF32)> {
+fn vector_arms() -> Vec<(&'static str, &'static Kernels<f32>)> {
     let mut arms = Vec::new();
-    if let Some(t) = simd::avx2_kernels_f32() {
+    if let Some(t) = f32::table(Backend::Avx2Fma) {
         arms.push(("avx2", t));
     }
-    if let Some(t) = simd::avx512_kernels_f32() {
+    if let Some(t) = f32::table(Backend::Avx512) {
         arms.push(("avx512", t));
     }
     arms
@@ -78,7 +78,7 @@ fn vector_arms() -> Vec<(&'static str, &'static KernelsF32)> {
 /// Every f32 table's packed-GEMM tile width (`gemm_micro.nr`),
 /// deduplicated: the `n` sweep oscillates around each of them.
 fn gemm_tile_widths() -> Vec<usize> {
-    let mut widths: Vec<usize> = std::iter::once(simd::portable_kernels_f32())
+    let mut widths: Vec<usize> = std::iter::once(f32::portable_kernels())
         .chain(vector_arms().into_iter().map(|(_, arm)| arm))
         .map(|t| t.gemm_micro.nr)
         .collect();
@@ -97,7 +97,7 @@ proptest! {
     fn slice_kernels_bit_identical_across_arms(len in 0usize..300, seed in 0u64..10_000, which in 0usize..4) {
         let xs = rand_f32(len, seed, -30.0, 30.0);
         let mut want = xs.clone();
-        run_slice_kernel(simd::portable_kernels_f32(), which, &mut want);
+        run_slice_kernel(f32::portable_kernels(), which, &mut want);
         for (name, arm) in vector_arms() {
             let mut got = xs.clone();
             run_slice_kernel(arm, which, &mut got);
@@ -112,7 +112,7 @@ proptest! {
         let xs = rand_f32(len, seed, -100.0, 100.0);
         let ys = rand_f32(len, seed ^ 0x9, -100.0, 100.0);
         let alpha = 1.5f32;
-        let port = simd::portable_kernels_f32();
+        let port = f32::portable_kernels();
         for (name, arm) in vector_arms() {
             prop_assert_eq!((arm.sum)(&xs).to_bits(), (port.sum)(&xs).to_bits(), "{} sum", name);
             prop_assert_eq!((arm.dot)(&xs, &ys).to_bits(), (port.dot)(&xs, &ys).to_bits(), "{} dot", name);
@@ -136,7 +136,7 @@ proptest! {
         let xs = rand_f32(len, seed, -1.0, 1.0);
         let ys = rand_f32(len, seed ^ 0x7, -1.0, 1.0);
         let want: f64 = xs.iter().zip(&ys).map(|(&a, &b)| a as f64 * b as f64).sum();
-        let got = (simd::kernels_f32().dot)(&xs, &ys);
+        let got = (f32::kernels().dot)(&xs, &ys);
         let kf = len.max(1) as f64;
         prop_assert!((got - want).abs() <= (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6));
     }
@@ -163,7 +163,7 @@ proptest! {
         let mut scratch = vec![0.0f32; 10 * b];
         let mut zt_p = zt.clone();
         let mut logits_p = vec![0.0f64; b];
-        (simd::portable_kernels_f32().sample_step_cols)(
+        (f32::portable_kernels().sample_step_cols)(
             &mut zt_p, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_p,
         );
 
@@ -216,7 +216,7 @@ proptest! {
             let a = rand_f32(m * k, seed, -1.0, 1.0);
             let b = rand_f32(n * k, seed ^ 0xAB, -1.0, 1.0);
             let mut c_port = vec![0.0f32; m * n];
-            gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, simd::portable_kernels_f32().gemm_micro);
+            gemm::gemm_nt_f32_with(m, n, k, &a, &b, &mut c_port, f32::portable_kernels().gemm_micro);
             let want = gemm::gemm_nt_f32_reference(m, n, k, &a, &b);
             let kf = k.max(1) as f64;
             let bound = (2.0 * kf * kf * f32::EPSILON as f64).max(1e-6);
@@ -269,7 +269,7 @@ fn sample_step_cols_traversal_split_bit_identical() {
             let mut scratch = vec![0.0f32; 10 * b];
             let mut zt_p = zt.clone();
             let mut logits_p = vec![0.0f64; b];
-            (simd::portable_kernels_f32().sample_step_cols)(
+            (f32::portable_kernels().sample_step_cols)(
                 &mut zt_p, b, wp, &mask, &w_out, bias, &mut scratch, &mut logits_p,
             );
             for (name, arm) in vector_arms() {
@@ -290,12 +290,12 @@ fn sample_step_cols_traversal_split_bit_identical() {
 /// dispatch.
 #[test]
 fn dispatch_returns_a_published_table() {
-    let k = simd::kernels_f32();
-    let is_portable = std::ptr::eq(k, simd::portable_kernels_f32());
-    let is_avx = simd::avx2_kernels_f32()
+    let k = f32::kernels();
+    let is_portable = std::ptr::eq(k, f32::portable_kernels());
+    let is_avx = f32::table(Backend::Avx2Fma)
         .map(|a| std::ptr::eq(k, a))
         .unwrap_or(false);
-    let is_avx512 = simd::avx512_kernels_f32()
+    let is_avx512 = f32::table(Backend::Avx512)
         .map(|a| std::ptr::eq(k, a))
         .unwrap_or(false);
     assert!(is_portable || is_avx || is_avx512);

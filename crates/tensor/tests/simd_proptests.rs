@@ -30,7 +30,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqmc_tensor::gemm::{self, gemm_reference, KC, MR_SIMD};
-use vqmc_tensor::simd::{self, Kernels};
+use vqmc_tensor::simd::{self, Backend, KernelElem, Kernels};
 use vqmc_tensor::Matrix;
 
 /// Ordered-bits ULP distance (`0` for bitwise-equal or both-NaN).
@@ -101,7 +101,7 @@ fn assert_bits_eq(got: &[f64], want: &[f64], label: &str) {
     }
 }
 
-fn run_slice_kernel(k: &Kernels, which: usize, xs: &mut [f64]) {
+fn run_slice_kernel(k: &Kernels<f64>, which: usize, xs: &mut [f64]) {
     match which {
         0 => (k.sigmoid_slice)(xs),
         1 => (k.log_sigmoid_slice)(xs),
@@ -114,12 +114,12 @@ fn run_slice_kernel(k: &Kernels, which: usize, xs: &mut [f64]) {
 const KERNEL_NAMES: [&str; 5] = ["sigmoid", "log_sigmoid", "ln_cosh", "tanh", "exp"];
 
 /// The vector tables that exist on this host, labelled.
-fn vector_arms() -> Vec<(&'static str, &'static Kernels)> {
+fn vector_arms() -> Vec<(&'static str, &'static Kernels<f64>)> {
     let mut arms = Vec::new();
-    if let Some(t) = simd::avx2_kernels() {
+    if let Some(t) = f64::table(Backend::Avx2Fma) {
         arms.push(("avx2", t));
     }
-    if let Some(t) = simd::avx512_kernels() {
+    if let Some(t) = f64::table(Backend::Avx512) {
         arms.push(("avx512", t));
     }
     arms
@@ -134,7 +134,7 @@ fn rand_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 /// Every table's packed-GEMM tile width (`gemm_micro.nr`), deduplicated:
 /// the `n` sweeps oscillate around each of them.
 fn gemm_tile_widths() -> Vec<usize> {
-    let mut widths: Vec<usize> = std::iter::once(simd::portable_kernels())
+    let mut widths: Vec<usize> = std::iter::once(f64::portable_kernels())
         .chain(vector_arms().into_iter().map(|(_, arm)| arm))
         .map(|t| t.gemm_micro.nr)
         .collect();
@@ -167,7 +167,7 @@ proptest! {
     fn slice_kernels_bit_identical_across_arms(len in 0usize..130, seed in 0u64..10_000, which in 0usize..5) {
         let xs = adversarial_input(len, seed);
         let mut want = xs.clone();
-        run_slice_kernel(simd::portable_kernels(), which, &mut want);
+        run_slice_kernel(f64::portable_kernels(), which, &mut want);
         for (name, arm) in vector_arms() {
             let mut got = xs.clone();
             run_slice_kernel(arm, which, &mut got);
@@ -180,7 +180,7 @@ proptest! {
     /// makes `reduce::sum`/`variance`/`log_sum_exp` backend-independent.
     #[test]
     fn reduction_kernels_bit_identical_across_arms(len in 0usize..130, seed in 0u64..10_000) {
-        let port = simd::portable_kernels();
+        let port = f64::portable_kernels();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
         let xs: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
         let ys: Vec<f64> = (0..len).map(|_| rng.gen_range(-1e3..1e3)).collect();
@@ -265,7 +265,7 @@ type PackedSeam = fn(&Matrix, &Matrix, &mut Matrix, simd::GemmMicro<f64>);
 /// table's microkernel returns the same bits.
 fn packed_across_arms(seam: PackedSeam, a: &Matrix, b: &Matrix, label: &str) -> Matrix {
     let mut c_port = Matrix::zeros(0, 0);
-    seam(a, b, &mut c_port, simd::portable_kernels().gemm_micro);
+    seam(a, b, &mut c_port, f64::portable_kernels().gemm_micro);
     for (name, arm) in vector_arms() {
         let mut c_vec = Matrix::zeros(0, 0);
         seam(a, b, &mut c_vec, arm.gemm_micro);
@@ -358,9 +358,9 @@ fn vendored_exp_full_range_ulp() {
 #[test]
 fn dispatch_returns_a_published_table() {
     let k = simd::kernels();
-    let is_portable = std::ptr::eq(k, simd::portable_kernels());
-    let is_avx = simd::avx2_kernels().map(|a| std::ptr::eq(k, a)).unwrap_or(false);
-    let is_avx512 = simd::avx512_kernels()
+    let is_portable = std::ptr::eq(k, f64::portable_kernels());
+    let is_avx = f64::table(Backend::Avx2Fma).map(|a| std::ptr::eq(k, a)).unwrap_or(false);
+    let is_avx512 = f64::table(Backend::Avx512)
         .map(|a| std::ptr::eq(k, a))
         .unwrap_or(false);
     assert!(
@@ -382,7 +382,7 @@ proptest! {
     /// first-bit (`w_prev = None`) and masked-update cases.
     #[test]
     fn sample_step_cols_matches_row_path(h in 0usize..133, b in 0usize..19, seed in 0u64..10_000, first_bit in 0u64..2) {
-        let port = simd::portable_kernels();
+        let port = f64::portable_kernels();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC015);
         let zt: Vec<f64> = (0..h * b).map(|_| rng.gen_range(-3.0..3.0)).collect();
         let w_prev: Vec<f64> = (0..h).map(|_| rng.gen_range(-2.0..2.0)).collect();
@@ -473,8 +473,8 @@ proptest! {
         let acc0: [f64; simd::PAIR_TILE] = std::array::from_fn(|_| rng.gen_range(-1e3..1e3));
 
         let mut want = acc0;
-        (simd::portable_kernels().signed_pair_sum)(&offsets, &cols, &vals, &masks, &mut want);
-        for (arm, k) in [("avx2", simd::avx2_kernels()), ("avx512", simd::avx512_kernels())] {
+        (f64::portable_kernels().signed_pair_sum)(&offsets, &cols, &vals, &masks, &mut want);
+        for (arm, k) in [("avx2", f64::table(Backend::Avx2Fma)), ("avx512", f64::table(Backend::Avx512))] {
             if let Some(k) = k {
                 let mut got = acc0;
                 (k.signed_pair_sum)(&offsets, &cols, &vals, &masks, &mut got);
@@ -498,7 +498,7 @@ proptest! {
         first_bit in 0u64..2,
     ) {
         // Smallest shape is 48·768·8 = 294912 bytes.
-        let port = simd::portable_kernels();
+        let port = f64::portable_kernels();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB16);
         let zt: Vec<f64> = (0..h * b).map(|_| rng.gen_range(-3.0..3.0)).collect();
         let w_prev: Vec<f64> = (0..h).map(|_| rng.gen_range(-2.0..2.0)).collect();
@@ -539,7 +539,7 @@ fn sample_step_cols_traversal_split_bit_identical() {
         (511, 17),
         (67, 127),
     ];
-    let port = simd::portable_kernels();
+    let port = f64::portable_kernels();
     for (h, b) in shapes {
         for first_bit in [true, false] {
             let mut rng = StdRng::seed_from_u64((h * 31 + b) as u64);
@@ -575,7 +575,7 @@ fn sample_step_cols_traversal_split_bit_identical() {
 #[test]
 fn sample_step_cols_rejects_short_slices() {
     let (h, b) = (3usize, 5usize);
-    let tables = std::iter::once(("portable", simd::portable_kernels())).chain(vector_arms());
+    let tables = std::iter::once(("portable", f64::portable_kernels())).chain(vector_arms());
     for (arm, k) in tables {
         // Which slice is one element short: zt, w_prev, prev_mask,
         // scratch, logits.

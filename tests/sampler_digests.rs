@@ -22,9 +22,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vqmc::nn::Made;
+use vqmc::nn::{Autoregressive, Made, MadeF32, MadeF32Workspace, WaveFunction};
 use vqmc::sampler::{BatchSampler, SampleOutput, SampleRequest};
-use vqmc::tensor::{par, Precision, SpinBatch, Vector};
+use vqmc::tensor::{par, simd, Matrix, Precision, SpinBatch, Vector, Workspace};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -153,6 +153,101 @@ fn made_sampler_output_is_pinned_at_every_width() {
         assert_eq!(
             got, want,
             "{name}: sampler output moved; current table:\n{table}"
+        );
+    }
+}
+
+/// `(spins, first hidden width, batch rows)` of the forward-pass
+/// digests: n = 129 and 300 cross the pairwise-summation base block
+/// (128), and the n = 300 GEMMs clear the pool's FLOP gate at four
+/// threads.
+const FORWARD_SHAPES: [(usize, usize, usize); 3] = [(10, 12, 9), (129, 40, 33), (300, 64, 64)];
+
+/// FNV-1a over the bits of every element.
+fn digest_f64s(hash: u64, xs: &[f64]) -> u64 {
+    xs.iter()
+        .fold(hash, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
+}
+
+/// One forward case's digests: f64 `log_psi_into`, `conditionals_into`
+/// and `weighted_log_psi_grad_into` hashed in that order, then the f32
+/// `log_psi_into` on its own.
+fn forward_digests(wf: &Made, rows: usize) -> (u64, u64) {
+    let n = wf.num_spins();
+    let batch = SpinBatch::from_fn(rows, n, |s, i| ((s * 31 + i * 17 + s * i) % 7 < 3) as u8);
+    let weights = Vector::from_fn(rows, |s| 0.25 + ((s * 13) % 11) as f64 / 7.0);
+    let mut ws = Workspace::new();
+    let (mut lp, mut grad, mut cond) = (Vector::default(), Vector::default(), Matrix::default());
+    wf.log_psi_into(&batch, &mut ws, &mut lp);
+    wf.conditionals_into(&batch, &mut ws, &mut cond);
+    wf.weighted_log_psi_grad_into(&batch, &weights, &mut ws, &mut grad);
+    let mut h64 = digest_f64s(FNV_OFFSET, lp.as_slice());
+    h64 = digest_f64s(h64, cond.as_slice());
+    h64 = digest_f64s(h64, grad.as_slice());
+
+    let mut lp32 = Vector::default();
+    MadeF32::for_log_psi(wf).log_psi_into(&batch, &mut MadeF32Workspace::new(), &mut lp32);
+    (h64, digest_f64s(FNV_OFFSET, lp32.as_slice()))
+}
+
+/// Pinned forward digests, in `(shape, depth, precision)` order:
+/// `(name, portable table, vector tables)`.  The f64 GEMM rounds
+/// differently on the portable table (scalar loop nest) than on the
+/// vector tables (packed driver); the f32 GEMM is packed on every
+/// table, so its two columns agree.
+const FORWARD_EXPECTED: [(&str, u64, u64); 12] = [
+    ("n10/d1/F64", 0x2b92c41899445fcc, 0x1dbb59c2335fa070),
+    ("n10/d1/F32", 0x56c7554a8310daaf, 0x56c7554a8310daaf),
+    ("n10/d2/F64", 0x1aaca2ef3628802f, 0x1aaca2ef3628802f),
+    ("n10/d2/F32", 0xf12214b2a7b649ed, 0xf12214b2a7b649ed),
+    ("n129/d1/F64", 0x73a42ab31ecbccfd, 0x16bbdeaa858918b9),
+    ("n129/d1/F32", 0xc1c96bfa0750b7fb, 0xc1c96bfa0750b7fb),
+    ("n129/d2/F64", 0x91e3d4cd9c59b004, 0xe6e155e73431afca),
+    ("n129/d2/F32", 0x5d7306ece00fb164, 0x5d7306ece00fb164),
+    ("n300/d1/F64", 0x4fa74b85c1479530, 0xeb30c0916682a72c),
+    ("n300/d1/F32", 0xc4c69fcfe10eb8df, 0xc4c69fcfe10eb8df),
+    ("n300/d2/F64", 0x79a1f003700667d9, 0xbc978ebc2db627dc),
+    ("n300/d2/F32", 0xa60044dca71b58cf, 0xa60044dca71b58cf),
+];
+
+#[test]
+fn made_forward_output_is_pinned_at_every_width() {
+    let vector_table = simd::backend() != simd::Backend::Scalar;
+    let mut names = Vec::new();
+    let mut actual = Vec::new();
+    for threads in [1usize, 4] {
+        let mut digests = Vec::new();
+        par::with_threads(threads, || {
+            for &(n, h1, rows) in &FORWARD_SHAPES {
+                for depth in 1..=2usize {
+                    let wf = Made::with_hidden(n, &hidden(h1, depth), n as u64 + depth as u64);
+                    let (d64, d32) = forward_digests(&wf, rows);
+                    if threads == 1 {
+                        names.push(format!("n{n}/d{depth}/F64"));
+                        names.push(format!("n{n}/d{depth}/F32"));
+                    }
+                    digests.extend([d64, d32]);
+                }
+            }
+        });
+        actual.push(digests);
+    }
+    assert_eq!(actual[1], actual[0], "four threads differ from one");
+    let table: String = names
+        .iter()
+        .zip(&actual[0])
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    for ((name, &got), &(want_name, portable, vector)) in
+        names.iter().zip(&actual[0]).zip(&FORWARD_EXPECTED)
+    {
+        assert_eq!(name, want_name, "case order changed");
+        let want = if vector_table { vector } else { portable };
+        assert_eq!(
+            got,
+            want,
+            "{name}: forward output moved on the {} table; current column:\n{table}",
+            if vector_table { "vector" } else { "portable" }
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Pinned output digests of the SIMD slice, reduction and panel-step
 //! kernels, and of the packed GEMM.
 //!
-//! Every `Kernels` / `KernelsF32` entry for an elementwise slice
+//! Every `Kernels` / `Kernels<f32>` entry for an elementwise slice
 //! kernel, a reduction or the fused `sample_step_cols` is run over one
 //! fixed input set, and its output bits are hashed (FNV-1a, 64-bit;
 //! every NaN hashes as one canonical pattern).  The constants below
@@ -42,7 +42,7 @@
 //! `--features force-scalar`.
 
 use vqmc::tensor::gemm;
-use vqmc::tensor::simd::{self, GemmMicro, Kernels, KernelsF32};
+use vqmc::tensor::simd::{Backend, GemmMicro, KernelElem, Kernels, SampleStepCols};
 use vqmc::tensor::Matrix;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -180,7 +180,7 @@ fn apply<T: Copy>(f: fn(&mut [T]), xs: &[T]) -> Vec<T> {
     v
 }
 
-fn digests_f64(k: &Kernels, inputs: &[Vec<f64>]) -> Vec<(&'static str, u64)> {
+fn digests_f64(k: &Kernels<f64>, inputs: &[Vec<f64>]) -> Vec<(&'static str, u64)> {
     let y = |xs: &[f64]| partner(xs, |v| v);
     vec![
         (
@@ -234,7 +234,7 @@ fn digests_f64(k: &Kernels, inputs: &[Vec<f64>]) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn digests_f32(k: &KernelsF32, inputs: &[Vec<f32>]) -> Vec<(&'static str, u64)> {
+fn digests_f32(k: &Kernels<f32>, inputs: &[Vec<f32>]) -> Vec<(&'static str, u64)> {
     let y = |xs: &[f32]| partner(xs, |v| v as f32);
     vec![
         (
@@ -365,13 +365,10 @@ fn canon32(x: f32) -> f32 {
     }
 }
 
-/// `SampleStepCols` / `SampleStepColsF32` over panel element `T`.
-type StepCols<T> = fn(&mut [T], usize, Option<&[T]>, &[T], &[T], f64, &mut [T], &mut [f64]);
-
 /// `(logits digest, panel digest)` of three chained bit steps (the
 /// first bit without an update, then two updates) over each shape.
 fn step_digests<T: Copy>(
-    step: StepCols<T>,
+    step: SampleStepCols<T>,
     shapes: &[(usize, usize)],
     cast: fn(f64) -> T,
     hash_panel: impl Fn(u64, T) -> u64,
@@ -405,7 +402,7 @@ fn step_digests<T: Copy>(
     (dl, dp)
 }
 
-fn step_digests_f64(k: &Kernels) -> Vec<(&'static str, u64)> {
+fn step_digests_f64(k: &Kernels<f64>) -> Vec<(&'static str, u64)> {
     let shapes: Vec<_> = STEP_SHAPES
         .iter()
         .chain(&STEP_SHAPES_F64_HM)
@@ -425,7 +422,7 @@ fn step_digests_f64(k: &Kernels) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn step_digests_f32(k: &KernelsF32) -> Vec<(&'static str, u64)> {
+fn step_digests_f32(k: &Kernels<f32>) -> Vec<(&'static str, u64)> {
     let shapes: Vec<_> = STEP_SHAPES
         .iter()
         .chain(&STEP_SHAPES_F32_HM)
@@ -474,23 +471,22 @@ const EXPECTED: [(&str, u64); 25] = [
     ("f32/sample_step_cols/panel", 0x199c58a9bfd32b05),
 ];
 
+/// Every published table this host can run, both elements, by arm.
+fn arms() -> impl Iterator<Item = (&'static str, &'static Kernels<f64>, &'static Kernels<f32>)> {
+    let arms = [
+        ("portable", Backend::Scalar),
+        ("avx2", Backend::Avx2Fma),
+        ("avx512", Backend::Avx512),
+    ];
+    arms.into_iter()
+        .filter_map(|(name, arm)| Some((name, f64::table(arm)?, f32::table(arm)?)))
+}
+
 #[test]
 fn simd_kernel_output_is_pinned_on_every_arm() {
     let in64 = inputs(|v| v, &specials64());
     let in32 = inputs(|v| v as f32, &specials32());
-    let arms: [(&str, Option<&Kernels>, Option<&KernelsF32>); 3] = [
-        (
-            "portable",
-            Some(simd::portable_kernels()),
-            Some(simd::portable_kernels_f32()),
-        ),
-        ("avx2", simd::avx2_kernels(), simd::avx2_kernels_f32()),
-        ("avx512", simd::avx512_kernels(), simd::avx512_kernels_f32()),
-    ];
-    for (arm, k64, k32) in arms {
-        let (Some(k64), Some(k32)) = (k64, k32) else {
-            continue;
-        };
+    for (arm, k64, k32) in arms() {
         let mut got = digests_f64(k64, &in64);
         got.extend(step_digests_f64(k64));
         got.extend(digests_f32(k32, &in32));
@@ -671,19 +667,7 @@ const EXPECTED_WIDE_GEMM: [(&str, u64); 4] = [
 /// explicit-microkernel seams, must reproduce `expected` over `shapes`
 /// in both precisions.
 fn assert_gemm_pinned(shapes: &[(usize, usize, usize)], expected: &[(&str, u64); 4]) {
-    let arms: [(&str, Option<&Kernels>, Option<&KernelsF32>); 3] = [
-        (
-            "portable",
-            Some(simd::portable_kernels()),
-            Some(simd::portable_kernels_f32()),
-        ),
-        ("avx2", simd::avx2_kernels(), simd::avx2_kernels_f32()),
-        ("avx512", simd::avx512_kernels(), simd::avx512_kernels_f32()),
-    ];
-    for (arm, k64, k32) in arms {
-        let (Some(k64), Some(k32)) = (k64, k32) else {
-            continue;
-        };
+    for (arm, k64, k32) in arms() {
         let mut got = gemm_digests_f64(shapes, k64.gemm_micro);
         got.push(gemm_digest_f32(shapes, k32.gemm_micro));
         let table: String = got
