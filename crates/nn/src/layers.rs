@@ -30,8 +30,6 @@ pub trait MadeElem:
     /// Activation buffer: `Matrix` for `f64` (the backward pass reads
     /// it), `Vec` for `f32`.
     type Buf: Default + Send;
-    /// Per-row scratch of `sample_step_cols` (its contract).
-    const STEP_SCRATCH: usize;
     /// `buf` reshaped to `rows × cols`, contents unspecified.
     fn shape(buf: &mut Self::Buf, rows: usize, cols: usize) -> &mut [Self];
     /// The elements of `buf`.
@@ -43,14 +41,10 @@ pub trait MadeElem:
     fn apply(xs: &mut [Self], f: fn(&mut [Self]));
     /// A row's log-probability sum: pairwise for `f64`, flat for `f32`.
     fn row_sum(xs: &[Self]) -> f64;
-    /// Runs `f`, which writes a hidden unit's `f64` results, for panel
-    /// row `row`: in place for `f64`, through `stage` narrowed for `f32`.
-    fn unit(row: &mut [Self], stage: &mut [f64], f: impl FnOnce(&mut [f64]));
 }
 
 impl MadeElem for f64 {
     type Buf = Matrix;
-    const STEP_SCRATCH: usize = 6;
     fn shape(buf: &mut Matrix, rows: usize, cols: usize) -> &mut [f64] {
         buf.resize(rows, cols);
         buf.as_mut_slice()
@@ -67,14 +61,10 @@ impl MadeElem for f64 {
     fn row_sum(xs: &[f64]) -> f64 {
         reduce::sum(xs)
     }
-    fn unit(row: &mut [f64], _stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
-        f(row)
-    }
 }
 
 impl MadeElem for f32 {
     type Buf = Vec<f32>;
-    const STEP_SCRATCH: usize = 10;
     fn shape(buf: &mut Vec<f32>, rows: usize, cols: usize) -> &mut [f32] {
         buf.resize(rows * cols, 0.0);
         buf
@@ -90,12 +80,6 @@ impl MadeElem for f32 {
     }
     fn row_sum(xs: &[f32]) -> f64 {
         (f32::kernels().sum)(xs)
-    }
-    fn unit(row: &mut [f32], stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
-        f(stage);
-        for (dst, &v) in row.iter_mut().zip(&*stage) {
-            *dst = v as f32;
-        }
     }
 }
 
@@ -189,18 +173,25 @@ pub(crate) fn forward<E: MadeElem>(
         *v = E::from(bit);
     }
     for (l, layer) in layers.iter().enumerate() {
+        let (od, zero) = (layer.out_dim, E::default());
         let src = E::elems(if l == 0 { x } else { &h[l - 1] });
-        let zl = E::shape(&mut z[l], bs, layer.out_dim);
-        E::gemm_nt(bs, layer.out_dim, layer.in_dim, src, layer.w, zl);
-        for row in zl.chunks_exact_mut(layer.out_dim) {
-            for (v, &b) in row.iter_mut().zip(layer.b) {
-                *v += b;
+        let zl = E::shape(&mut z[l], bs, od);
+        E::gemm_nt(bs, od, layer.in_dim, src, layer.w, zl);
+        if l + 1 == layers.len() {
+            for row in zl.chunks_exact_mut(od) {
+                for (v, &b) in row.iter_mut().zip(layer.b) {
+                    *v += b;
+                }
             }
+            break;
         }
-        if l + 1 < layers.len() {
-            // ReLU as a select (`ops::relu`), so it stays branch-free.
-            for (hv, &zv) in E::shape(&mut h[l], bs, layer.out_dim).iter_mut().zip(&*zl) {
-                *hv = if zv > E::default() { zv } else { E::default() };
+        // Bias and ReLU in one pass; the ReLU is a select (`ops::relu`),
+        // so it stays branch-free.
+        let hl = E::shape(&mut h[l], bs, od);
+        for (zr, hr) in zl.chunks_exact_mut(od).zip(hl.chunks_exact_mut(od)) {
+            for ((zv, hv), &b) in zr.iter_mut().zip(hr).zip(layer.b) {
+                *zv += b;
+                *hv = if *zv > zero { *zv } else { zero };
             }
         }
     }
@@ -424,9 +415,8 @@ mod tests {
         let made = Made::new(7, 11, 2);
         let m32 = MadeF32::for_sampling(&made);
         for i in 0..7 {
-            let row = m32.view().w1t_row(i);
-            for j in 0..11 {
-                assert_eq!(row[j], made.w1().get(j, i) as f32);
+            for (j, &v) in m32.view().w1t_row(i).iter().enumerate() {
+                assert_eq!(v, made.w1().get(j, i) as f32);
             }
         }
     }
@@ -440,9 +430,8 @@ mod tests {
         let view = m32.view();
         for (l, layer) in made.layers().iter().enumerate().skip(1) {
             for i in 0..layer.out_dim() {
-                let row = view.layers()[l].row(i);
-                for j in 0..layer.in_dim() {
-                    assert_eq!(row[j], layer.w().get(i, j) as f32, "layer {l} ({i},{j})");
+                for (j, &v) in view.layers()[l].row(i).iter().enumerate() {
+                    assert_eq!(v, layer.w().get(i, j) as f32, "layer {l} ({i},{j})");
                 }
             }
         }

@@ -144,10 +144,8 @@ impl MadeWorkspace {
         MadeWorkspace::default()
     }
 
-    /// Output logits of the last forward pass (`bs × n`); after
-    /// [`Made::log_psi_with`], the per-bit log-probabilities
-    /// `logσ(±aᵢ)` it overwrote them with.
-    pub fn logits(&self) -> &Matrix {
+    /// Output logits of the last [`Made::forward_with`] (`bs × n`).
+    fn logits(&self) -> &Matrix {
         &self.z[self.num_layers - 1]
     }
 
@@ -373,9 +371,8 @@ impl Made {
     }
 
     /// [`WaveFunction::log_psi`] with caller-owned scratch and output:
-    /// the one `logψ` body of [`crate::layers`] at `f64`.  It leaves
-    /// the per-bit log-probabilities where [`MadeWorkspace::logits`]
-    /// reads.
+    /// the one `logψ` body of [`crate::layers`] at `f64` (it overwrites
+    /// the logits in `ws` with the per-bit log-probabilities).
     pub fn log_psi_with(&self, batch: &SpinBatch, ws: &mut MadeWorkspace, out: &mut Vector) {
         ws.ensure_layers(self.layers.len());
         let MadeWorkspace { x, z, h, .. } = ws;

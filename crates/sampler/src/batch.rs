@@ -213,7 +213,7 @@ struct PanelBufs<T> {
     /// update mask for `sample_step_cols`.
     prev_mask: Vec<T>,
     /// Kernel accumulator stripes plus mask stash, honouring the
-    /// kernel's scratch contract per stripe (`MadeElem::STEP_SCRATCH · rows`).
+    /// kernel's scratch contract per stripe (`KernelElem::STEP_SCRATCH · rows`).
     scratch: Vec<T>,
 }
 
@@ -424,6 +424,29 @@ impl MadeBatchSampler {
     }
 }
 
+/// A panel element: where a deep hidden unit's `f64` kernel results
+/// land in its panel row.
+trait PanelElem: MadeElem {
+    /// Runs `f`, which writes the unit's `f64` results, for panel row
+    /// `row`: in place for `f64`, through `stage` narrowed for `f32`.
+    fn unit(row: &mut [Self], stage: &mut [f64], f: impl FnOnce(&mut [f64]));
+}
+
+impl PanelElem for f64 {
+    fn unit(row: &mut [f64], _stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
+        f(row)
+    }
+}
+
+impl PanelElem for f32 {
+    fn unit(row: &mut [f32], stage: &mut [f64], f: impl FnOnce(&mut [f64])) {
+        f(stage);
+        for (dst, &v) in row.iter_mut().zip(&*stage) {
+            *dst = v as f32;
+        }
+    }
+}
+
 /// The panel pass — one body for f64 and f32 panels at every depth,
 /// over the weights of a [`MadeView`] (the model's own layers plus the
 /// cached `W₁ᵀ`, or the narrowed f32 copy).
@@ -445,7 +468,7 @@ impl MadeBatchSampler {
 /// order at any width — property-tested), and the RNG variates are
 /// pre-drawn sequentially, so output is **bit-identical at every thread
 /// count**, and coalesced ≡ solo per request.
-fn panel_pass<E: MadeElem>(
+fn panel_pass<E: PanelElem>(
     view: &MadeView<'_, E>,
     panel: &mut PanelBufs<E>,
     draw: &mut DrawBufs,

@@ -118,8 +118,10 @@ pub type SignedPairSum = fn(&[usize], &[u32], &[f64], &[[u64; PAIR_TILE]], &mut 
 /// cross-stripe combine widens.  Its agreement with the f64 table is
 /// bound-based, never bit-based.  Its transcendental slice entries
 /// route each chunk through the *same arm's* f64 kernel (widen → apply
-/// → narrow), inheriting the f64 cross-arm bit-identity, and its
-/// `sum_exp_shifted` and `signed_pair_sum` are that arm's f64 entries.
+/// → narrow), inheriting the f64 cross-arm bit-identity.  The
+/// trainer-side entries (`tanh_slice`, `xpby`, `sq_dev_sum`,
+/// `sum_exp_shifted`, `signed_pair_sum`) are `f64` in every table; the
+/// `f32` table holds its arm's `f64` entries.
 #[derive(Clone, Copy)]
 pub struct Kernels<E: 'static = f64> {
     /// Which arm this table belongs to.
@@ -130,16 +132,16 @@ pub struct Kernels<E: 'static = f64> {
     pub log_sigmoid_slice: fn(&mut [E]),
     /// In-place `ln cosh` over a slice.
     pub ln_cosh_slice: fn(&mut [E]),
-    /// In-place `tanh` over a slice.
-    pub tanh_slice: fn(&mut [E]),
+    /// In-place `tanh` over a slice, `f64` in every table.
+    pub tanh_slice: fn(&mut [f64]),
     /// In-place `e^x` over a slice (full input range).
     pub exp_slice: fn(&mut [E]),
     /// Fused dot product, `f64` result.
     pub dot: fn(&[E], &[E]) -> f64,
     /// `y ← y + α·x`.
     pub axpy: fn(&mut [E], E, &[E]),
-    /// `y ← x + β·y` (CG direction update).
-    pub xpby: fn(&mut [E], E, &[E]),
+    /// `y ← x + β·y` (CG direction update), `f64` in every table.
+    pub xpby: fn(&mut [f64], f64, &[f64]),
     /// `Σ w·max(z, 0)` (incremental-sampler logit), `f64` result.
     pub relu_dot: fn(&[E], &[E]) -> f64,
     /// Fused batched AUTO bit step over a transposed `h×b` activation
@@ -149,15 +151,14 @@ pub struct Kernels<E: 'static = f64> {
     /// `(zt, b, w_prev, prev_mask, w_out, bias, scratch, logits)`;
     /// `logits[r] = bias + Σ` matches the row path's `b2[i] + relu_dot`,
     /// in `f64` for either panel element.  `scratch` holds at least
-    /// 6·b `f64` / 10·b `f32`: panels over 64 KiB keep five (`f64`) or
-    /// nine (`f32`) accumulator stripes and a mask stash there, on
-    /// every arm.  Panics if a slice is short.
+    /// [`KernelElem::STEP_SCRATCH`]`·b` elements.  Panics if a slice is
+    /// short.
     pub sample_step_cols: SampleStepCols<E>,
     /// Plain lane-striped sum with `f64` combine (pairwise-summation
     /// base block).
     pub sum: fn(&[E]) -> f64,
-    /// `Σ (x−m)²` (variance base block).
-    pub sq_dev_sum: fn(&[E], E) -> f64,
+    /// `Σ (x−m)²` (variance base block), `f64` in every table.
+    pub sq_dev_sum: fn(&[f64], f64) -> f64,
     /// `Σ e^{x−m}` (`log_sum_exp` base block), `f64` in every table.
     pub sum_exp_shifted: fn(&[f64], f64) -> f64,
     /// The packed-GEMM microkernel: an 8×4 `f64` / 8×8 `f32` tile, one
@@ -196,15 +197,15 @@ static PORTABLE_F32: Kernels<f32> = Kernels {
     sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.sigmoid_slice),
     log_sigmoid_slice: |xs| map_via_f64(xs, PORTABLE.log_sigmoid_slice),
     ln_cosh_slice: |xs| map_via_f64(xs, PORTABLE.ln_cosh_slice),
-    tanh_slice: |xs| map_via_f64(xs, PORTABLE.tanh_slice),
+    tanh_slice: PORTABLE.tanh_slice,
     exp_slice: |xs| map_via_f64(xs, PORTABLE.exp_slice),
     dot: slices::dot::<[f32; 8]>,
     axpy: slices::axpy::<[f32; 8]>,
-    xpby: slices::xpby::<[f32; 8]>,
+    xpby: PORTABLE.xpby,
     relu_dot: slices::relu_dot::<[f32; 8]>,
     sample_step_cols: panel::sample_step_cols::<[f32; 8], 8, 1>,
     sum: slices::sum::<[f32; 8]>,
-    sq_dev_sum: slices::sq_dev_sum::<[f32; 8]>,
+    sq_dev_sum: PORTABLE.sq_dev_sum,
     sum_exp_shifted: PORTABLE.sum_exp_shifted,
     gemm_micro: micro::entry::<[f32; 8], 1>(micro::gemm_micro::<[f32; 8], 1>),
     signed_pair_sum: PORTABLE.signed_pair_sum,
@@ -286,10 +287,8 @@ mod avx2_table {
         #[target_feature(enable = "avx2", enable = "fma")]
         dot_f32(a: &[f32], b: &[f32]) -> f64 => slices::dot::<__m256>(a, b);
         axpy_f32(y: &mut [f32], alpha: f32, x: &[f32]) => slices::axpy::<__m256>(y, alpha, x);
-        xpby_f32(y: &mut [f32], beta: f32, x: &[f32]) => slices::xpby::<__m256>(y, beta, x);
         relu_dot_f32(w: &[f32], z: &[f32]) -> f64 => slices::relu_dot::<__m256>(w, z);
         sum_f32(xs: &[f32]) -> f64 => slices::sum::<__m256>(xs);
-        sq_dev_sum_f32(xs: &[f32], m: f32) -> f64 => slices::sq_dev_sum::<__m256>(xs, m);
         #[allow(clippy::too_many_arguments)]
         sample_step_cols_f32(zt: &mut [f32], b: usize, w_prev: Option<&[f32]>,
             prev_mask: &[f32], w_out: &[f32], bias: f64, scratch: &mut [f32], logits: &mut [f64])
@@ -306,15 +305,15 @@ mod avx2_table {
         sigmoid_slice: |xs| map_via_f64(xs, sigmoid_slice),
         log_sigmoid_slice: |xs| map_via_f64(xs, log_sigmoid_slice),
         ln_cosh_slice: |xs| map_via_f64(xs, ln_cosh_slice),
-        tanh_slice: |xs| map_via_f64(xs, tanh_slice),
+        tanh_slice,
         exp_slice: |xs| map_via_f64(xs, exp_slice),
         dot: dot_f32,
         axpy: axpy_f32,
-        xpby: xpby_f32,
+        xpby,
         relu_dot: relu_dot_f32,
         sample_step_cols: sample_step_cols_f32,
         sum: sum_f32,
-        sq_dev_sum: sq_dev_sum_f32,
+        sq_dev_sum,
         sum_exp_shifted,
         gemm_micro: micro::entry::<__m256, 1>(gemm_micro_f32),
         signed_pair_sum,
@@ -388,16 +387,19 @@ fn supports(arm: Backend) -> bool {
 /// An element with a kernel table per arm — `f64` (training and
 /// reference) and `f32` (inference) — under one dispatch policy.
 pub trait KernelElem: PackedElem {
+    /// Per-row scratch of `sample_step_cols`, in elements: panels over
+    /// 64 KiB keep five (`f64`) or nine (`f32`) accumulator stripes and
+    /// a mask stash there, on every arm.
+    const STEP_SCRATCH: usize;
+
     /// This element's table for `arm`, or `None` when this CPU (or
     /// build) cannot run it.  Property tests and benches use it to pit
     /// the arms against each other on one machine.
     fn table(arm: Backend) -> Option<&'static Kernels<Self>>;
 
     /// The production table (see the module docs for the fallback
-    /// policy; one resolution serves every element).
-    fn kernels() -> &'static Kernels<Self> {
-        Self::table(backend()).expect("the resolved arm runs here")
-    }
+    /// policy; one resolution serves every element), cached per element.
+    fn kernels() -> &'static Kernels<Self>;
 
     /// The portable-scalar table, whatever the dispatch resolved to.
     fn portable_kernels() -> &'static Kernels<Self> {
@@ -405,28 +407,33 @@ pub trait KernelElem: PackedElem {
     }
 }
 
-impl KernelElem for f64 {
-    fn table(arm: Backend) -> Option<&'static Kernels> {
-        supports(arm).then_some(match arm {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx512 => &avx512_table::AVX512,
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx2Fma => &avx2_table::AVX2,
-            _ => &PORTABLE,
-        })
-    }
+/// One [`KernelElem`] impl per element over its three tables.
+macro_rules! kernel_elem {
+    ($($t:ty: $scratch:expr, $portable:ident, $avx2:ident, $avx512:ident;)*) => {$(
+        impl KernelElem for $t {
+            const STEP_SCRATCH: usize = $scratch;
+
+            fn table(arm: Backend) -> Option<&'static Kernels<$t>> {
+                supports(arm).then_some(match arm {
+                    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+                    Backend::Avx512 => &avx512_table::$avx512,
+                    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+                    Backend::Avx2Fma => &avx2_table::$avx2,
+                    _ => &$portable,
+                })
+            }
+
+            fn kernels() -> &'static Kernels<$t> {
+                static ACTIVE: OnceLock<&'static Kernels<$t>> = OnceLock::new();
+                ACTIVE.get_or_init(|| Self::table(backend()).expect("the resolved arm runs here"))
+            }
+        }
+    )*};
 }
 
-impl KernelElem for f32 {
-    fn table(arm: Backend) -> Option<&'static Kernels<f32>> {
-        supports(arm).then_some(match arm {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx512 => &avx512_table::AVX512_F32,
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx2Fma => &avx2_table::AVX2_F32,
-            _ => &PORTABLE_F32,
-        })
-    }
+kernel_elem! {
+    f64: 6, PORTABLE, AVX2, AVX512;
+    f32: 10, PORTABLE_F32, AVX2_F32, AVX512_F32;
 }
 
 /// `VQMC_SIMD` runtime switch (read once at first dispatch):
