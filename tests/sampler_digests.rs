@@ -19,6 +19,13 @@
 //! seeded requests, under `par::with_threads` 1, 2 and 4.  All widths
 //! must produce the same digest, and the digests hold on every SIMD
 //! arm (`VQMC_SIMD=off`, `force-scalar`).
+//!
+//! Those shapes all have `h ≥ n − 1`, where the round-robin degrees
+//! wrap and almost every weight row is live to its end.  A second grid
+//! ([`NARROW_SHAPES`]) pins the same three dispatch shapes at
+//! `h₁ < n − 1`, where each unit has its own degree and most of every
+//! mask is structural zero — the regime in which the sampler skips the
+//! masked ranges.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,13 +117,61 @@ const EXPECTED: [(&str, u64); 18] = [
     ("d3/F32/capped", 0x4a1b7f42ec8b5b03),
 ];
 
+/// `(name, spins, first hidden width, rows)` at `h₁ < n − 1`: the row
+/// path (5 rows), the cols path (40 rows) and the L2-capped shape (a
+/// 528 KiB panel: row fallback at one thread, cols from two up).
+const NARROW_SHAPES: [(&str, usize, usize, usize); 3] = [
+    ("narrow_small", 300, 64, 5),
+    ("narrow_cols", 300, 64, 40),
+    ("narrow_capped", 300, 64, 1032),
+];
+
+/// Pinned narrow digests, in `(depth, precision, shape)` iteration
+/// order; captured before the sampler learned to skip masked ranges.
+const NARROW_EXPECTED: [(&str, u64); 18] = [
+    ("d1/F64/narrow_small", 0x638d4d85e293039b),
+    ("d1/F64/narrow_cols", 0xa8b864c1aa897e30),
+    ("d1/F64/narrow_capped", 0x9c34eb24e75fb787),
+    ("d1/F32/narrow_small", 0xc4c1e1ffdc715739),
+    ("d1/F32/narrow_cols", 0x7eede989423a51af),
+    ("d1/F32/narrow_capped", 0x2648e011831c139c),
+    ("d2/F64/narrow_small", 0xb8326f4609eb5216),
+    ("d2/F64/narrow_cols", 0x11e1256d01aa0614),
+    ("d2/F64/narrow_capped", 0xaa8d0fb498e4f1de),
+    ("d2/F32/narrow_small", 0x04c157cac1608c66),
+    ("d2/F32/narrow_cols", 0x066e5a86e615e52b),
+    ("d2/F32/narrow_capped", 0xdefa4fe6c34ebdee),
+    ("d3/F64/narrow_small", 0x116d872d739a7077),
+    ("d3/F64/narrow_cols", 0xeed4b86a02b1cdda),
+    ("d3/F64/narrow_capped", 0x815695f9fa02718e),
+    ("d3/F32/narrow_small", 0x4326d6aadaf51900),
+    ("d3/F32/narrow_cols", 0x1ab6c181c1eeb9b7),
+    ("d3/F32/narrow_capped", 0xe1c6006c3303e85c),
+];
+
 #[test]
 fn made_sampler_output_is_pinned_at_every_width() {
+    assert_grid_pinned(&SHAPES, 0, &EXPECTED);
+}
+
+#[test]
+fn narrow_made_sampler_output_is_pinned_at_every_width() {
+    assert_grid_pinned(&NARROW_SHAPES, 10, &NARROW_EXPECTED);
+}
+
+/// Draws every `(depth, precision, shape)` case of `shapes` at 1, 2 and
+/// 4 threads, asserts the widths agree, then checks the digests against
+/// `expected`.  Case `i` of a depth is seeded `100·depth + seed_base + i`.
+fn assert_grid_pinned(
+    shapes: &[(&str, usize, usize, usize)],
+    seed_base: u64,
+    expected: &[(&str, u64)],
+) {
     let mut cases = Vec::new();
     for depth in 1..=3usize {
         for precision in [Precision::F64, Precision::F32] {
-            for (i, &(shape, n, h1, rows)) in SHAPES.iter().enumerate() {
-                let seed = 100 * depth as u64 + i as u64;
+            for (i, &(shape, n, h1, rows)) in shapes.iter().enumerate() {
+                let seed = 100 * depth as u64 + seed_base + i as u64;
                 let wf = Made::with_hidden(n, &hidden(h1, depth), seed);
                 cases.push((
                     format!("d{depth}/{precision:?}/{shape}"),
@@ -146,8 +201,9 @@ fn made_sampler_output_is_pinned_at_every_width() {
     for (t, digests) in actual.iter().enumerate() {
         assert_eq!(digests, &actual[0], "width index {t} differs from width 1");
     }
+    assert_eq!(cases.len(), expected.len(), "case count changed");
     for ((name, ..), (&got, &(want_name, want))) in
-        cases.iter().zip(actual[0].iter().zip(&EXPECTED))
+        cases.iter().zip(actual[0].iter().zip(expected))
     {
         assert_eq!(name, want_name, "case order changed");
         assert_eq!(
