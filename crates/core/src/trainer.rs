@@ -466,6 +466,38 @@ mod tests {
         }
     }
 
+    /// The invariant the incremental sampler's schedule rests on: a
+    /// weight whose mask entry is 0 is stored as an exact zero, at init
+    /// and after every optimiser step (Adam and SR alike), so skipping
+    /// it skips an exact ±0 product.  The model is narrow (`h < n − 1`),
+    /// where most of every mask is zero.
+    #[test]
+    fn masked_weights_stay_exactly_zero_through_adam_and_sr() {
+        let n = 24;
+        let h = TransverseFieldIsing::random(n, 5);
+        for choice in [OptimizerChoice::paper_default(), OptimizerChoice::paper_sr()] {
+            let cfg = small_config(4, 32, choice, 3);
+            let wf = Made::with_hidden(n, &[10, 6], 3);
+            let start = wf.params();
+            let mut t = Trainer::new(wf, IncrementalAutoSampler::new(), cfg);
+            let mut opt = t.make_optimizer();
+            for step in 0..4 {
+                t.step(&h, opt.as_mut());
+                for (l, layer) in t.wavefunction().layers().iter().enumerate() {
+                    let (w, mask) = (layer.w().as_slice(), layer.mask().as_slice());
+                    for (e, (&w, &m)) in w.iter().zip(mask).enumerate() {
+                        assert!(
+                            m != 0.0 || w == 0.0,
+                            "{choice:?} step {step}: layer {l} masked weight {e} is {w}"
+                        );
+                    }
+                }
+            }
+            let end = t.wavefunction().params();
+            assert_ne!(start.as_slice(), end.as_slice(), "{choice:?}: nothing trained");
+        }
+    }
+
     #[test]
     fn energy_respects_variational_bound() {
         // L(θ) ≥ λ_min at every iteration (Eq. 1's inequality) — up to

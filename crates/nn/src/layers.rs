@@ -20,6 +20,7 @@ use vqmc_tensor::gemm::{gemm_nt_f32, gemm_nt_slices};
 use vqmc_tensor::simd::KernelElem;
 use vqmc_tensor::{par, reduce, Matrix, SpinBatch, Vector};
 
+use crate::masks::LayerSchedule;
 use crate::{Made, MAX_LAYERS};
 
 /// An element the MADE stack runs on: `f64` (training and reference)
@@ -84,8 +85,9 @@ impl MadeElem for f32 {
 }
 
 /// One masked layer, borrowed: row-major `w` (`out_dim × in_dim`;
-/// empty when the owner keeps only `W₁ᵀ`) and bias `b`.
-#[derive(Clone, Copy, Debug, Default)]
+/// empty when the owner keeps only `W₁ᵀ`), bias `b`, and where the
+/// layer's mask is live.
+#[derive(Clone, Copy, Debug)]
 pub struct LayerView<'a, E> {
     /// Row-major weights.
     pub w: &'a [E],
@@ -95,6 +97,23 @@ pub struct LayerView<'a, E> {
     pub out_dim: usize,
     /// Input width.
     pub in_dim: usize,
+    /// The mask's live structure (the incremental sampler's schedule).
+    pub sched: &'a LayerSchedule,
+}
+
+/// The schedule of a view slot that holds no layer.
+static NO_SCHEDULE: LayerSchedule = LayerSchedule::EMPTY;
+
+impl<E> Default for LayerView<'_, E> {
+    fn default() -> Self {
+        LayerView {
+            w: &[],
+            b: &[],
+            out_dim: 0,
+            in_dim: 0,
+            sched: &NO_SCHEDULE,
+        }
+    }
 }
 
 impl<'a, E> LayerView<'a, E> {
@@ -228,6 +247,7 @@ struct LayerF32 {
     b: Vec<f32>,
     out_dim: usize,
     in_dim: usize,
+    sched: LayerSchedule,
 }
 
 /// Single-precision inference copy of a [`Made`]: `f32` weights and
@@ -290,6 +310,7 @@ impl MadeF32 {
             b: narrow(layer.b),
             out_dim: layer.out_dim,
             in_dim: layer.in_dim,
+            sched: layer.sched.clone(),
         });
         let mut w1t = Vec::new();
         if !rows {
@@ -315,6 +336,7 @@ impl MadeF32 {
             b: &l.b,
             out_dim: l.out_dim,
             in_dim: l.in_dim,
+            sched: &l.sched,
         }));
         if self.w1t.is_empty() {
             view

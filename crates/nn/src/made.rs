@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
 
 use crate::layers::{self, LayerView, MadeView};
-use crate::masks;
+use crate::masks::{self, LayerSchedule};
 use crate::{init, Autoregressive, WaveFunction};
 
 /// Hard cap on stack size (hidden layers + output layer).  Lets the
@@ -57,6 +57,10 @@ pub struct MaskedLinear {
     w: Matrix,
     b: Vector,
     mask: Matrix,
+    /// Where `mask` is live, for the incremental sampler.  A function
+    /// of the shape, like the mask: [`Made::with_hidden`] builds both.
+    #[serde(skip)]
+    sched: LayerSchedule,
 }
 
 impl MaskedLinear {
@@ -73,6 +77,11 @@ impl MaskedLinear {
     /// The binary mask (`out × in`).
     pub fn mask(&self) -> &Matrix {
         &self.mask
+    }
+
+    /// The mask's live structure (see [`LayerSchedule`]).
+    pub fn schedule(&self) -> &LayerSchedule {
+        &self.sched
     }
 
     /// Output width.
@@ -264,14 +273,16 @@ impl Made {
             let mut w = init::xavier_uniform(hl, in_dim, &mut rng);
             w.hadamard_inplace(&mask);
             let b = init::linear_bias(in_dim, hl, &mut rng);
-            layers.push(MaskedLinear { w, b, mask });
+            let sched = LayerSchedule::new(&mask, Some(&degrees[l]), n);
+            layers.push(MaskedLinear { w, b, mask, sched });
             in_dim = hl;
         }
         let mask = masks::output_mask(n, degrees.last().unwrap());
         let mut w = init::xavier_uniform(n, in_dim, &mut rng);
         w.hadamard_inplace(&mask);
         let b = init::linear_bias(in_dim, n, &mut rng);
-        layers.push(MaskedLinear { w, b, mask });
+        let sched = LayerSchedule::new(&mask, None, n);
+        layers.push(MaskedLinear { w, b, mask, sched });
         Made {
             n,
             hidden: hidden.to_vec(),
@@ -348,6 +359,7 @@ impl Made {
             b: l.b.as_slice(),
             out_dim: l.out_dim(),
             in_dim: l.in_dim(),
+            sched: &l.sched,
         });
         MadeView::new(layers)
     }

@@ -76,6 +76,103 @@ pub fn output_mask(n: usize, degrees: &[usize]) -> Matrix {
     })
 }
 
+/// One masked layer's live structure, in the order the incremental
+/// sampler reveals bits.  Built once per model, next to the mask it
+/// describes ([`crate::Made::with_hidden`], which checkpoint loads go
+/// through too), so no pass scans a mask.
+///
+/// * `live_end(k)`: one past row `k`'s last unmasked entry — a logit or
+///   hidden unit reads only that prefix of its inputs;
+/// * `col_start(d)`: column `d`'s first unmasked row — revealing input
+///   `d` changes only the units from there on (`out_dim` when the
+///   column is fully masked);
+/// * `ready_at(i)` (hidden layers): the units whose degree is `i`.  A
+///   unit of degree `m` reads, through every layer below it, only
+///   inputs `< m`, so its value is final from bit `m` on — its *ready
+///   bit* — and the units that read it (degree `≥ m`) are first needed
+///   there too.
+#[derive(Clone, Debug, Default)]
+pub struct LayerSchedule {
+    live_end: Vec<usize>,
+    col_start: Vec<usize>,
+    /// The layer's units by ready bit (stable); empty for the output layer.
+    by_ready: Vec<usize>,
+    /// `by_ready[ready_start[i]..ready_start[i + 1]]` are ready at bit
+    /// `i` (`n + 1` offsets; empty for the output layer).
+    ready_start: Vec<usize>,
+}
+
+impl LayerSchedule {
+    /// The schedule of no layer.
+    pub const EMPTY: LayerSchedule = LayerSchedule {
+        live_end: Vec::new(),
+        col_start: Vec::new(),
+        by_ready: Vec::new(),
+        ready_start: Vec::new(),
+    };
+
+    /// The schedule of a layer with mask `mask` (`out × in`); `degrees`
+    /// are the layer's unit degrees over `n` inputs for a hidden layer,
+    /// `None` for the output layer.
+    pub fn new(mask: &Matrix, degrees: Option<&[usize]>, n: usize) -> Self {
+        let (rows, cols) = (mask.rows(), mask.cols());
+        let mut col_start = vec![rows; cols];
+        let live_end = mask
+            .rows_iter()
+            .enumerate()
+            .map(|(k, row)| {
+                for (d, _) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+                    col_start[d] = col_start[d].min(k);
+                }
+                row.iter().rposition(|&v| v != 0.0).map_or(0, |j| j + 1)
+            })
+            .collect();
+        let (mut by_ready, mut ready_start) = (Vec::new(), Vec::new());
+        if let Some(degrees) = degrees {
+            assert_eq!(degrees.len(), rows, "LayerSchedule: one degree per unit");
+            ready_start = vec![0; n + 1];
+            for &m in degrees {
+                assert!(m < n.max(1), "LayerSchedule: degree {m} past the last bit");
+                ready_start[m + 1] += 1;
+            }
+            for i in 0..n {
+                ready_start[i + 1] += ready_start[i];
+            }
+            by_ready = (0..rows).collect();
+            by_ready.sort_by_key(|&k| degrees[k]);
+        }
+        LayerSchedule {
+            live_end,
+            col_start,
+            by_ready,
+            ready_start,
+        }
+    }
+
+    /// One past the last unmasked entry of weight row `k`.
+    pub fn live_end(&self, k: usize) -> usize {
+        self.live_end[k]
+    }
+
+    /// The first unmasked row of input column `d` (the layer's output
+    /// width if none).
+    pub fn col_start(&self, d: usize) -> usize {
+        self.col_start[d]
+    }
+
+    /// The units whose ready bit is `i` (hidden layers), ascending.
+    pub fn ready_at(&self, i: usize) -> &[usize] {
+        &self.by_ready[self.ready_start[i]..self.ready_start[i + 1]]
+    }
+
+    /// The last bit at which some unit becomes ready, if any does.
+    pub fn last_ready(&self) -> Option<usize> {
+        let total = self.by_ready.len();
+        let past = self.ready_start.partition_point(|&s| s < total);
+        (total > 0).then(|| past - 1)
+    }
+}
+
 /// The effective input-to-output connectivity `C = M² · M¹ (n×n)`:
 /// `C[i, d] > 0` iff output `i` can be influenced by input `d`.
 /// Strictly lower-triangular by construction; the tests assert it.
@@ -183,6 +280,49 @@ mod tests {
         let m2 = output_mask(1, &deg);
         assert!(m1.as_slice().iter().all(|&v| v == 0.0));
         assert!(m2.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    /// The schedule is the masks' live structure, exactly: row `k` is
+    /// masked from `live_end(k)` on and live just before it, column `d`
+    /// masked above `col_start(d)` and live there, and `ready_at` lists
+    /// every hidden unit once, at its degree.
+    #[test]
+    fn schedule_matches_masks_and_degrees() {
+        for (n, h) in [(1usize, 4usize), (2, 3), (6, 16), (10, 7), (40, 12), (300, 64)] {
+            let deg = hidden_degrees(n, h);
+            let prev = hidden_degrees(n, (h / 2).max(1));
+            let layers = [
+                (input_mask(n, &deg), Some(&deg)),
+                (hidden_mask(&prev, &deg), Some(&deg)),
+                (output_mask(n, &deg), None),
+            ];
+            for (l, (mask, degrees)) in layers.iter().enumerate() {
+                let sched = LayerSchedule::new(mask, degrees.map(|d| d.as_slice()), n);
+                for k in 0..mask.rows() {
+                    let (row, end) = (mask.row(k), sched.live_end(k));
+                    assert!(row[end..].iter().all(|&v| v == 0.0), "n={n} layer {l} row {k}");
+                    assert!(end == 0 || row[end - 1] == 1.0, "n={n} layer {l} row {k}");
+                }
+                for d in 0..mask.cols() {
+                    let start = sched.col_start(d);
+                    assert!((0..start).all(|k| mask.get(k, d) == 0.0), "n={n} layer {l} col {d}");
+                    assert!(start == mask.rows() || mask.get(start, d) == 1.0);
+                }
+                let Some(degrees) = degrees else {
+                    assert_eq!(sched.last_ready(), None);
+                    continue;
+                };
+                let mut seen = vec![false; h];
+                for i in 0..n {
+                    for &k in sched.ready_at(i) {
+                        assert_eq!(degrees[k], i, "n={n} layer {l} unit {k}");
+                        assert!(!std::mem::replace(&mut seen[k], true), "unit {k} twice");
+                    }
+                }
+                assert!(seen.iter().all(|&s| s), "n={n} layer {l}: a unit is never ready");
+                assert_eq!(sched.last_ready(), degrees.iter().copied().max());
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use rand::{Rng, SeedableRng};
 use vqmc_nn::{
     BatchedSampling, Made, MadeElem, MadeF32, MadeView, Nade, Rbm, SamplingEngine, WaveFunction,
 };
+use vqmc_tensor::simd::KernelElem;
 use vqmc_tensor::{ops, par, Matrix, Precision, SpinBatch, Vector};
 
 use crate::{McmcSampler, SampleOutput, SampleStats};
@@ -370,7 +371,9 @@ impl MadeBatchSampler {
     }
 
     /// The depth-1 f64 row path: `z1[s]` starts at `b1` and absorbs
-    /// `W₁`'s column `i` when bit `i` is drawn 1.
+    /// `W₁`'s column `i` when bit `i` is drawn 1 — only from the
+    /// column's first unmasked unit on.  Logit `i` reads only its row's
+    /// live prefix ([`live_prefix`]).
     fn row_pass(
         &mut self,
         wf: &Made,
@@ -382,6 +385,7 @@ impl MadeBatchSampler {
         let h = wf.hidden_size();
         let rows: usize = counts.iter().sum();
         let (b1, w2, b2) = (wf.b1(), wf.w2(), wf.b2());
+        let (sched1, sched2) = (wf.layers()[0].schedule(), wf.layers()[1].schedule());
         let relu_dot = vqmc_tensor::simd::kernels().relu_dot;
         let draw = &mut self.draw;
         self.z1.clear();
@@ -390,10 +394,11 @@ impl MadeBatchSampler {
             self.z1.extend_from_slice(b1);
         }
         for i in 0..n {
-            let w2_row = w2.row(i);
-            let w1_col = self.w1_t.row(i);
+            let w2_row = &w2.row(i)[..live_prefix::<f64>(sched2.live_end(i), h)];
+            let live = sched1.col_start(i);
+            let w1_col = &self.w1_t.row(i)[live..];
             for s in 0..rows {
-                let z_row = &self.z1[s * h..(s + 1) * h];
+                let z_row = &self.z1[s * h..s * h + w2_row.len()];
                 draw.logits[s] = b2[i] + relu_dot(w2_row, z_row);
             }
             draw.probs.copy_from_slice(&draw.logits);
@@ -411,7 +416,7 @@ impl MadeBatchSampler {
                     debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
                     if rng.gen::<f64>() < p {
                         out_batch.set(s, i, 1);
-                        vqmc_tensor::vector::axpy(&mut self.z1[s * h..(s + 1) * h], 1.0, w1_col);
+                        vqmc_tensor::vector::axpy(&mut self.z1[s * h + live..(s + 1) * h], 1.0, w1_col);
                     } else {
                         draw.logits[s] = -draw.logits[s];
                     }
@@ -447,17 +452,47 @@ impl PanelElem for f32 {
     }
 }
 
+/// How much of a weight row a reduction without an update reads: the
+/// live prefix `[0, live)` rounded up to whole stripes, or the whole
+/// row once that reaches the sequential tail block.  Every skipped
+/// term is a masked weight (an exact ±0) times a finite activation,
+/// which would leave its `+0`-started stripe accumulator bit-exact, and
+/// every kept term stays in its stripe and position
+/// ([`KernelElem::STRIPES`]) — so the logit's bits do not move.
+fn live_prefix<E: KernelElem>(live: usize, len: usize) -> usize {
+    let cut = live.next_multiple_of(E::STRIPES);
+    if cut <= len - len % E::STRIPES {
+        cut
+    } else {
+        len
+    }
+}
+
 /// The panel pass — one body for f64 and f32 panels at every depth,
 /// over the weights of a [`MadeView`] (the model's own layers plus the
-/// cached `W₁ᵀ`, or the narrowed f32 copy).
+/// cached `W₁ᵀ`, or the narrowed f32 copy), driven by the masks'
+/// [`LayerSchedule`](vqmc_nn::masks::LayerSchedule).
 ///
 /// Per bit `i`, each pool stripe runs one fused `sample_step_cols` call
-/// per hidden unit of layers `2…D` (each a `bias + Σⱼ w[j]·relu(panel[j])`
-/// reduction over the previous layer's panel) and one for output logit
-/// `i` over the last panel.  Bit `i−1`'s deferred `W₁`-column update
-/// rides the first call that reads the layer-1 panel: unit 0 of layer 2,
-/// or at depth 1 the output logit itself.  Then `σ`, the draw against
-/// the pre-drawn variates, and the deferred-update mask for bit `i+1`.
+/// per hidden unit of layers `2…D` whose *ready bit* is `i` (each a
+/// `bias + Σⱼ w[j]·relu(panel[j])` reduction over the previous layer's
+/// panel), then one for output logit `i` over the last panel.  A deep
+/// unit of degree `m` reads only inputs `< m`, so it is final from bit
+/// `m` on, and nothing reads it earlier: each is computed **once** per
+/// sample and stays in its panel.  Then `σ`, the draw against the
+/// pre-drawn variates, and the deferred-update mask for bit `i+1`.
+///
+/// Bit `i−1`'s deferred `W₁`-column update rides the first call that
+/// reads the layer-1 panel (a ready unit of layer 2, or at depth 1 the
+/// output logit), which runs over the whole row.  It is dropped when
+/// the column is fully masked, and at depth ≥ 2 after layer 2's last
+/// ready bit, when the layer-1 panel is never read again.  Every other
+/// call reads only its row's live prefix ([`live_prefix`]).  The
+/// skipped terms are products of a masked weight — an exact ±0, which
+/// `Made::set_params` re-masks on every write — and a finite panel
+/// entry: `zdeep` is zeroed at pass start, so a unit not yet computed
+/// reads as `0`.  A skipped update leaves a ±0 difference in the panel,
+/// which the ReLU select erases.  No output bit moves.
 ///
 /// Parallelism: the batch is split into at most one contiguous,
 /// 8-row-aligned stripe per pool worker (a pure function of `(rows,
@@ -483,6 +518,13 @@ fn panel_pass<E: PanelElem>(
     let rows: usize = counts.iter().sum();
     let step = E::kernels().sample_step_cols;
     let sigmoid = vqmc_tensor::simd::kernels().sigmoid_slice;
+    // The last bit whose W₁ update is still read: at depth ≥ 2 only
+    // layer 2 reads the layer-1 panel.
+    let last_update = if depth == 1 {
+        n
+    } else {
+        layers[1].sched.last_ready().unwrap_or(0)
+    };
     // Panel offsets, on the stack (no per-call allocation): hidden
     // layer `l ≥ 2` (index `l−1 ≥ 1`) owns `hidden[l−1]·rows` elements
     // of `zdeep`, stripe-blocked like `z1t`.
@@ -518,9 +560,10 @@ fn panel_pass<E: PanelElem>(
             panel.z1t.extend(std::iter::repeat_n(bj, end - start));
         }
     }
-    // Deep panel contents are fully overwritten every bit, so the
-    // resize fill value is never read.
+    // Deep units not yet computed are read (times a masked ±0 weight)
+    // by the stripe-rounded prefixes, so they must be finite: zero.
     let zero = E::from(0);
+    panel.zdeep.clear();
     panel.zdeep.resize(total, zero);
     panel.prev_mask.clear();
     panel.prev_mask.resize(rows, zero);
@@ -544,7 +587,8 @@ fn panel_pass<E: PanelElem>(
                 s += 1;
             }
         }
-        let w_prev = (i > 0).then(|| view.w1t_row(i - 1));
+        let w_prev = (i > 0 && i <= last_update && layers[0].sched.col_start(i - 1) < h1)
+            .then(|| view.w1t_row(i - 1));
         let c = i % LS_CHUNK;
         let pz = par::SendPtr(panel.z1t.as_mut_ptr());
         let pzd = par::SendPtr(panel.zdeep.as_mut_ptr());
@@ -575,12 +619,17 @@ fn panel_pass<E: PanelElem>(
                 let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
                 let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
                 let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                // One fused reduction over a panel; bit i−1's deferred
-                // W₁-column update is taken by the first call, which is
-                // the first one to read the layer-1 panel.
+                // One fused reduction of weight row `w` over a panel:
+                // the whole row when it carries the update, else the
+                // row's live prefix.
                 let mut wp = w_prev;
-                let mut reduce = |src: &mut [E], w: &[E], bias: E, out: &mut [f64]| {
-                    step(src, bw, wp.take(), &*mask_s, w, bias.into(), scratch_s, out)
+                let mut reduce = |src: &mut [E], w: &[E], live, bias: E, out: &mut [f64]| {
+                    let update = wp.take();
+                    let w = match update {
+                        Some(_) => w,
+                        None => &w[..live_prefix::<E>(live, w.len())],
+                    };
+                    step(src, bw, update, &*mask_s, w, bias.into(), scratch_s, out)
                 };
                 let mut src = from_raw_parts_mut(pz.get().add(h1 * start), h1 * bw);
                 for (l, layer) in layers.iter().enumerate().take(depth).skip(1) {
@@ -588,15 +637,23 @@ fn panel_pass<E: PanelElem>(
                     let dst = from_raw_parts_mut(pzd.get().add(doff[l] + hl * start), hl * bw);
                     // The logits stripe is free until the output
                     // reduction, so it stages the f32 arm's units.
-                    for (k, row) in dst.chunks_exact_mut(bw).enumerate() {
-                        E::unit(row, logits_s, |out| {
-                            reduce(src, layer.row(k), layer.b[k], out)
+                    for &k in layer.sched.ready_at(i) {
+                        let live = layer.sched.live_end(k);
+                        E::unit(&mut dst[k * bw..(k + 1) * bw], logits_s, |out| {
+                            reduce(src, layer.row(k), live, layer.b[k], out)
                         });
+                    }
+                    if l == 1 && w_prev.is_some() && layer.sched.ready_at(i).is_empty() {
+                        // No layer-2 unit is ready at this bit, yet one
+                        // will read the layer-1 panel later: the update
+                        // rides a reduction whose result is discarded.
+                        reduce(src, layer.row(0), layer.in_dim, zero, logits_s);
                     }
                     src = dst;
                 }
                 let out_layer = &layers[depth];
-                reduce(src, out_layer.row(i), out_layer.b[i], logits_s);
+                let live = out_layer.sched.live_end(i);
+                reduce(src, out_layer.row(i), live, out_layer.b[i], logits_s);
                 probs_s.copy_from_slice(logits_s);
                 sigmoid(probs_s);
                 // Same draw order as the row path; the update is
@@ -1183,12 +1240,20 @@ mod tests {
     /// `logψ` agrees within the incremental-vs-naive contract (same
     /// arithmetic, different accumulation order) — at depths 2 and 3,
     /// across batch sizes that land on either side of the striping
-    /// minimum.
+    /// minimum.  The `n = 40` stacks are narrow (`h < n − 1`): every
+    /// unit has its own ready bit, the layer-1 updates stop at layer
+    /// 2's last one, and most reductions read a stripe-rounded prefix.
     #[test]
     fn deep_stream_matches_naive_auto_sampler() {
-        for hidden in [vec![11usize, 6], vec![9, 7, 5]] {
+        let stacks = [
+            (7, vec![11usize, 6]),
+            (7, vec![9, 7, 5]),
+            (40, vec![12, 6]),
+            (40, vec![16, 10, 6]),
+        ];
+        for (n, hidden) in stacks {
             for seed in 0..4u64 {
-                let wf = Made::with_hidden(7, &hidden, 100 + seed);
+                let wf = Made::with_hidden(n, &hidden, 100 + seed);
                 for count in [3usize, 16, 40] {
                     let naive = crate::AutoSampler::new().sample(
                         &wf,
@@ -1207,14 +1272,12 @@ mod tests {
                     assert_eq!(
                         naive.batch.as_bytes(),
                         b.as_bytes(),
-                        "depth {} seed {seed} count {count}: batches differ",
-                        hidden.len()
+                        "n {n} hidden {hidden:?} seed {seed} count {count}: batches differ"
                     );
                     for s in 0..count {
                         assert!(
                             (naive.log_psi[s] - lp[s]).abs() < 1e-10,
-                            "depth {} seed {seed} count {count} row {s}: logψ differs",
-                            hidden.len()
+                            "n {n} hidden {hidden:?} seed {seed} count {count} row {s}: logψ differs"
                         );
                     }
                 }

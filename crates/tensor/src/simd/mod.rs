@@ -392,6 +392,14 @@ pub trait KernelElem: PackedElem {
     /// a mask stash there, on every arm.
     const STEP_SCRATCH: usize;
 
+    /// Accumulator stripes of `relu_dot` and `sample_step_cols` (one
+    /// 256-bit row of elements, on every arm): unit `j` of a full block
+    /// of `STRIPES` feeds stripe `j % STRIPES`, and the units past the
+    /// last full block a sequential tail.  Cutting a reduction at a
+    /// multiple of `STRIPES` inside the full blocks therefore leaves
+    /// every kept term in its stripe and position.
+    const STRIPES: usize;
+
     /// This element's table for `arm`, or `None` when this CPU (or
     /// build) cannot run it.  Property tests and benches use it to pit
     /// the arms against each other on one machine.
@@ -409,9 +417,10 @@ pub trait KernelElem: PackedElem {
 
 /// One [`KernelElem`] impl per element over its three tables.
 macro_rules! kernel_elem {
-    ($($t:ty: $scratch:expr, $portable:ident, $avx2:ident, $avx512:ident;)*) => {$(
+    ($($t:ty: $scratch:expr, $stripes:expr, $portable:ident, $avx2:ident, $avx512:ident;)*) => {$(
         impl KernelElem for $t {
             const STEP_SCRATCH: usize = $scratch;
+            const STRIPES: usize = $stripes;
 
             fn table(arm: Backend) -> Option<&'static Kernels<$t>> {
                 supports(arm).then_some(match arm {
@@ -432,8 +441,8 @@ macro_rules! kernel_elem {
 }
 
 kernel_elem! {
-    f64: 6, PORTABLE, AVX2, AVX512;
-    f32: 10, PORTABLE_F32, AVX2_F32, AVX512_F32;
+    f64: 6, 4, PORTABLE, AVX2, AVX512;
+    f32: 10, 8, PORTABLE_F32, AVX2_F32, AVX512_F32;
 }
 
 /// `VQMC_SIMD` runtime switch (read once at first dispatch):
