@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
 
 use crate::layers::{self, LayerView, MadeView};
-use crate::masks::{self, LayerSchedule};
+use crate::masks::{self, LayerSchedule, MaskKeys};
 use crate::{init, Autoregressive, WaveFunction};
 
 /// Hard cap on stack size (hidden layers + output layer).  Lets the
@@ -265,23 +265,25 @@ impl Made {
         let mut layers = Vec::with_capacity(hidden.len() + 1);
         let mut in_dim = n;
         for (l, &hl) in hidden.iter().enumerate() {
-            let mask = if l == 0 {
-                masks::input_mask(n, &degrees[0])
+            let keys = if l == 0 {
+                MaskKeys::input(n, &degrees[0])
             } else {
-                masks::hidden_mask(&degrees[l - 1], &degrees[l])
+                MaskKeys::hidden(&degrees[l - 1], &degrees[l])
             };
+            let mask = keys.mask();
             let mut w = init::xavier_uniform(hl, in_dim, &mut rng);
             w.hadamard_inplace(&mask);
             let b = init::linear_bias(in_dim, hl, &mut rng);
-            let sched = LayerSchedule::new(&mask, Some(&degrees[l]), n);
+            let sched = LayerSchedule::new(&keys, Some(&degrees[l]), n);
             layers.push(MaskedLinear { w, b, mask, sched });
             in_dim = hl;
         }
-        let mask = masks::output_mask(n, degrees.last().unwrap());
+        let keys = MaskKeys::output(n, degrees.last().unwrap());
+        let mask = keys.mask();
         let mut w = init::xavier_uniform(n, in_dim, &mut rng);
         w.hadamard_inplace(&mask);
         let b = init::linear_bias(in_dim, n, &mut rng);
-        let sched = LayerSchedule::new(&mask, None, n);
+        let sched = LayerSchedule::new(&keys, None, n);
         layers.push(MaskedLinear { w, b, mask, sched });
         Made {
             n,

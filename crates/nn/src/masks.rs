@@ -32,48 +32,67 @@ pub fn hidden_degrees(n: usize, h: usize) -> Vec<usize> {
     (0..h).map(|k| (k % (n - 1)) + 1).collect()
 }
 
-/// Hidden-layer mask `M¹ (h×n)`: unit `k` sees inputs `0..m(k)`.
-pub fn input_mask(n: usize, degrees: &[usize]) -> Matrix {
-    Matrix::from_fn(degrees.len(), n, |k, d| {
-        if degrees[k] > d {
-            1.0
-        } else {
-            0.0
-        }
-    })
+/// A MADE mask in threshold form: `M[k, j] = 1 ⇔ rows[k] ≥ cols[j]`.
+/// All three MADE masks have this form, so a layer's dense mask
+/// ([`MaskKeys::mask`]) and its [`LayerSchedule`] are read off the same
+/// keys.
+#[derive(Clone, Debug)]
+pub struct MaskKeys {
+    /// One key per output unit (mask row).
+    pub rows: Vec<usize>,
+    /// One key per input (mask column); a key above every row key is
+    /// never live.
+    pub cols: Vec<usize>,
 }
 
-/// Hidden-to-hidden mask `Mˡ (next×prev)` for stacks deeper than one
-/// hidden layer: unit `k` of the next layer (degree `m_l(k)`) may see
-/// unit `j` of the previous layer (degree `m_{l-1}(j)`) iff
-/// `m_l(k) ≥ m_{l-1}(j)` — **non-strict**, unlike the output mask.
-/// Strictness is only needed at the output: composing
-/// `d + 1 ≤ m_1 ≤ m_2 ≤ … ≤ m_L < i + 1` still implies `d < i`, while
-/// non-strict interior hops keep every degree class reachable at depth.
-/// Degree-0 units (the `n == 1` degenerate case) carry no input
-/// information, so connecting them is harmless; the composed
-/// connectivity test below pins the invariant either way.
-pub fn hidden_mask(prev_degrees: &[usize], degrees: &[usize]) -> Matrix {
-    Matrix::from_fn(degrees.len(), prev_degrees.len(), |k, j| {
-        if degrees[k] >= prev_degrees[j] {
-            1.0
-        } else {
-            0.0
+impl MaskKeys {
+    /// Hidden-layer mask `M¹ (h×n)`: unit `k` sees inputs `0..m(k)`,
+    /// i.e. `m(k) ≥ d + 1`.
+    pub fn input(n: usize, degrees: &[usize]) -> Self {
+        MaskKeys {
+            rows: degrees.to_vec(),
+            cols: (1..=n).collect(),
         }
-    })
-}
+    }
 
-/// Output-layer mask `M² (n×h)`: output `i` uses units with
-/// `m(k) < i + 1`, but never units with degree 0 (the `n == 1`
-/// degenerate case).
-pub fn output_mask(n: usize, degrees: &[usize]) -> Matrix {
-    Matrix::from_fn(n, degrees.len(), |i, k| {
-        if degrees[k] >= 1 && i + 1 > degrees[k] {
-            1.0
-        } else {
-            0.0
+    /// Hidden-to-hidden mask `Mˡ (next×prev)` for stacks deeper than
+    /// one hidden layer: unit `k` of the next layer (degree `m_l(k)`)
+    /// may see unit `j` of the previous layer (degree `m_{l-1}(j)`) iff
+    /// `m_l(k) ≥ m_{l-1}(j)` — **non-strict**, unlike the output mask.
+    /// Strictness is only needed at the output: composing
+    /// `d + 1 ≤ m_1 ≤ m_2 ≤ … ≤ m_L < i + 1` still implies `d < i`,
+    /// while non-strict interior hops keep every degree class reachable
+    /// at depth.  Degree-0 units (the `n == 1` degenerate case) carry no
+    /// input information, so connecting them is harmless; the composed
+    /// connectivity test below pins the invariant either way.
+    pub fn hidden(prev_degrees: &[usize], degrees: &[usize]) -> Self {
+        MaskKeys {
+            rows: degrees.to_vec(),
+            cols: prev_degrees.to_vec(),
         }
-    })
+    }
+
+    /// Output-layer mask `M² (n×h)`: output `i` uses units with
+    /// `m(k) < i + 1`, but never units with degree 0 (the `n == 1`
+    /// degenerate case).
+    pub fn output(n: usize, degrees: &[usize]) -> Self {
+        let never = |m: usize| if m >= 1 { m } else { usize::MAX };
+        MaskKeys {
+            rows: (0..n).collect(),
+            cols: degrees.iter().map(|&m| never(m)).collect(),
+        }
+    }
+
+    /// The dense 0/1 mask.
+    pub fn mask(&self) -> Matrix {
+        Matrix::from_fn(self.rows.len(), self.cols.len(), |k, j| {
+            if self.rows[k] >= self.cols[j] {
+                1.0
+            } else {
+                0.0
+            }
+        })
+    }
 }
 
 /// One masked layer's live structure, in the order the incremental
@@ -111,22 +130,30 @@ impl LayerSchedule {
         ready_start: Vec::new(),
     };
 
-    /// The schedule of a layer with mask `mask` (`out × in`); `degrees`
-    /// are the layer's unit degrees over `n` inputs for a hidden layer,
-    /// `None` for the output layer.
-    pub fn new(mask: &Matrix, degrees: Option<&[usize]>, n: usize) -> Self {
-        let (rows, cols) = (mask.rows(), mask.cols());
-        let mut col_start = vec![rows; cols];
-        let live_end = mask
-            .rows_iter()
-            .enumerate()
-            .map(|(k, row)| {
-                for (d, _) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
-                    col_start[d] = col_start[d].min(k);
-                }
-                row.iter().rposition(|&v| v != 0.0).map_or(0, |j| j + 1)
-            })
-            .collect();
+    /// The schedule of the layer masked by `keys`; `degrees` are its
+    /// units' degrees over `n` inputs for a hidden layer, `None` for the
+    /// output layer.  Linear in the layer's width, not its mask.
+    pub fn new(keys: &MaskKeys, degrees: Option<&[usize]>, n: usize) -> Self {
+        let rows = keys.rows.len();
+        let top = keys.rows.iter().copied().max().unwrap_or(0);
+        // `last_le[t]`: one past the last column whose key is ≤ t;
+        // `first_ge[t]`: the first row whose key is ≥ t.
+        let mut last_le = vec![0; top + 1];
+        for (j, &c) in keys.cols.iter().enumerate().filter(|(_, &c)| c <= top) {
+            last_le[c] = j + 1;
+        }
+        for t in 1..=top {
+            last_le[t] = last_le[t].max(last_le[t - 1]);
+        }
+        let mut first_ge = vec![rows; top + 2];
+        for (k, &r) in keys.rows.iter().enumerate().rev() {
+            first_ge[r] = k;
+        }
+        for t in (0..=top).rev() {
+            first_ge[t] = first_ge[t].min(first_ge[t + 1]);
+        }
+        let live_end = keys.rows.iter().map(|&r| last_le[r]).collect();
+        let col_start = keys.cols.iter().map(|&c| first_ge[c.min(top + 1)]).collect();
         let (mut by_ready, mut ready_start) = (Vec::new(), Vec::new());
         if let Some(degrees) = degrees {
             assert_eq!(degrees.len(), rows, "LayerSchedule: one degree per unit");
@@ -197,8 +224,8 @@ mod tests {
     fn connectivity_is_strictly_lower_triangular() {
         for (n, h) in [(2usize, 3usize), (5, 8), (8, 20), (10, 7)] {
             let deg = hidden_degrees(n, h);
-            let m1 = input_mask(n, &deg);
-            let m2 = output_mask(n, &deg);
+            let m1 = MaskKeys::input(n, &deg).mask();
+            let m2 = MaskKeys::output(n, &deg).mask();
             let c = connectivity(&m1, &m2);
             for i in 0..n {
                 for d in 0..n {
@@ -219,7 +246,7 @@ mod tests {
         // With h >= n-1 every allowed (i, d) pair with d < i is realised.
         let (n, h) = (6, 16);
         let deg = hidden_degrees(n, h);
-        let c = connectivity(&input_mask(n, &deg), &output_mask(n, &deg));
+        let c = connectivity(&MaskKeys::input(n, &deg).mask(), &MaskKeys::output(n, &deg).mask());
         for i in 0..n {
             for d in 0..i {
                 assert!(
@@ -240,11 +267,11 @@ mod tests {
             let n = 6usize;
             let degs: Vec<Vec<usize>> =
                 widths.iter().map(|&h| hidden_degrees(n, h)).collect();
-            let mut c = input_mask(n, &degs[0]);
+            let mut c = MaskKeys::input(n, &degs[0]).mask();
             for l in 1..degs.len() {
-                c = hidden_mask(&degs[l - 1], &degs[l]).matmul_nn(&c);
+                c = MaskKeys::hidden(&degs[l - 1], &degs[l]).mask().matmul_nn(&c);
             }
-            let c = output_mask(n, degs.last().unwrap()).matmul_nn(&c);
+            let c = MaskKeys::output(n, degs.last().unwrap()).mask().matmul_nn(&c);
             for i in 0..n {
                 for d in 0..n {
                     if d >= i {
@@ -269,15 +296,15 @@ mod tests {
     #[test]
     fn first_output_disconnected() {
         let deg = hidden_degrees(4, 9);
-        let m2 = output_mask(4, &deg);
+        let m2 = MaskKeys::output(4, &deg).mask();
         assert!(m2.row(0).iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn single_spin_degenerate_masks_empty() {
         let deg = hidden_degrees(1, 4);
-        let m1 = input_mask(1, &deg);
-        let m2 = output_mask(1, &deg);
+        let m1 = MaskKeys::input(1, &deg).mask();
+        let m2 = MaskKeys::output(1, &deg).mask();
         assert!(m1.as_slice().iter().all(|&v| v == 0.0));
         assert!(m2.as_slice().iter().all(|&v| v == 0.0));
     }
@@ -292,12 +319,12 @@ mod tests {
             let deg = hidden_degrees(n, h);
             let prev = hidden_degrees(n, (h / 2).max(1));
             let layers = [
-                (input_mask(n, &deg), Some(&deg)),
-                (hidden_mask(&prev, &deg), Some(&deg)),
-                (output_mask(n, &deg), None),
+                (MaskKeys::input(n, &deg), Some(&deg)),
+                (MaskKeys::hidden(&prev, &deg), Some(&deg)),
+                (MaskKeys::output(n, &deg), None),
             ];
-            for (l, (mask, degrees)) in layers.iter().enumerate() {
-                let sched = LayerSchedule::new(mask, degrees.map(|d| d.as_slice()), n);
+            for (l, (keys, degrees)) in layers.iter().enumerate() {
+                let (mask, sched) = (keys.mask(), LayerSchedule::new(keys, degrees.map(|d| d.as_slice()), n));
                 for k in 0..mask.rows() {
                     let (row, end) = (mask.row(k), sched.live_end(k));
                     assert!(row[end..].iter().all(|&v| v == 0.0), "n={n} layer {l} row {k}");
@@ -328,7 +355,7 @@ mod tests {
     #[test]
     fn masks_are_binary() {
         let deg = hidden_degrees(7, 15);
-        for m in [input_mask(7, &deg), output_mask(7, &deg)] {
+        for m in [MaskKeys::input(7, &deg).mask(), MaskKeys::output(7, &deg).mask()] {
             assert!(m.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
         }
     }
