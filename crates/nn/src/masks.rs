@@ -83,15 +83,14 @@ impl MaskKeys {
         }
     }
 
-    /// The dense 0/1 mask.
+    /// The dense 0/1 mask, one row at a time (a select per entry, so
+    /// the row loop vectorises).
     pub fn mask(&self) -> Matrix {
-        Matrix::from_fn(self.rows.len(), self.cols.len(), |k, j| {
-            if self.rows[k] >= self.cols[j] {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        let mut data = Vec::with_capacity(self.rows.len() * self.cols.len());
+        for &r in &self.rows {
+            data.extend(self.cols.iter().map(|&c| if r >= c { 1.0 } else { 0.0 }));
+        }
+        Matrix::from_vec(self.rows.len(), self.cols.len(), data)
     }
 }
 

@@ -21,6 +21,12 @@
 //!   caller-owned RNG drives the whole batch: the training path.  It is
 //!   the one-request special case of the coalesced pass, so every
 //!   kernel-level optimisation lands on training and serving at once.
+//!
+//! The MADE pass is driven by the mask structure
+//! ([`LayerSchedule`](vqmc_nn::masks::LayerSchedule), built with the
+//! model): each deep hidden unit is computed once per sample, at the
+//! bit its inputs become final, and no reduction or update touches a
+//! weight range its mask zeroes (see `panel_pass`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,7 +170,12 @@ fn choose_path(
 ///   over the panel, vectorised along the batch, so the per-bit weight
 ///   rows are streamed once per *batch* instead of once per *row*.  One
 ///   generic body serves f64 and f32 panels at every depth; depth 1 is
-///   the case with no hidden-to-hidden layers.
+///   the case with no hidden-to-hidden layers, and a deep unit is
+///   reduced once per pass, at its ready bit.
+///
+/// Both paths read only the live part of each mask: a logit or deep
+/// unit reduces its row's live prefix, and a drawn bit updates only the
+/// units its `W₁` column reaches.
 ///
 /// The kernel reproduces `relu_dot`'s per-row accumulation order
 /// exactly (property-tested in `vqmc-tensor`), so both paths produce
@@ -208,7 +219,9 @@ struct PanelBufs<T> {
     /// Layer-1 transposed pre-activation panel (`h₁ · rows`).
     z1t: Vec<T>,
     /// Panels of hidden layers `l ≥ 2`, layer-major (`Σ h_l · rows`;
-    /// offsets are a pure function of the widths).
+    /// offsets are a pure function of the widths).  Zeroed at pass
+    /// start; a unit's row is written once, at its ready bit, and read
+    /// before then only through masked (zero) weights.
     zdeep: Vec<T>,
     /// Which rows drew the previous bit as 1 (`1`/`0`) — the deferred
     /// update mask for `sample_step_cols`.
@@ -395,8 +408,8 @@ impl MadeBatchSampler {
         }
         for i in 0..n {
             let w2_row = &w2.row(i)[..live_prefix::<f64>(sched2.live_end(i), h)];
-            let live = sched1.col_start(i);
-            let w1_col = &self.w1_t.row(i)[live..];
+            let first = sched1.col_start(i);
+            let w1_col = &self.w1_t.row(i)[first..];
             for s in 0..rows {
                 let z_row = &self.z1[s * h..s * h + w2_row.len()];
                 draw.logits[s] = b2[i] + relu_dot(w2_row, z_row);
@@ -416,7 +429,8 @@ impl MadeBatchSampler {
                     debug_assert!((0.0..=1.0).contains(&p), "conditional out of range");
                     if rng.gen::<f64>() < p {
                         out_batch.set(s, i, 1);
-                        vqmc_tensor::vector::axpy(&mut self.z1[s * h + live..(s + 1) * h], 1.0, w1_col);
+                        let z_live = &mut self.z1[s * h + first..(s + 1) * h];
+                        vqmc_tensor::vector::axpy(z_live, 1.0, w1_col);
                     } else {
                         draw.logits[s] = -draw.logits[s];
                     }

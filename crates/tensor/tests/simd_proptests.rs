@@ -594,3 +594,60 @@ fn sample_step_cols_rejects_short_slices() {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The cut the MADE sampler makes: when a weight row is masked (an
+    /// exact ±0) from `live` on, reducing only its first `live` entries
+    /// rounded up to [`KernelElem::STRIPES`] — or the whole row, once
+    /// that rounding reaches the sequential tail block — gives the
+    /// full reduction's bits.  Checked for `relu_dot` and for
+    /// `sample_step_cols` without an update, both elements, every table
+    /// on this host, panels on both sides of the traversal split.
+    #[test]
+    fn masked_suffix_cut_at_stripes_is_bit_exact(
+        h in 0usize..150,
+        b in 1usize..120,
+        live_pct in 0usize..=100,
+        seed in 0u64..10_000,
+    ) {
+        let live = h * live_pct / 100;
+        assert_stripe_cut_exact::<f64>(h, b, live, seed);
+        assert_stripe_cut_exact::<f32>(h, b, live, seed);
+    }
+}
+
+/// [`masked_suffix_cut_at_stripes_is_bit_exact`] for element `E`.
+fn assert_stripe_cut_exact<E: KernelElem + From<f32>>(h: usize, b: usize, live: usize, seed: u64) {
+    let s = E::STRIPES;
+    let cut = live.next_multiple_of(s);
+    let cut = if cut <= h - h % s { cut } else { h };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x57e1);
+    let mut draw = |lo: f64, hi: f64| E::from(rng.gen_range(lo..hi) as f32);
+    let w: Vec<E> = (0..h)
+        .map(|j| match (j < live, j % 2) {
+            (true, _) => draw(-2.0, 2.0),
+            (false, 0) => E::from(0.0f32),
+            (false, _) => E::from(-0.0f32),
+        })
+        .collect();
+    let zt: Vec<E> = (0..h * b).map(|_| draw(-3.0, 3.0)).collect();
+    let mask: Vec<E> = (0..b).map(|r| E::from((r % 2) as f32)).collect();
+    let bias = 0.375;
+    let arms = [Backend::Scalar, Backend::Avx2Fma, Backend::Avx512];
+    for k in arms.into_iter().filter_map(E::table) {
+        let arm = format!("{:?} {}", k.backend, std::any::type_name::<E>());
+        let row = &zt[..h];
+        let full = (k.relu_dot)(&w, row);
+        let part = (k.relu_dot)(&w[..cut], &row[..cut]);
+        assert_bits_eq(&[part], &[full], &format!("{arm} relu_dot h={h} live={live}"));
+        let mut scratch = vec![E::from(0.0f32); E::STEP_SCRATCH * b];
+        let (mut want, mut got) = (vec![0.0; b], vec![0.0; b]);
+        let mut panel = zt.clone();
+        (k.sample_step_cols)(&mut panel, b, None, &mask, &w, bias, &mut scratch, &mut want);
+        (k.sample_step_cols)(&mut panel, b, None, &mask, &w[..cut], bias, &mut scratch, &mut got);
+        let what = format!("{arm} sample_step_cols h={h} b={b} live={live}");
+        assert_bits_eq(&got, &want, &what);
+    }
+}
