@@ -475,7 +475,10 @@ mod tests {
     fn masked_weights_stay_exactly_zero_through_adam_and_sr() {
         let n = 24;
         let h = TransverseFieldIsing::random(n, 5);
-        for choice in [OptimizerChoice::paper_default(), OptimizerChoice::paper_sr()] {
+        for choice in [
+            OptimizerChoice::paper_default(),
+            OptimizerChoice::paper_sr(),
+        ] {
             let cfg = small_config(4, 32, choice, 3);
             let wf = Made::with_hidden(n, &[10, 6], 3);
             let start = wf.params();
@@ -494,7 +497,11 @@ mod tests {
                 }
             }
             let end = t.wavefunction().params();
-            assert_ne!(start.as_slice(), end.as_slice(), "{choice:?}: nothing trained");
+            assert_ne!(
+                start.as_slice(),
+                end.as_slice(),
+                "{choice:?}: nothing trained"
+            );
         }
     }
 

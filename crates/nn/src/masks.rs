@@ -152,7 +152,11 @@ impl LayerSchedule {
             first_ge[t] = first_ge[t].min(first_ge[t + 1]);
         }
         let live_end = keys.rows.iter().map(|&r| last_le[r]).collect();
-        let col_start = keys.cols.iter().map(|&c| first_ge[c.min(top + 1)]).collect();
+        let col_start = keys
+            .cols
+            .iter()
+            .map(|&c| first_ge[c.min(top + 1)])
+            .collect();
         let (mut by_ready, mut ready_start) = (Vec::new(), Vec::new());
         if let Some(degrees) = degrees {
             assert_eq!(degrees.len(), rows, "LayerSchedule: one degree per unit");
@@ -229,11 +233,7 @@ mod tests {
             for i in 0..n {
                 for d in 0..n {
                     if d >= i {
-                        assert_eq!(
-                            c.get(i, d),
-                            0.0,
-                            "n={n} h={h}: output {i} sees input {d}"
-                        );
+                        assert_eq!(c.get(i, d), 0.0, "n={n} h={h}: output {i} sees input {d}");
                     }
                 }
             }
@@ -245,7 +245,10 @@ mod tests {
         // With h >= n-1 every allowed (i, d) pair with d < i is realised.
         let (n, h) = (6, 16);
         let deg = hidden_degrees(n, h);
-        let c = connectivity(&MaskKeys::input(n, &deg).mask(), &MaskKeys::output(n, &deg).mask());
+        let c = connectivity(
+            &MaskKeys::input(n, &deg).mask(),
+            &MaskKeys::output(n, &deg).mask(),
+        );
         for i in 0..n {
             for d in 0..i {
                 assert!(
@@ -264,13 +267,16 @@ mod tests {
         // survive the extra hops.
         for widths in [vec![8usize, 6], vec![12, 9, 7]] {
             let n = 6usize;
-            let degs: Vec<Vec<usize>> =
-                widths.iter().map(|&h| hidden_degrees(n, h)).collect();
+            let degs: Vec<Vec<usize>> = widths.iter().map(|&h| hidden_degrees(n, h)).collect();
             let mut c = MaskKeys::input(n, &degs[0]).mask();
             for l in 1..degs.len() {
-                c = MaskKeys::hidden(&degs[l - 1], &degs[l]).mask().matmul_nn(&c);
+                c = MaskKeys::hidden(&degs[l - 1], &degs[l])
+                    .mask()
+                    .matmul_nn(&c);
             }
-            let c = MaskKeys::output(n, degs.last().unwrap()).mask().matmul_nn(&c);
+            let c = MaskKeys::output(n, degs.last().unwrap())
+                .mask()
+                .matmul_nn(&c);
             for i in 0..n {
                 for d in 0..n {
                     if d >= i {
@@ -314,7 +320,14 @@ mod tests {
     /// every hidden unit once, at its degree.
     #[test]
     fn schedule_matches_masks_and_degrees() {
-        for (n, h) in [(1usize, 4usize), (2, 3), (6, 16), (10, 7), (40, 12), (300, 64)] {
+        for (n, h) in [
+            (1usize, 4usize),
+            (2, 3),
+            (6, 16),
+            (10, 7),
+            (40, 12),
+            (300, 64),
+        ] {
             let deg = hidden_degrees(n, h);
             let prev = hidden_degrees(n, (h / 2).max(1));
             let layers = [
@@ -323,15 +336,24 @@ mod tests {
                 (MaskKeys::output(n, &deg), None),
             ];
             for (l, (keys, degrees)) in layers.iter().enumerate() {
-                let (mask, sched) = (keys.mask(), LayerSchedule::new(keys, degrees.map(|d| d.as_slice()), n));
+                let (mask, sched) = (
+                    keys.mask(),
+                    LayerSchedule::new(keys, degrees.map(|d| d.as_slice()), n),
+                );
                 for k in 0..mask.rows() {
                     let (row, end) = (mask.row(k), sched.live_end(k));
-                    assert!(row[end..].iter().all(|&v| v == 0.0), "n={n} layer {l} row {k}");
+                    assert!(
+                        row[end..].iter().all(|&v| v == 0.0),
+                        "n={n} layer {l} row {k}"
+                    );
                     assert!(end == 0 || row[end - 1] == 1.0, "n={n} layer {l} row {k}");
                 }
                 for d in 0..mask.cols() {
                     let start = sched.col_start(d);
-                    assert!((0..start).all(|k| mask.get(k, d) == 0.0), "n={n} layer {l} col {d}");
+                    assert!(
+                        (0..start).all(|k| mask.get(k, d) == 0.0),
+                        "n={n} layer {l} col {d}"
+                    );
                     assert!(start == mask.rows() || mask.get(start, d) == 1.0);
                 }
                 let Some(degrees) = degrees else {
@@ -345,8 +367,19 @@ mod tests {
                         assert!(!std::mem::replace(&mut seen[k], true), "unit {k} twice");
                     }
                 }
-                assert!(seen.iter().all(|&s| s), "n={n} layer {l}: a unit is never ready");
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "n={n} layer {l}: a unit is never ready"
+                );
                 assert_eq!(sched.last_ready(), degrees.iter().copied().max());
+                // The panel sampler carries each W₁ update on a layer-2
+                // unit ready at that bit, so no bit up to the last ready
+                // one may be empty.
+                let last = sched.last_ready().unwrap_or(0);
+                assert!(
+                    (1..=last).all(|i| !sched.ready_at(i).is_empty()),
+                    "n={n} layer {l}"
+                );
             }
         }
     }
@@ -354,7 +387,10 @@ mod tests {
     #[test]
     fn masks_are_binary() {
         let deg = hidden_degrees(7, 15);
-        for m in [MaskKeys::input(7, &deg).mask(), MaskKeys::output(7, &deg).mask()] {
+        for m in [
+            MaskKeys::input(7, &deg).mask(),
+            MaskKeys::output(7, &deg).mask(),
+        ] {
             assert!(m.as_slice().iter().all(|&v| v == 0.0 || v == 1.0));
         }
     }

@@ -533,12 +533,18 @@ fn panel_pass<E: PanelElem>(
     let step = E::kernels().sample_step_cols;
     let sigmoid = vqmc_tensor::simd::kernels().sigmoid_slice;
     // The last bit whose W₁ update is still read: at depth ≥ 2 only
-    // layer 2 reads the layer-1 panel.
+    // layer 2 reads the layer-1 panel.  Every bit up to there has a
+    // ready layer-2 unit to carry the update, because each layer's
+    // degrees are `1..=last` (`masks::hidden_degrees`).
     let last_update = if depth == 1 {
         n
     } else {
         layers[1].sched.last_ready().unwrap_or(0)
     };
+    debug_assert!(
+        depth == 1 || (1..=last_update).all(|i| !layers[1].sched.ready_at(i).is_empty()),
+        "a bit before layer 2's last ready bit has no unit to carry the W₁ update"
+    );
     // Panel offsets, on the stack (no per-call allocation): hidden
     // layer `l ≥ 2` (index `l−1 ≥ 1`) owns `hidden[l−1]·rows` elements
     // of `zdeep`, stripe-blocked like `z1t`.
@@ -656,12 +662,6 @@ fn panel_pass<E: PanelElem>(
                         E::unit(&mut dst[k * bw..(k + 1) * bw], logits_s, |out| {
                             reduce(src, layer.row(k), live, layer.b[k], out)
                         });
-                    }
-                    if l == 1 && w_prev.is_some() && layer.sched.ready_at(i).is_empty() {
-                        // No layer-2 unit is ready at this bit, yet one
-                        // will read the layer-1 panel later: the update
-                        // rides a reduction whose result is discarded.
-                        reduce(src, layer.row(0), layer.in_dim, zero, logits_s);
                     }
                     src = dst;
                 }

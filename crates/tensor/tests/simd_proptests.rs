@@ -641,12 +641,19 @@ fn assert_stripe_cut_exact<E: KernelElem + From<f32>>(h: usize, b: usize, live: 
         let row = &zt[..h];
         let full = (k.relu_dot)(&w, row);
         let part = (k.relu_dot)(&w[..cut], &row[..cut]);
-        assert_bits_eq(&[part], &[full], &format!("{arm} relu_dot h={h} live={live}"));
+        assert_bits_eq(
+            &[part],
+            &[full],
+            &format!("{arm} relu_dot h={h} live={live}"),
+        );
         let mut scratch = vec![E::from(0.0f32); E::STEP_SCRATCH * b];
         let (mut want, mut got) = (vec![0.0; b], vec![0.0; b]);
         let mut panel = zt.clone();
-        (k.sample_step_cols)(&mut panel, b, None, &mask, &w, bias, &mut scratch, &mut want);
-        (k.sample_step_cols)(&mut panel, b, None, &mask, &w[..cut], bias, &mut scratch, &mut got);
+        let mut step = |w: &[E], out: &mut [f64]| {
+            (k.sample_step_cols)(&mut panel, b, None, &mask, w, bias, &mut scratch, out)
+        };
+        step(&w, &mut want);
+        step(&w[..cut], &mut got);
         let what = format!("{arm} sample_step_cols h={h} b={b} live={live}");
         assert_bits_eq(&got, &want, &what);
     }

@@ -202,8 +202,7 @@ fn assert_grid_pinned(
         assert_eq!(digests, &actual[0], "width index {t} differs from width 1");
     }
     assert_eq!(cases.len(), expected.len(), "case count changed");
-    for ((name, ..), (&got, &(want_name, want))) in
-        cases.iter().zip(actual[0].iter().zip(expected))
+    for ((name, ..), (&got, &(want_name, want))) in cases.iter().zip(actual[0].iter().zip(expected))
     {
         assert_eq!(name, want_name, "case order changed");
         assert_eq!(
