@@ -274,7 +274,7 @@ impl Made {
             let mut w = init::xavier_uniform(hl, in_dim, &mut rng);
             w.hadamard_inplace(&mask);
             let b = init::linear_bias(in_dim, hl, &mut rng);
-            let sched = LayerSchedule::new(&keys, Some(&degrees[l]), n);
+            let sched = LayerSchedule::new(&keys, n);
             layers.push(MaskedLinear { w, b, mask, sched });
             in_dim = hl;
         }
@@ -283,7 +283,7 @@ impl Made {
         let mut w = init::xavier_uniform(n, in_dim, &mut rng);
         w.hadamard_inplace(&mask);
         let b = init::linear_bias(in_dim, n, &mut rng);
-        let sched = LayerSchedule::new(&keys, None, n);
+        let sched = LayerSchedule::new(&keys, n);
         layers.push(MaskedLinear { w, b, mask, sched });
         Made {
             n,

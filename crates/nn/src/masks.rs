@@ -104,19 +104,20 @@ impl MaskKeys {
 /// * `col_start(d)`: column `d`'s first unmasked row — revealing input
 ///   `d` changes only the units from there on (`out_dim` when the
 ///   column is fully masked);
-/// * `ready_at(i)` (hidden layers): the units whose degree is `i`.  A
-///   unit of degree `m` reads, through every layer below it, only
-///   inputs `< m`, so its value is final from bit `m` on — its *ready
-///   bit* — and the units that read it (degree `≥ m`) are first needed
-///   there too.
+/// * `ready_at(i)`: the rows whose key is `i` — for a hidden layer the
+///   units of degree `i`, for the output layer logit `i`.  A unit of
+///   degree `m` reads, through every layer below it, only inputs
+///   `< m`, so its value is final from bit `m` on — its *ready bit* —
+///   and the units that read it (degree `≥ m`) are first needed there
+///   too.
 #[derive(Clone, Debug, Default)]
 pub struct LayerSchedule {
     live_end: Vec<usize>,
     col_start: Vec<usize>,
-    /// The layer's units by ready bit (stable); empty for the output layer.
+    /// The rows by ready bit (stable).
     by_ready: Vec<usize>,
     /// `by_ready[ready_start[i]..ready_start[i + 1]]` are ready at bit
-    /// `i` (`n + 1` offsets; empty for the output layer).
+    /// `i` (`n + 1` offsets).
     ready_start: Vec<usize>,
 }
 
@@ -129,10 +130,9 @@ impl LayerSchedule {
         ready_start: Vec::new(),
     };
 
-    /// The schedule of the layer masked by `keys`; `degrees` are its
-    /// units' degrees over `n` inputs for a hidden layer, `None` for the
-    /// output layer.  Linear in the layer's width, not its mask.
-    pub fn new(keys: &MaskKeys, degrees: Option<&[usize]>, n: usize) -> Self {
+    /// The schedule of the layer masked by `keys`, over `n` inputs.
+    /// Linear in the layer's width, not its mask.
+    pub fn new(keys: &MaskKeys, n: usize) -> Self {
         let rows = keys.rows.len();
         let top = keys.rows.iter().copied().max().unwrap_or(0);
         // `last_le[t]`: one past the last column whose key is ≤ t;
@@ -157,20 +157,16 @@ impl LayerSchedule {
             .iter()
             .map(|&c| first_ge[c.min(top + 1)])
             .collect();
-        let (mut by_ready, mut ready_start) = (Vec::new(), Vec::new());
-        if let Some(degrees) = degrees {
-            assert_eq!(degrees.len(), rows, "LayerSchedule: one degree per unit");
-            ready_start = vec![0; n + 1];
-            for &m in degrees {
-                assert!(m < n.max(1), "LayerSchedule: degree {m} past the last bit");
-                ready_start[m + 1] += 1;
-            }
-            for i in 0..n {
-                ready_start[i + 1] += ready_start[i];
-            }
-            by_ready = (0..rows).collect();
-            by_ready.sort_by_key(|&k| degrees[k]);
+        let mut ready_start = vec![0; n + 1];
+        for &r in &keys.rows {
+            assert!(r < n.max(1), "LayerSchedule: row key {r} past the last bit");
+            ready_start[r + 1] += 1;
         }
+        for i in 0..n {
+            ready_start[i + 1] += ready_start[i];
+        }
+        let mut by_ready: Vec<usize> = (0..rows).collect();
+        by_ready.sort_by_key(|&k| keys.rows[k]);
         LayerSchedule {
             live_end,
             col_start,
@@ -190,7 +186,7 @@ impl LayerSchedule {
         self.col_start[d]
     }
 
-    /// The units whose ready bit is `i` (hidden layers), ascending.
+    /// The rows whose ready bit is `i`, ascending.
     pub fn ready_at(&self, i: usize) -> &[usize] {
         &self.by_ready[self.ready_start[i]..self.ready_start[i + 1]]
     }
@@ -317,7 +313,7 @@ mod tests {
     /// The schedule is the masks' live structure, exactly: row `k` is
     /// masked from `live_end(k)` on and live just before it, column `d`
     /// masked above `col_start(d)` and live there, and `ready_at` lists
-    /// every hidden unit once, at its degree.
+    /// every row once, at its key (a unit's degree, an output's index).
     #[test]
     fn schedule_matches_masks_and_degrees() {
         for (n, h) in [
@@ -331,15 +327,12 @@ mod tests {
             let deg = hidden_degrees(n, h);
             let prev = hidden_degrees(n, (h / 2).max(1));
             let layers = [
-                (MaskKeys::input(n, &deg), Some(&deg)),
-                (MaskKeys::hidden(&prev, &deg), Some(&deg)),
-                (MaskKeys::output(n, &deg), None),
+                MaskKeys::input(n, &deg),
+                MaskKeys::hidden(&prev, &deg),
+                MaskKeys::output(n, &deg),
             ];
-            for (l, (keys, degrees)) in layers.iter().enumerate() {
-                let (mask, sched) = (
-                    keys.mask(),
-                    LayerSchedule::new(keys, degrees.map(|d| d.as_slice()), n),
-                );
+            for (l, keys) in layers.iter().enumerate() {
+                let (mask, sched) = (keys.mask(), LayerSchedule::new(keys, n));
                 for k in 0..mask.rows() {
                     let (row, end) = (mask.row(k), sched.live_end(k));
                     assert!(
@@ -356,22 +349,18 @@ mod tests {
                     );
                     assert!(start == mask.rows() || mask.get(start, d) == 1.0);
                 }
-                let Some(degrees) = degrees else {
-                    assert_eq!(sched.last_ready(), None);
-                    continue;
-                };
-                let mut seen = vec![false; h];
+                let mut seen = vec![false; mask.rows()];
                 for i in 0..n {
                     for &k in sched.ready_at(i) {
-                        assert_eq!(degrees[k], i, "n={n} layer {l} unit {k}");
-                        assert!(!std::mem::replace(&mut seen[k], true), "unit {k} twice");
+                        assert_eq!(keys.rows[k], i, "n={n} layer {l} row {k}");
+                        assert!(!std::mem::replace(&mut seen[k], true), "row {k} twice");
                     }
                 }
                 assert!(
                     seen.iter().all(|&s| s),
-                    "n={n} layer {l}: a unit is never ready"
+                    "n={n} layer {l}: a row is never ready"
                 );
-                assert_eq!(sched.last_ready(), degrees.iter().copied().max());
+                assert_eq!(sched.last_ready(), keys.rows.iter().copied().max());
                 // The panel sampler carries each W₁ update on a layer-2
                 // unit ready at that bit, so no bit up to the last ready
                 // one may be empty.
