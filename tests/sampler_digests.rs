@@ -224,12 +224,17 @@ fn digest_f64s(hash: u64, xs: &[f64]) -> u64 {
         .fold(hash, |h, x| fnv1a(h, &x.to_bits().to_le_bytes()))
 }
 
+/// The input batch of the forward and per-sample-gradient digests.
+fn digest_batch(rows: usize, n: usize) -> SpinBatch {
+    SpinBatch::from_fn(rows, n, |s, i| ((s * 31 + i * 17 + s * i) % 7 < 3) as u8)
+}
+
 /// One forward case's digests: f64 `log_psi_into`, `conditionals_into`
 /// and `weighted_log_psi_grad_into` hashed in that order, then the f32
 /// `log_psi_into` on its own.
 fn forward_digests(wf: &Made, rows: usize) -> (u64, u64) {
     let n = wf.num_spins();
-    let batch = SpinBatch::from_fn(rows, n, |s, i| ((s * 31 + i * 17 + s * i) % 7 < 3) as u8);
+    let batch = digest_batch(rows, n);
     let weights = Vector::from_fn(rows, |s| 0.25 + ((s * 13) % 11) as f64 / 7.0);
     let mut ws = Workspace::new();
     let (mut lp, mut grad, mut cond) = (Vector::default(), Vector::default(), Matrix::default());
@@ -302,6 +307,70 @@ fn made_forward_output_is_pinned_at_every_width() {
             got,
             want,
             "{name}: forward output moved on the {} table; current column:\n{table}",
+            if vector_table { "vector" } else { "portable" }
+        );
+    }
+}
+
+/// Pinned `per_sample_grads_into` digests — the rows SR's Gram matrix
+/// is built from — in `(shape, depth)` order: `(name, portable table,
+/// vector tables)`.  Same shapes and batch as the forward digests
+/// (n = 129 and 300 are narrow, `h₁ < n − 1`), at depths 1–3; the rows'
+/// masked entries are hashed too, so a mask read that moved one entry
+/// (or one zero's sign) fails here.
+const PER_SAMPLE_EXPECTED: [(&str, u64, u64); 9] = [
+    ("n10/d1", 0xd3850c857cf69415, 0x800df8056640d525),
+    ("n10/d2", 0x0fbb18f1dccca270, 0x0fbb18f1dccca270),
+    ("n10/d3", 0x2f5e85b271252352, 0x91060e99a77a2966),
+    ("n129/d1", 0x0c42d16aa7773883, 0xe95833bb85118773),
+    ("n129/d2", 0x62410bf922c900e1, 0xbbfe0433ce88ccaa),
+    ("n129/d3", 0x0dccdbc1b1953148, 0xe2b3c130d77a7d80),
+    ("n300/d1", 0xa5fae9ba2104809f, 0x71b48057a5383030),
+    ("n300/d2", 0xf071052f1a50ee5a, 0xab6c2c1619e6537f),
+    ("n300/d3", 0xb245f568dc366495, 0x6ae1a7c9b20c70af),
+];
+
+#[test]
+fn made_per_sample_grads_are_pinned_at_every_width() {
+    let vector_table = simd::backend() != simd::Backend::Scalar;
+    let mut names = Vec::new();
+    let mut actual = Vec::new();
+    for threads in [1usize, 4] {
+        let mut digests = Vec::new();
+        par::with_threads(threads, || {
+            for &(n, h1, rows) in &FORWARD_SHAPES {
+                for depth in 1..=3usize {
+                    let wf = Made::with_hidden(n, &hidden(h1, depth), n as u64 + depth as u64);
+                    let mut grads = Matrix::default();
+                    wf.per_sample_grads_into(
+                        &digest_batch(rows, n),
+                        &mut Workspace::new(),
+                        &mut grads,
+                    );
+                    if threads == 1 {
+                        names.push(format!("n{n}/d{depth}"));
+                    }
+                    digests.push(digest_f64s(FNV_OFFSET, grads.as_slice()));
+                }
+            }
+        });
+        actual.push(digests);
+    }
+    assert_eq!(actual[1], actual[0], "four threads differ from one");
+    let table: String = names
+        .iter()
+        .zip(&actual[0])
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    for ((name, &got), &(want_name, portable, vector)) in
+        names.iter().zip(&actual[0]).zip(&PER_SAMPLE_EXPECTED)
+    {
+        assert_eq!(name, want_name, "case order changed");
+        let want = if vector_table { vector } else { portable };
+        assert_eq!(
+            got,
+            want,
+            "{name}: per-sample gradients moved on the {} table; current column:\n{table}",
             if vector_table { "vector" } else { "portable" }
         );
     }
