@@ -32,6 +32,7 @@
 //! §4 memory discussion derives (h ≤ 500 at n = 10⁴ on one 32 GB card).
 
 use vqmc_cluster::Cluster;
+use vqmc_nn::masks::MaskKeys;
 use vqmc_nn::{Made, WaveFunction};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector};
 
@@ -48,10 +49,10 @@ pub struct MadeShard {
     pub b1: Vector,
     /// `W₂` columns as an `n × hᵣ` matrix, pre-masked.
     pub w2_cols: Matrix,
-    /// Mask rows matching `w1_rows` (gradients must stay masked).
-    pub mask1_rows: Matrix,
-    /// Mask columns matching `w2_cols`.
-    pub mask2_cols: Matrix,
+    /// Rows `lo..hi` of the input mask's keys (gradients stay masked).
+    pub mask1: MaskKeys,
+    /// Columns `lo..hi` of the output mask's keys.
+    pub mask2: MaskKeys,
 }
 
 /// The shared (replicated) remainder of the model: the output bias.
@@ -81,6 +82,8 @@ impl ShardedMade {
             num_shards <= h,
             "ShardedMade: more shards ({num_shards}) than hidden units ({h})"
         );
+        // The hidden units' degrees: the input mask's row keys.
+        let degrees = &made.layers()[0].layer_mask().keys().rows;
         let mut shards = Vec::with_capacity(num_shards);
         let base = h / num_shards;
         let extra = h % num_shards;
@@ -91,16 +94,14 @@ impl ShardedMade {
             let w1_rows = Matrix::from_fn(size, n, |k, d| made.w1().get(lo + k, d));
             let b1 = Vector::from_fn(size, |k| made.b1()[lo + k]);
             let w2_cols = Matrix::from_fn(n, size, |i, k| made.w2().get(i, lo + k));
-            let mask1_rows = Matrix::from_fn(size, n, |k, d| made.mask1().get(lo + k, d));
-            let mask2_cols = Matrix::from_fn(n, size, |i, k| made.mask2().get(i, lo + k));
             shards.push(MadeShard {
                 rank,
                 hidden_range: (lo, hi),
                 w1_rows,
                 b1,
                 w2_cols,
-                mask1_rows,
-                mask2_cols,
+                mask1: MaskKeys::input(n, &degrees[lo..hi]),
+                mask2: MaskKeys::output(n, &degrees[lo..hi]),
             });
             lo = hi;
         }
@@ -243,14 +244,14 @@ impl ShardedMade {
             let h1 = z1.map(ops::relu);
             // dW₂ᵣ = δAᵀ H₁ᵣ  (n × hᵣ), masked like the dense path.
             let mut dw2 = delta_a_ref.matmul_tn(&h1);
-            dw2.hadamard_inplace(&shard.mask2_cols);
+            shard.mask2.apply(dw2.as_mut_slice());
             // δH₁ᵣ = δA W₂ᵣ  (bs × hᵣ); δZ₁ᵣ = δH₁ᵣ ⊙ relu'(Z₁ᵣ)
             let mut dz1 = delta_a_ref.matmul_nn(&shard.w2_cols);
             for (dz, &z) in dz1.as_mut_slice().iter_mut().zip(z1.as_slice()) {
                 *dz *= ops::relu_prime(z);
             }
             let mut dw1 = dz1.matmul_tn(x_ref); // hᵣ × n
-            dw1.hadamard_inplace(&shard.mask1_rows);
+            shard.mask1.apply(dw1.as_mut_slice());
             let mut db1 = Vector::zeros(shard.b1.len());
             for row in dz1.rows_iter() {
                 vqmc_tensor::vector::axpy(&mut db1, 1.0, row);
@@ -428,9 +429,10 @@ mod tests {
         let sharded = ShardedMade::from_made(&made, 2);
         for shard in sharded.shards() {
             let (lo, _) = shard.hidden_range;
+            let in_keys = made.layers()[0].layer_mask().keys();
             for k in 0..shard.b1.len() {
                 for d in 0..8 {
-                    if made.mask1().get(lo + k, d) == 0.0 {
+                    if !in_keys.live(lo + k, d) {
                         assert_eq!(shard.w1_rows.get(k, d), 0.0);
                     }
                 }

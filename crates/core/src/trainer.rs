@@ -487,10 +487,11 @@ mod tests {
             for step in 0..4 {
                 t.step(&h, opt.as_mut());
                 for (l, layer) in t.wavefunction().layers().iter().enumerate() {
-                    let (w, mask) = (layer.w().as_slice(), layer.mask().as_slice());
-                    for (e, (&w, &m)) in w.iter().zip(mask).enumerate() {
+                    let keys = layer.layer_mask().keys();
+                    for (e, &w) in layer.w().as_slice().iter().enumerate() {
+                        let (k, j) = (e / layer.in_dim(), e % layer.in_dim());
                         assert!(
-                            m != 0.0 || w == 0.0,
+                            keys.live(k, j) || w == 0.0,
                             "{choice:?} step {step}: layer {l} masked weight {e} is {w}"
                         );
                     }

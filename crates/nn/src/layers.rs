@@ -20,7 +20,7 @@ use vqmc_tensor::gemm::{gemm_nt_f32, gemm_nt_slices};
 use vqmc_tensor::simd::KernelElem;
 use vqmc_tensor::{par, reduce, Matrix, SpinBatch, Vector};
 
-use crate::masks::LayerSchedule;
+use crate::masks::LayerMask;
 use crate::{Made, MAX_LAYERS};
 
 /// An element the MADE stack runs on: `f64` (training and reference)
@@ -85,8 +85,8 @@ impl MadeElem for f32 {
 }
 
 /// One masked layer, borrowed: row-major `w` (`out_dim × in_dim`;
-/// empty when the owner keeps only `W₁ᵀ`), bias `b`, and where the
-/// layer's mask is live.
+/// empty when the owner keeps only `W₁ᵀ`), bias `b`, and the layer's
+/// mask.
 #[derive(Clone, Copy, Debug)]
 pub struct LayerView<'a, E> {
     /// Row-major weights.
@@ -97,12 +97,12 @@ pub struct LayerView<'a, E> {
     pub out_dim: usize,
     /// Input width.
     pub in_dim: usize,
-    /// The mask's live structure (the incremental sampler's schedule).
-    pub sched: &'a LayerSchedule,
+    /// The mask (keys and the incremental sampler's schedule).
+    pub mask: &'a LayerMask,
 }
 
-/// The schedule of a view slot that holds no layer.
-static NO_SCHEDULE: LayerSchedule = LayerSchedule::EMPTY;
+/// The mask of a view slot that holds no layer.
+static NO_MASK: LayerMask = LayerMask::EMPTY;
 
 impl<E> Default for LayerView<'_, E> {
     fn default() -> Self {
@@ -111,7 +111,7 @@ impl<E> Default for LayerView<'_, E> {
             b: &[],
             out_dim: 0,
             in_dim: 0,
-            sched: &NO_SCHEDULE,
+            mask: &NO_MASK,
         }
     }
 }
@@ -247,7 +247,7 @@ struct LayerF32 {
     b: Vec<f32>,
     out_dim: usize,
     in_dim: usize,
-    sched: LayerSchedule,
+    mask: LayerMask,
 }
 
 /// Single-precision inference copy of a [`Made`]: `f32` weights and
@@ -310,7 +310,7 @@ impl MadeF32 {
             b: narrow(layer.b),
             out_dim: layer.out_dim,
             in_dim: layer.in_dim,
-            sched: layer.sched.clone(),
+            mask: layer.mask.clone(),
         });
         let mut w1t = Vec::new();
         if !rows {
@@ -336,7 +336,7 @@ impl MadeF32 {
             b: &l.b,
             out_dim: l.out_dim,
             in_dim: l.in_dim,
-            sched: &l.sched,
+            mask: &l.mask,
         }));
         if self.w1t.is_empty() {
             view

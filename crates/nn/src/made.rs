@@ -28,8 +28,11 @@
 //!
 //! Masked weight entries are identically zero for the lifetime of the
 //! model: they are zero-initialised, every gradient is masked, and
-//! [`Made::set_params`] re-applies the masks defensively.  The layer
-//! masks compose (strict input/output rule, non-strict interior rule —
+//! [`Made::set_params`] re-applies the masks defensively.  Each layer
+//! holds its mask as keys ([`LayerMask`]), and masking multiplies by
+//! the 0/1 entry they give ([`MaskKeys::apply`]), so a masked entry is
+//! a signed zero and no dense mask matrix is stored.  The layer masks
+//! compose (strict input/output rule, non-strict interior rule —
 //! see [`crate::masks`]) so the autoregressive property is structural
 //! at any depth, not statistical; `tests` property-check it by
 //! perturbing suffix bits.
@@ -40,7 +43,7 @@ use serde::{Deserialize, Serialize};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
 
 use crate::layers::{self, LayerView, MadeView};
-use crate::masks::{self, LayerSchedule, MaskKeys};
+use crate::masks::{self, LayerMask, MaskKeys};
 use crate::{init, Autoregressive, WaveFunction};
 
 /// Hard cap on stack size (hidden layers + output layer).  Lets the
@@ -56,11 +59,10 @@ pub const MAX_LAYERS: usize = 9;
 pub struct MaskedLinear {
     w: Matrix,
     b: Vector,
-    mask: Matrix,
-    /// Where `mask` is live, for the incremental sampler.  A function
-    /// of the shape, like the mask: [`Made::with_hidden`] builds both.
+    /// The mask, as keys.  A function of the shape:
+    /// [`Made::with_hidden`] builds it.
     #[serde(skip)]
-    sched: LayerSchedule,
+    mask: LayerMask,
 }
 
 impl MaskedLinear {
@@ -74,14 +76,9 @@ impl MaskedLinear {
         &self.b
     }
 
-    /// The binary mask (`out × in`).
-    pub fn mask(&self) -> &Matrix {
+    /// The mask: its keys and live structure (see [`LayerMask`]).
+    pub fn layer_mask(&self) -> &LayerMask {
         &self.mask
-    }
-
-    /// The mask's live structure (see [`LayerSchedule`]).
-    pub fn schedule(&self) -> &LayerSchedule {
-        &self.sched
     }
 
     /// Output width.
@@ -264,27 +261,20 @@ impl Made {
             .collect();
         let mut layers = Vec::with_capacity(hidden.len() + 1);
         let mut in_dim = n;
-        for (l, &hl) in hidden.iter().enumerate() {
-            let keys = if l == 0 {
-                MaskKeys::input(n, &degrees[0])
-            } else {
-                MaskKeys::hidden(&degrees[l - 1], &degrees[l])
+        for l in 0..=hidden.len() {
+            let keys = match l {
+                0 => MaskKeys::input(n, &degrees[0]),
+                l if l < hidden.len() => MaskKeys::hidden(&degrees[l - 1], &degrees[l]),
+                _ => MaskKeys::output(n, &degrees[l - 1]),
             };
-            let mask = keys.mask();
-            let mut w = init::xavier_uniform(hl, in_dim, &mut rng);
-            w.hadamard_inplace(&mask);
-            let b = init::linear_bias(in_dim, hl, &mut rng);
-            let sched = LayerSchedule::new(&keys, n);
-            layers.push(MaskedLinear { w, b, mask, sched });
-            in_dim = hl;
+            let out_dim = keys.rows.len();
+            let mut w = init::xavier_uniform(out_dim, in_dim, &mut rng);
+            keys.apply(w.as_mut_slice());
+            let b = init::linear_bias(in_dim, out_dim, &mut rng);
+            let mask = LayerMask::new(keys, n);
+            layers.push(MaskedLinear { w, b, mask });
+            in_dim = out_dim;
         }
-        let keys = MaskKeys::output(n, degrees.last().unwrap());
-        let mask = keys.mask();
-        let mut w = init::xavier_uniform(n, in_dim, &mut rng);
-        w.hadamard_inplace(&mask);
-        let b = init::linear_bias(in_dim, n, &mut rng);
-        let sched = LayerSchedule::new(&keys, n);
-        layers.push(MaskedLinear { w, b, mask, sched });
         Made {
             n,
             hidden: hidden.to_vec(),
@@ -343,16 +333,6 @@ impl Made {
         &self.layers[self.layers.len() - 1].b
     }
 
-    /// The input mask `M¹` (tests / diagnostics).
-    pub fn mask1(&self) -> &Matrix {
-        &self.layers[0].mask
-    }
-
-    /// The output mask `M²` (tests / diagnostics).
-    pub fn mask2(&self) -> &Matrix {
-        &self.layers[self.layers.len() - 1].mask
-    }
-
     /// The model's weights as a [`MadeView`], borrowed from its own
     /// layers (no `W₁ᵀ`).
     pub fn view(&self) -> MadeView<'_, f64> {
@@ -361,7 +341,7 @@ impl Made {
             b: l.b.as_slice(),
             out_dim: l.out_dim(),
             in_dim: l.in_dim(),
-            sched: &l.sched,
+            mask: &l.mask,
         });
         MadeView::new(layers)
     }
@@ -459,7 +439,7 @@ impl Made {
         for l in (0..ll).rev() {
             let act: &Matrix = if l == 0 { x } else { &h[l - 1] };
             delta[l].matmul_tn_into(act, &mut dw[l]);
-            dw[l].hadamard_inplace(&self.layers[l].mask);
+            self.layers[l].mask.keys().apply(dw[l].as_mut_slice());
             column_sums_into(&delta[l], &mut db[l]);
             if l > 0 {
                 let (lo, hi) = delta.split_at_mut(l);
@@ -470,16 +450,10 @@ impl Made {
             }
         }
         // Flatten `[dW_0 | db_0 | dW_1 | db_1 | …]` into `out`.
-        out.resize(self.num_params());
-        let o = out.as_mut_slice();
-        let mut off = 0;
-        for l in 0..ll {
-            let wg = dw[l].as_slice();
-            o[off..off + wg.len()].copy_from_slice(wg);
-            off += wg.len();
-            let bg = db[l].as_slice();
-            o[off..off + bg.len()].copy_from_slice(bg);
-            off += bg.len();
+        out.0.clear();
+        for (dw, db) in dw.iter().zip(db.iter()).take(ll) {
+            out.0.extend_from_slice(dw.as_slice());
+            out.0.extend_from_slice(db);
         }
     }
 
@@ -499,7 +473,11 @@ impl Made {
         out.resize(bs, d);
         out.fill(0.0);
         let MadeWorkspace {
-            z, h, delta_rows, ..
+            x,
+            z,
+            h,
+            delta_rows,
+            ..
         } = ws;
         for (row, layer) in delta_rows.iter_mut().zip(&self.layers) {
             row.resize(layer.out_dim(), 0.0);
@@ -537,32 +515,18 @@ impl Made {
             for l in 0..ll {
                 let layer = &self.layers[l];
                 let (od, id) = (layer.out_dim(), layer.in_dim());
+                let keys = layer.mask.keys();
                 let dr = &delta_rows[l];
-                if l == 0 {
-                    // dW₁[k, d'] = δz_k · x_d' · M¹ — x is 0/1 so just
-                    // copy δz into the columns where the input bit is
-                    // set and the mask allows it.
-                    for (k, &dz) in dr.iter().enumerate() {
-                        if dz != 0.0 {
-                            let mrow = layer.mask.row(k);
-                            let base = off + k * id;
-                            for d2 in 0..id {
-                                if x_row[d2] == 1 && mrow[d2] == 1.0 {
-                                    row[base + d2] = dz;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    let act = h[l - 1].row(s);
-                    for (i, &dv) in dr.iter().enumerate() {
-                        if dv != 0.0 {
-                            let mrow = layer.mask.row(i);
-                            let base = off + i * id;
-                            for k in 0..id {
-                                if mrow[k] == 1.0 {
-                                    row[base + k] = dv * act[k];
-                                }
+                // dW_l[i, k] = δ_i · act_k on live entries.  Layer 0's
+                // act is the 0/1 input: its zeros are skipped, so they
+                // stay +0 rather than δ · 0.
+                let act = if l == 0 { x.row(s) } else { h[l - 1].row(s) };
+                for (i, &dv) in dr.iter().enumerate() {
+                    if dv != 0.0 {
+                        let base = off + i * id;
+                        for k in 0..id {
+                            if keys.live(i, k) && (l > 0 || act[k] != 0.0) {
+                                row[base + k] = dv * act[k];
                             }
                         }
                     }
@@ -624,19 +588,17 @@ impl WaveFunction for Made {
 
     fn set_params(&mut self, params: &Vector) {
         assert_eq!(params.len(), self.num_params(), "Made: param length");
-        let p = params.as_slice();
-        let mut off = 0;
+        let mut rest = params.as_slice();
         // In place: the existing weight/bias buffers are overwritten, so
         // a training step performs no parameter-storage allocation.
         for layer in &mut self.layers {
-            let wlen = layer.w.as_slice().len();
-            layer.w.as_mut_slice().copy_from_slice(&p[off..off + wlen]);
-            off += wlen;
-            let blen = layer.b.len();
-            layer.b.as_mut_slice().copy_from_slice(&p[off..off + blen]);
-            off += blen;
+            for dst in [layer.w.as_mut_slice(), layer.b.as_mut_slice()] {
+                let (src, tail) = rest.split_at(dst.len());
+                dst.copy_from_slice(src);
+                rest = tail;
+            }
             // Defensive: the mask invariant survives arbitrary inputs.
-            layer.w.hadamard_inplace(&layer.mask);
+            layer.mask.keys().apply(layer.w.as_mut_slice());
         }
         self.version = self.version.wrapping_add(1);
     }
@@ -666,16 +628,10 @@ impl WaveFunction for Made {
     }
 
     fn params_into(&self, out: &mut Vector) {
-        out.resize(self.num_params());
-        let o = out.as_mut_slice();
-        let mut off = 0;
+        out.0.clear();
         for layer in &self.layers {
-            let ws = layer.w.as_slice();
-            o[off..off + ws.len()].copy_from_slice(ws);
-            off += ws.len();
-            let bs = layer.b.as_slice();
-            o[off..off + bs.len()].copy_from_slice(bs);
-            off += bs.len();
+            out.0.extend_from_slice(layer.w.as_slice());
+            out.0.extend_from_slice(&layer.b);
         }
     }
 }
@@ -843,7 +799,7 @@ mod tests {
             for (l, layer) in m.layers().iter().enumerate() {
                 for i in 0..layer.out_dim() {
                     for j in 0..layer.in_dim() {
-                        if layer.mask().get(i, j) == 0.0 {
+                        if !layer.layer_mask().keys().live(i, j) {
                             assert_eq!(
                                 layer.w().get(i, j),
                                 0.0,
@@ -890,7 +846,7 @@ mod tests {
             param_ids.push((w, b));
             // Masks as constants (so gradients arrive masked like
             // analytic).
-            let wm = tape.mul_const(w, layer.mask().clone());
+            let wm = tape.mul_const(w, layer.layer_mask().keys().mask());
             if l > 0 {
                 cur = tape.relu(cur);
             }

@@ -1,4 +1,4 @@
-//! MADE mask construction (Germain et al. 2015).
+//! MADE masks (Germain et al. 2015).
 //!
 //! The autoregressive property — output `i` may depend only on inputs
 //! `< i` — is enforced with two binary masks:
@@ -18,6 +18,10 @@
 //! Degrees are assigned deterministically and evenly
 //! (`m(k) = (k mod (n−1)) + 1`), so every degree class is populated when
 //! `h ≥ n − 1`; determinism keeps cluster replicas identical.
+//!
+//! A mask is its keys ([`MaskKeys`]): a layer stores one per row and
+//! column, never the `out × in` matrix, whose dense form
+//! ([`MaskKeys::mask`], [`connectivity`]) is only the tests' oracle.
 
 use vqmc_tensor::Matrix;
 
@@ -33,10 +37,10 @@ pub fn hidden_degrees(n: usize, h: usize) -> Vec<usize> {
 }
 
 /// A MADE mask in threshold form: `M[k, j] = 1 ⇔ rows[k] ≥ cols[j]`.
-/// All three MADE masks have this form, so a layer's dense mask
-/// ([`MaskKeys::mask`]) and its [`LayerSchedule`] are read off the same
-/// keys.
-#[derive(Clone, Debug)]
+/// All three MADE masks have this form, so the keys are the mask: the
+/// masking of weights and gradients ([`MaskKeys::apply`]) and the
+/// live ranges of a [`LayerMask`] are read off them.
+#[derive(Clone, Debug, Default)]
 pub struct MaskKeys {
     /// One key per output unit (mask row).
     pub rows: Vec<usize>,
@@ -83,21 +87,38 @@ impl MaskKeys {
         }
     }
 
-    /// The dense 0/1 mask, one row at a time (a select per entry, so
-    /// the row loop vectorises).
-    pub fn mask(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.rows.len() * self.cols.len());
-        for &r in &self.rows {
-            data.extend(self.cols.iter().map(|&c| if r >= c { 1.0 } else { 0.0 }));
+    /// Whether entry `(k, j)` is unmasked.
+    pub fn live(&self, k: usize, j: usize) -> bool {
+        self.rows[k] >= self.cols[j]
+    }
+
+    /// Masks the row-major `rows × cols` matrix `w` in place: entry
+    /// `(k, j)` is multiplied by its 0/1 mask entry.  A multiply, not a
+    /// select, so a masked entry becomes the signed zero `x · 0`, bit
+    /// for bit what `hadamard_inplace` with [`MaskKeys::mask`] gives.
+    pub fn apply(&self, w: &mut [f64]) {
+        let cols = self.cols.len();
+        assert_eq!(w.len(), self.rows.len() * cols, "MaskKeys::apply: shape");
+        for (row, &r) in w.chunks_exact_mut(cols.max(1)).zip(&self.rows) {
+            for (v, &c) in row.iter_mut().zip(&self.cols) {
+                *v *= if r >= c { 1.0 } else { 0.0 };
+            }
         }
-        Matrix::from_vec(self.rows.len(), self.cols.len(), data)
+    }
+
+    /// The dense 0/1 mask: the oracle tests hold [`MaskKeys::apply`]
+    /// and [`LayerMask`] to.
+    pub fn mask(&self) -> Matrix {
+        Matrix::from_fn(self.rows.len(), self.cols.len(), |k, j| {
+            f64::from(u8::from(self.rows[k] >= self.cols[j]))
+        })
     }
 }
 
-/// One masked layer's live structure, in the order the incremental
-/// sampler reveals bits.  Built once per model, next to the mask it
-/// describes ([`crate::Made::with_hidden`], which checkpoint loads go
-/// through too), so no pass scans a mask.
+/// One masked layer's mask: its [`MaskKeys`] and the live structure
+/// read off them, in the order the incremental sampler reveals bits.
+/// Built once per model ([`crate::Made::with_hidden`], which checkpoint
+/// loads go through too), so no pass scans a mask.
 ///
 /// * `live_end(k)`: one past row `k`'s last unmasked entry — a logit or
 ///   hidden unit reads only that prefix of its inputs;
@@ -111,7 +132,8 @@ impl MaskKeys {
 ///   and the units that read it (degree `≥ m`) are first needed there
 ///   too.
 #[derive(Clone, Debug, Default)]
-pub struct LayerSchedule {
+pub struct LayerMask {
+    keys: MaskKeys,
     live_end: Vec<usize>,
     col_start: Vec<usize>,
     /// The rows by ready bit (stable).
@@ -121,18 +143,22 @@ pub struct LayerSchedule {
     ready_start: Vec<usize>,
 }
 
-impl LayerSchedule {
-    /// The schedule of no layer.
-    pub const EMPTY: LayerSchedule = LayerSchedule {
+impl LayerMask {
+    /// The mask of no layer.
+    pub const EMPTY: LayerMask = LayerMask {
+        keys: MaskKeys {
+            rows: Vec::new(),
+            cols: Vec::new(),
+        },
         live_end: Vec::new(),
         col_start: Vec::new(),
         by_ready: Vec::new(),
         ready_start: Vec::new(),
     };
 
-    /// The schedule of the layer masked by `keys`, over `n` inputs.
-    /// Linear in the layer's width, not its mask.
-    pub fn new(keys: &MaskKeys, n: usize) -> Self {
+    /// The mask given by `keys`, over `n` inputs.  Linear in the
+    /// layer's width, not its mask.
+    pub fn new(keys: MaskKeys, n: usize) -> Self {
         let rows = keys.rows.len();
         let top = keys.rows.iter().copied().max().unwrap_or(0);
         // `last_le[t]`: one past the last column whose key is ≤ t;
@@ -159,7 +185,7 @@ impl LayerSchedule {
             .collect();
         let mut ready_start = vec![0; n + 1];
         for &r in &keys.rows {
-            assert!(r < n.max(1), "LayerSchedule: row key {r} past the last bit");
+            assert!(r < n.max(1), "LayerMask: row key {r} past the last bit");
             ready_start[r + 1] += 1;
         }
         for i in 0..n {
@@ -167,12 +193,18 @@ impl LayerSchedule {
         }
         let mut by_ready: Vec<usize> = (0..rows).collect();
         by_ready.sort_by_key(|&k| keys.rows[k]);
-        LayerSchedule {
+        LayerMask {
+            keys,
             live_end,
             col_start,
             by_ready,
             ready_start,
         }
+    }
+
+    /// The keys: the mask itself.
+    pub fn keys(&self) -> &MaskKeys {
+        &self.keys
     }
 
     /// One past the last unmasked entry of weight row `k`.
@@ -310,12 +342,17 @@ mod tests {
         assert!(m2.as_slice().iter().all(|&v| v == 0.0));
     }
 
-    /// The schedule is the masks' live structure, exactly: row `k` is
-    /// masked from `live_end(k)` on and live just before it, column `d`
-    /// masked above `col_start(d)` and live there, and `ready_at` lists
-    /// every row once, at its key (a unit's degree, an output's index).
+    /// The keyed mask is the dense one, exactly: `apply` gives the bits
+    /// of `hadamard_inplace` with the dense mask (masked negatives turn
+    /// into `−0`, which a select would make `+0`), `live` is the dense
+    /// entry, row `k` is masked from `live_end(k)` on and live just
+    /// before it, column `d` masked above `col_start(d)` and live
+    /// there, and `ready_at` lists every row once, at its key (a unit's
+    /// degree, an output's index).
     #[test]
     fn schedule_matches_masks_and_degrees() {
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut negative_zeros = 0;
         for (n, h) in [
             (1usize, 4usize),
             (2, 3),
@@ -332,7 +369,15 @@ mod tests {
                 MaskKeys::output(n, &deg),
             ];
             for (l, keys) in layers.iter().enumerate() {
-                let (mask, sched) = (keys.mask(), LayerSchedule::new(keys, n));
+                let (mask, sched) = (keys.mask(), LayerMask::new(keys.clone(), n));
+                let (rows, cols) = mask.shape();
+                let mut dense =
+                    Matrix::from_fn(rows, cols, |k, j| ((k * 7 + j + l) % 11) as f64 - 5.0);
+                let mut keyed = dense.as_slice().to_vec();
+                keys.apply(&mut keyed);
+                dense.hadamard_inplace(&mask);
+                assert_eq!(bits(&keyed), bits(dense.as_slice()), "n={n} layer {l}");
+                negative_zeros += bits(&keyed).contains(&(-0.0f64).to_bits()) as usize;
                 for k in 0..mask.rows() {
                     let (row, end) = (mask.row(k), sched.live_end(k));
                     assert!(
@@ -340,6 +385,11 @@ mod tests {
                         "n={n} layer {l} row {k}"
                     );
                     assert!(end == 0 || row[end - 1] == 1.0, "n={n} layer {l} row {k}");
+                    let live = (0..cols).map(|j| keys.live(k, j));
+                    assert!(
+                        live.eq(row.iter().map(|&v| v == 1.0)),
+                        "n={n} layer {l} row {k}"
+                    );
                 }
                 for d in 0..mask.cols() {
                     let start = sched.col_start(d);
@@ -371,6 +421,7 @@ mod tests {
                 );
             }
         }
+        assert!(negative_zeros > 0, "no masked negative entry: vacuous");
     }
 
     #[test]

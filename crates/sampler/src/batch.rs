@@ -23,8 +23,7 @@
 //!   kernel-level optimisation lands on training and serving at once.
 //!
 //! The MADE pass is driven by the mask structure
-//! ([`LayerSchedule`](vqmc_nn::masks::LayerSchedule), built with the
-//! model): each deep hidden unit is computed once per sample, at the
+//! ([`LayerMask`](vqmc_nn::masks::LayerMask), built with the model): each deep hidden unit is computed once per sample, at the
 //! bit its inputs become final, and no reduction or update touches a
 //! weight range its mask zeroes (see `panel_pass`).
 
@@ -398,7 +397,7 @@ impl MadeBatchSampler {
         let h = wf.hidden_size();
         let rows: usize = counts.iter().sum();
         let (b1, w2, b2) = (wf.b1(), wf.w2(), wf.b2());
-        let (sched1, sched2) = (wf.layers()[0].schedule(), wf.layers()[1].schedule());
+        let (mask1, mask2) = (wf.layers()[0].layer_mask(), wf.layers()[1].layer_mask());
         let relu_dot = vqmc_tensor::simd::kernels().relu_dot;
         let draw = &mut self.draw;
         self.z1.clear();
@@ -407,8 +406,8 @@ impl MadeBatchSampler {
             self.z1.extend_from_slice(b1);
         }
         for i in 0..n {
-            let w2_row = &w2.row(i)[..live_prefix::<f64>(sched2.live_end(i), h)];
-            let first = sched1.col_start(i);
+            let w2_row = &w2.row(i)[..live_prefix::<f64>(mask2.live_end(i), h)];
+            let first = mask1.col_start(i);
             let w1_col = &self.w1_t.row(i)[first..];
             for s in 0..rows {
                 let z_row = &self.z1[s * h..s * h + w2_row.len()];
@@ -484,8 +483,8 @@ fn live_prefix<E: KernelElem>(live: usize, len: usize) -> usize {
 
 /// The panel pass — one body for f64 and f32 panels at every depth,
 /// over the weights of a [`MadeView`] (the model's own layers plus the
-/// cached `W₁ᵀ`, or the narrowed f32 copy), driven by the masks'
-/// [`LayerSchedule`](vqmc_nn::masks::LayerSchedule).
+/// cached `W₁ᵀ`, or the narrowed f32 copy), driven by the layers'
+/// [`LayerMask`](vqmc_nn::masks::LayerMask)s.
 ///
 /// Per bit `i`, each pool stripe runs one fused `sample_step_cols` call
 /// per hidden unit of layers `2…D` whose *ready bit* is `i` (each a
@@ -539,10 +538,10 @@ fn panel_pass<E: PanelElem>(
     let last_update = if depth == 1 {
         n
     } else {
-        layers[1].sched.last_ready().unwrap_or(0)
+        layers[1].mask.last_ready().unwrap_or(0)
     };
     debug_assert!(
-        depth == 1 || (1..=last_update).all(|i| !layers[1].sched.ready_at(i).is_empty()),
+        depth == 1 || (1..=last_update).all(|i| !layers[1].mask.ready_at(i).is_empty()),
         "a bit before layer 2's last ready bit has no unit to carry the W₁ update"
     );
     // Panel offsets, on the stack (no per-call allocation): hidden
@@ -607,7 +606,7 @@ fn panel_pass<E: PanelElem>(
                 s += 1;
             }
         }
-        let w_prev = (i > 0 && i <= last_update && layers[0].sched.col_start(i - 1) < h1)
+        let w_prev = (i > 0 && i <= last_update && layers[0].mask.col_start(i - 1) < h1)
             .then(|| view.w1t_row(i - 1));
         let c = i % LS_CHUNK;
         let pz = par::SendPtr(panel.z1t.as_mut_ptr());
@@ -657,8 +656,8 @@ fn panel_pass<E: PanelElem>(
                     let dst = from_raw_parts_mut(pzd.get().add(doff[l] + hl * start), hl * bw);
                     // The logits stripe is free until the output
                     // reduction, so it stages the f32 arm's units.
-                    for &k in layer.sched.ready_at(i) {
-                        let live = layer.sched.live_end(k);
+                    for &k in layer.mask.ready_at(i) {
+                        let live = layer.mask.live_end(k);
                         E::unit(&mut dst[k * bw..(k + 1) * bw], logits_s, |out| {
                             reduce(src, layer.row(k), live, layer.b[k], out)
                         });
@@ -666,7 +665,7 @@ fn panel_pass<E: PanelElem>(
                     src = dst;
                 }
                 let out_layer = &layers[depth];
-                let live = out_layer.sched.live_end(i);
+                let live = out_layer.mask.live_end(i);
                 reduce(src, out_layer.row(i), live, out_layer.b[i], logits_s);
                 probs_s.copy_from_slice(logits_s);
                 sigmoid(probs_s);
