@@ -451,6 +451,7 @@ impl Made {
         }
         // Flatten `[dW_0 | db_0 | dW_1 | db_1 | …]` into `out`.
         out.0.clear();
+        out.0.reserve(self.num_params());
         for (dw, db) in dw.iter().zip(db.iter()).take(ll) {
             out.0.extend_from_slice(dw.as_slice());
             out.0.extend_from_slice(db);
@@ -629,6 +630,7 @@ impl WaveFunction for Made {
 
     fn params_into(&self, out: &mut Vector) {
         out.0.clear();
+        out.0.reserve(self.num_params());
         for layer in &self.layers {
             out.0.extend_from_slice(layer.w.as_slice());
             out.0.extend_from_slice(&layer.b);

@@ -95,7 +95,7 @@ impl MaskKeys {
     /// Masks the row-major `rows × cols` matrix `w` in place: entry
     /// `(k, j)` is multiplied by its 0/1 mask entry.  A multiply, not a
     /// select, so a masked entry becomes the signed zero `x · 0`, bit
-    /// for bit what `hadamard_inplace` with [`MaskKeys::mask`] gives.
+    /// for bit the elementwise product with [`MaskKeys::mask`].
     pub fn apply(&self, w: &mut [f64]) {
         let cols = self.cols.len();
         assert_eq!(w.len(), self.rows.len() * cols, "MaskKeys::apply: shape");
