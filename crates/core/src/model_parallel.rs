@@ -427,9 +427,9 @@ mod tests {
     fn masked_entries_stay_masked_in_shards() {
         let made = Made::new(8, 10, 3);
         let sharded = ShardedMade::from_made(&made, 2);
+        let in_keys = made.layers()[0].layer_mask().keys();
         for shard in sharded.shards() {
             let (lo, _) = shard.hidden_range;
-            let in_keys = made.layers()[0].layer_mask().keys();
             for k in 0..shard.b1.len() {
                 for d in 0..8 {
                     if !in_keys.live(lo + k, d) {

@@ -23,9 +23,10 @@
 //!   kernel-level optimisation lands on training and serving at once.
 //!
 //! The MADE pass is driven by the mask structure
-//! ([`LayerMask`](vqmc_nn::masks::LayerMask), built with the model): each deep hidden unit is computed once per sample, at the
-//! bit its inputs become final, and no reduction or update touches a
-//! weight range its mask zeroes (see `panel_pass`).
+//! ([`LayerMask`](vqmc_nn::masks::LayerMask), built with the model):
+//! each deep hidden unit is computed once per sample, at the bit its
+//! inputs become final, and no reduction or update touches a weight
+//! range its mask zeroes (see `panel_pass`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
