@@ -9,6 +9,14 @@
 //! multi-core host for the scaling columns (results are bit-identical
 //! at any width).
 //!
+//! `tim_n64_b512_shuffled` evaluates the same neighbours in a fixed
+//! shuffled row order.  The engine's order (sample-major, flips
+//! ascending) lets the MADE forward pass copy what a flip cannot reach
+//! from the row before; shuffled, no row shares a prefix with its
+//! predecessor and the pass runs dense.  The gap between the two is the
+//! reuse's payoff, and the shuffled case is what a batch without shared
+//! prefixes costs.
+//!
 //! `maxcut_diag_n1024_b1024` times the Max-Cut diagonal alone (the
 //! sample-tiled signed-sum kernel) at the shape behind the benchmark's
 //! `hamiltonian.diag_ms`, one thread.
@@ -50,6 +58,49 @@ fn bench_local_energy(c: &mut Criterion) {
                         &batch,
                         &log_psi_x,
                         &mut |nb, dst: &mut Vector| dst.copy_from(&wf.log_psi(nb)),
+                        LocalEnergyConfig::default(),
+                        &mut scratch,
+                        &mut out,
+                    );
+                    black_box(out.as_slice()[0])
+                })
+            })
+        });
+        // The same neighbours evaluated in a fixed shuffled row order:
+        // no row shares a prefix with the one before, so the forward
+        // pass runs dense.  Against the case above it prices the
+        // prefix reuse; the row shuffle itself is a byte copy.
+        group.bench_function(format!("tim_n64_b512_shuffled/t{threads}"), |b| {
+            par::with_threads(threads, || {
+                let mut scratch = LocalEnergyScratch::new();
+                let mut out = Vector::default();
+                let mut shuffled = SpinBatch::default();
+                let mut order: Vec<usize> = Vec::new();
+                b.iter(|| {
+                    let mut eval = |nb: &SpinBatch, dst: &mut Vector| {
+                        let rows = nb.batch_size();
+                        if order.len() != rows {
+                            let mut rng = StdRng::seed_from_u64(rows as u64);
+                            order = (0..rows).collect();
+                            for i in (1..rows).rev() {
+                                order.swap(i, rng.gen_range(0..=i));
+                            }
+                        }
+                        shuffled.resize(rows, n);
+                        for (dst, &r) in shuffled.as_bytes_mut().chunks_exact_mut(n).zip(&order) {
+                            dst.copy_from_slice(nb.sample(r));
+                        }
+                        let lp = wf.log_psi(&shuffled);
+                        dst.resize(rows);
+                        for (&r, &v) in order.iter().zip(lp.iter()) {
+                            dst[r] = v;
+                        }
+                    };
+                    local_energies_into(
+                        &h,
+                        &batch,
+                        &log_psi_x,
+                        &mut eval,
                         LocalEnergyConfig::default(),
                         &mut scratch,
                         &mut out,

@@ -42,7 +42,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
 
-use crate::layers::{self, LayerView, MadeView};
+use crate::layers::{self, Keep, LayerView, MadeView, ReuseBufs};
 use crate::masks::{self, LayerMask, MaskKeys};
 use crate::{init, Autoregressive, WaveFunction};
 
@@ -153,6 +153,23 @@ impl MadeWorkspace {
     /// Output logits of the last [`Made::forward_with`] (`bs × n`).
     fn logits(&self) -> &Matrix {
         &self.z[self.num_layers - 1]
+    }
+
+    /// The forward pass's buffers: input, pre-activations, activations,
+    /// and the prefix-reusing pass's scratch, lent from the backward
+    /// pass's `δ`, which holds nothing between passes (every stack has
+    /// at least two layers).
+    fn forward_bufs(
+        &mut self,
+    ) -> (
+        &mut Matrix,
+        &mut [Matrix],
+        &mut [Matrix],
+        ReuseBufs<'_, f64>,
+    ) {
+        let MadeWorkspace { x, z, h, delta, .. } = self;
+        let [rows, product, ..] = delta;
+        (x, z, h, ReuseBufs { rows, product })
     }
 
     fn ensure_layers(&mut self, num_layers: usize) {
@@ -351,8 +368,8 @@ impl Made {
     /// is warm).
     pub fn forward_with(&self, batch: &SpinBatch, ws: &mut MadeWorkspace) {
         ws.ensure_layers(self.layers.len());
-        let MadeWorkspace { x, z, h, .. } = ws;
-        layers::forward(&self.view(), batch, x, z, h);
+        let (x, z, h, bufs) = ws.forward_bufs();
+        layers::forward(&self.view(), batch, x, z, h, bufs, Keep::All, |_, _, _| {});
     }
 
     /// Output logits `aᵢ` (pre-sigmoid conditionals) for a batch — the
@@ -369,8 +386,8 @@ impl Made {
     /// the logits in `ws` with the per-bit log-probabilities).
     pub fn log_psi_with(&self, batch: &SpinBatch, ws: &mut MadeWorkspace, out: &mut Vector) {
         ws.ensure_layers(self.layers.len());
-        let MadeWorkspace { x, z, h, .. } = ws;
-        layers::log_psi_into(&self.view(), batch, x, z, h, out);
+        let (x, z, h, bufs) = ws.forward_bufs();
+        layers::log_psi_into(&self.view(), batch, x, z, h, bufs, out);
     }
 
     /// [`Autoregressive::conditionals`] with caller-owned scratch and

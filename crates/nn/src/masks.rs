@@ -223,6 +223,13 @@ impl LayerMask {
         &self.by_ready[self.ready_start[i]..self.ready_start[i + 1]]
     }
 
+    /// How many rows have a key `< i` (`i ≤ n`).  A row is read off
+    /// inputs below its key only, so these rows are the same for two
+    /// configurations that share their first `i − 1` bits.
+    pub fn ready_before(&self, i: usize) -> usize {
+        self.ready_start[i]
+    }
+
     /// The last bit at which some unit becomes ready, if any does.
     pub fn last_ready(&self) -> Option<usize> {
         let total = self.by_ready.len();
@@ -411,6 +418,10 @@ mod tests {
                     "n={n} layer {l}: a row is never ready"
                 );
                 assert_eq!(sched.last_ready(), keys.rows.iter().copied().max());
+                for i in 0..=n {
+                    let below = keys.rows.iter().filter(|&&r| r < i).count();
+                    assert_eq!(sched.ready_before(i), below, "n={n} layer {l} key {i}");
+                }
                 // The panel sampler carries each W₁ update on a layer-2
                 // unit ready at that bit, so no bit up to the last ready
                 // one may be empty.

@@ -89,9 +89,21 @@ const COLS_PANEL_CAP_BYTES: usize = 512 * 1024;
 /// blocks stay saturated on every worker but the last.
 const PAR_ROW_UNIT: usize = 8;
 
-/// Below this combined row count the cols path stays on one thread:
-/// a pool dispatch per bit cannot amortise over fewer than two stripes.
-const PAR_ROWS_MIN: usize = 16;
+/// How many pool stripes the panel pass splits `rows` into, for a
+/// layer-1 panel `width` units wide at `threads` workers.  The pass
+/// forks once per bit, so it splits only when a bit's work — the
+/// `rows × width` panel its `W₁` update streams — clears the pool's
+/// elementwise floor ([`par::PAR_THRESHOLD_ELEMS`]): below it the
+/// dispatch costs more than the bit (64 rows at `h₁ = 96`, n = 4096:
+/// 73 ms a pass split over two workers, 12.7 ms on one).  The split
+/// never moves a bit (see [`panel_pass`]).
+fn panel_parts(rows: usize, width: usize, threads: usize) -> usize {
+    if threads > 1 && rows * width >= par::PAR_THRESHOLD_ELEMS {
+        threads.min(rows.div_ceil(PAR_ROW_UNIT))
+    } else {
+        1
+    }
+}
 
 /// Bits per `log σ` chunk of the panel path (see [`DrawBufs::ls_buf`]).
 const LS_CHUNK: usize = 512;
@@ -559,11 +571,7 @@ fn panel_pass<E: PanelElem>(
     draw.bits_t.resize(n * rows, 0);
     draw.bits_t.truncate(n * rows);
     let units = rows.div_ceil(PAR_ROW_UNIT);
-    let parts = if rows >= PAR_ROWS_MIN {
-        par::active_threads().min(units.max(1))
-    } else {
-        1
-    };
+    let parts = panel_parts(rows, h1, par::active_threads());
     let stripe = |w: usize| {
         let u = par::stripe(units, parts, w);
         (
@@ -1185,6 +1193,28 @@ mod tests {
         for (what, precision, depth, layout, rows, h1, threads, path) in cases {
             let got = choose_path(precision, depth, layout, rows, h1, threads);
             assert_eq!(got, path, "{what} ({precision:?})");
+        }
+    }
+
+    /// The panel pass forks per bit only where a bit's work pays for
+    /// the dispatch, pinned per shape at a two-worker pool.
+    #[test]
+    fn fork_pins_benchmark_shapes() {
+        use vqmc_nn::made_hidden_size as h;
+        // (what, rows, h₁, parts at two workers)
+        let cases = [
+            ("bench_deep depth 1", 64, 96, 1),
+            ("bench_deep depth 3", 64, 64, 1),
+            ("serve_sample_n1024", 64, 64, 1),
+            ("dist_dp_r2", 32, h(512), 1),
+            ("train_tim_n64", 512, h(64), 2),
+            ("train_maxcut_deep2", 256, 192, 2),
+            ("maxcut n1024", 1024, h(1024), 2),
+            ("two units", 9, 1 << 14, 2),
+        ];
+        for (what, rows, h1, parts) in cases {
+            assert_eq!(panel_parts(rows, h1, 2), parts, "{what}");
+            assert_eq!(panel_parts(rows, h1, 1), 1, "{what} at one worker");
         }
     }
 

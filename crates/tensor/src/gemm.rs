@@ -441,6 +441,17 @@ pub fn gemm_nt_slices(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mu
     }
 }
 
+/// Whether [`gemm_nt_slices`] computes every `C[i][j]` from row `i` of
+/// `A` and row `j` of `B` alone, whatever the shape.  True on the
+/// packed path (each entry is its own FMA chain, `KC` blocks
+/// ascending), so any subset of rows times any subset of `B`'s rows
+/// gives the dense product's bits; false on the portable table, where
+/// full 4×4 tiles and the remainder dots round differently.
+/// [`gemm_nt_f32`] is packed on every table, hence always entrywise.
+pub fn nt_is_entrywise() -> bool {
+    packed_micro().is_some()
+}
+
 /// Scalar-arm `nt`: `MR`-aligned row stripes over the pool when the
 /// shape clears the FLOP gate, one sequential [`nt_panel`] otherwise.
 /// Stripe starts are multiples of `MR`, so each row keeps the
