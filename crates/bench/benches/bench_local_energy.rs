@@ -1,6 +1,7 @@
 //! The batched local-energy engine across pool widths: neighbour-batch
 //! build + forward pass + vectorised ratio/exp + scatter, exactly the
-//! per-iteration measurement path of `Trainer::step`.
+//! per-iteration measurement path of `Trainer::step`.  As there, the
+//! forward pass is `log_psi_into` on one warm `Workspace` per case.
 //!
 //! The neighbour build and log-ratio fill stripe over the worker pool;
 //! the `logψ` forward pass rides the pool through the GEMM and slice
@@ -51,13 +52,14 @@ fn bench_local_energy(c: &mut Criterion) {
         group.bench_function(format!("tim_n64_b512/t{threads}"), |b| {
             par::with_threads(threads, || {
                 let mut scratch = LocalEnergyScratch::new();
+                let mut ws = Workspace::new();
                 let mut out = Vector::default();
                 b.iter(|| {
                     local_energies_into(
                         &h,
                         &batch,
                         &log_psi_x,
-                        &mut |nb, dst: &mut Vector| dst.copy_from(&wf.log_psi(nb)),
+                        &mut |nb, dst: &mut Vector| wf.log_psi_into(nb, &mut ws, dst),
                         LocalEnergyConfig::default(),
                         &mut scratch,
                         &mut out,
@@ -73,8 +75,10 @@ fn bench_local_energy(c: &mut Criterion) {
         group.bench_function(format!("tim_n64_b512_shuffled/t{threads}"), |b| {
             par::with_threads(threads, || {
                 let mut scratch = LocalEnergyScratch::new();
+                let mut ws = Workspace::new();
                 let mut out = Vector::default();
                 let mut shuffled = SpinBatch::default();
+                let mut lp = Vector::default();
                 let mut order: Vec<usize> = Vec::new();
                 b.iter(|| {
                     let mut eval = |nb: &SpinBatch, dst: &mut Vector| {
@@ -90,7 +94,7 @@ fn bench_local_energy(c: &mut Criterion) {
                         for (dst, &r) in shuffled.as_bytes_mut().chunks_exact_mut(n).zip(&order) {
                             dst.copy_from_slice(nb.sample(r));
                         }
-                        let lp = wf.log_psi(&shuffled);
+                        wf.log_psi_into(&shuffled, &mut ws, &mut lp);
                         dst.resize(rows);
                         for (&r, &v) in order.iter().zip(lp.iter()) {
                             dst[r] = v;

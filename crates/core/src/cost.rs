@@ -71,6 +71,29 @@ pub fn allreduce_bytes(num_params: usize) -> usize {
     num_params * std::mem::size_of::<f64>()
 }
 
+/// Communication volumes (bytes per training iteration) of the two
+/// parallelisation avenues of the paper's §4, for a direct comparison:
+///
+/// * **data parallel** — one `d = 2hn + h + n` gradient allreduce;
+/// * **model parallel** (the hidden layer sharded across devices) — one
+///   `bs × n` logit allreduce per forward pass: `n + 1` passes for
+///   sampling (Algorithm 1) plus the measurement's neighbour pass over
+///   `bs·offdiag` rows.
+///
+/// Returns `(data-parallel bytes, model-parallel bytes)`.
+pub fn comm_comparison(
+    n: usize,
+    h: usize,
+    bs: usize,
+    offdiag: usize,
+) -> (usize, usize) {
+    let f = std::mem::size_of::<f64>();
+    let data = (2 * h * n + h + n) * f;
+    let sampling_passes = n + 1;
+    let model = (sampling_passes * bs * n + bs * offdiag * n) * f;
+    (data, model)
+}
+
 /// Total flops of one AUTO training iteration on one device (sampling +
 /// measurement + backward) — the paper's per-GPU `O(h·n²·mbs)`.
 pub fn auto_iteration_flops(mbs: usize, n: usize, h: usize, offdiag: usize) -> f64 {
@@ -124,5 +147,20 @@ mod tests {
     #[test]
     fn allreduce_bytes_is_8d() {
         assert_eq!(allreduce_bytes(1000), 8000);
+    }
+
+    #[test]
+    fn comm_crossover_favors_data_parallel_at_large_batch() {
+        // Model parallelism ships bs×n per pass; data parallelism ships
+        // d once. For the paper's single-GPU setup (bs = 1024) data
+        // parallelism moves far fewer bytes...
+        let (data, model) = comm_comparison(500, 193, 1024, 500);
+        assert!(model > 10 * data);
+        // ...but at mbs = 4 with a huge model the gap narrows by orders
+        // of magnitude (the regime where sharding pays for memory).
+        let (data_large, model_large) = comm_comparison(10_000, 424, 4, 10_000);
+        let ratio_small = model as f64 / data as f64;
+        let ratio_large = model_large as f64 / data_large as f64;
+        assert!(ratio_large < ratio_small / 10.0);
     }
 }

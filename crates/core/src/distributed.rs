@@ -12,11 +12,14 @@
 //!
 //! Two collectives per iteration:
 //!
-//! 1. scalar energy statistics (Σl, Σl², min — 3 doubles) to form the
-//!    global baseline `L̄` (an exact-global-batch refinement of the
-//!    paper's "average the local gradients"; both are unbiased, the
-//!    global baseline just removes an `O(1/mbs)` baseline-noise term,
-//!    which matters at `mbs = 4`);
+//! 1. scalar statistics to form the global baseline `L̄` (an
+//!    exact-global-batch refinement of the paper's "average the local
+//!    gradients"; both are unbiased, the global baseline just removes
+//!    an `O(1/mbs)` baseline-noise term, which matters at `mbs = 4`).
+//!    Every rank allgathers 7 doubles — Σl, Σl², min and four sampler
+//!    counters — and reduces the first three through a local
+//!    [`allreduce_mean_tree`] pass.  The modelled clock charges this
+//!    round as an allreduce of the 3 energy statistics;
 //! 2. the `d`-double gradient — the `O(h·n)` communication of Eq. 15.
 //!
 //! **One step, two placements.**  Every iteration is the single rank
@@ -32,12 +35,11 @@
 //!   multi-process mesh ([`Collective`], e.g. `vqmc_dist::Mesh` over
 //!   TCP): this process owns exactly *its* replica.
 //!
-//! The scalar stats travel by allgather + a local
-//! [`allreduce_mean_tree`] pass and the gradient by the collective's
-//! allreduce, whose pairwise schedule is that same tree.  Because
-//! per-rank RNG streams, reduction order and update order are fixed,
-//! an `L`-rank socket run is **bit-identical** to an `L`-device cluster
-//! run — property-tested in `vqmc-dist`.
+//! The gradient travels by the collective's allreduce, whose pairwise
+//! schedule is that same tree.  Because per-rank RNG streams, reduction
+//! order and update order are fixed, an `L`-rank socket run is
+//! **bit-identical** to an `L`-device cluster run — property-tested in
+//! `vqmc-dist`.
 //!
 //! Timing: the cluster arm charges the modelled clock from the flop
 //! counts in [`crate::cost`] and the tree cost of each allreduce
@@ -252,27 +254,19 @@ where
             }
             Backend::Cluster(cluster) => cluster,
         };
-        // The L replicas run as L ThreadMesh ranks: rank 0 on this
-        // thread, the rest on scoped threads.  A panicking rank fails
-        // its peers' rounds at once (the mesh's drop guard), so the
-        // deadline is only a backstop.
+        // The L replicas run as L ThreadMesh ranks.  A panicking rank
+        // fails its peers' rounds at once (the mesh's drop guard), so
+        // the deadline is only a backstop.
         let meshes = ThreadMesh::split(self.states.len(), Duration::from_secs(3600));
-        let (first, rest) = self.states.split_first_mut().expect("at least one device");
-        let rec = std::thread::scope(|scope| {
-            // Every mesh handle is owned by its rank's stack, so unwinding
-            // drops it and trips the guard.
-            let mut meshes = meshes.into_iter();
-            let mut own = meshes.next().expect("rank 0");
-            let peers: Vec<_> = meshes
-                .zip(rest)
-                .map(|(mut mesh, st)| scope.spawn(move || step_rank(&mut mesh, st, &config, h)))
-                .collect();
-            let rec = step_rank(&mut own, first, &config, h);
-            for peer in peers {
-                peer.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?;
-            }
-            rec
-        })?;
+        let mut recs = fan_out(meshes.into_iter().zip(&mut self.states), |(mut mesh, st)| {
+            step_rank(&mut mesh, st, &config, h)
+        })
+        .into_iter();
+        let rec = recs.next().expect("rank 0");
+        for peer in recs {
+            peer?;
+        }
+        let rec = rec?;
 
         // Charge the modelled clock: phase-1 compute (streamed flops plus
         // the launch overhead of every batched pass — rank 0's sampling
@@ -335,14 +329,13 @@ where
         let before = cluster.elapsed_modelled();
         let mbs = self.config.minibatch_per_device;
         let hid = self.config.cost_hidden;
-        let stats: Vec<(usize, usize)> = cluster.run_round_mut(&mut self.states, |_rank, st| {
+        let (n, passes) = fan_out(&mut self.states, |st| {
             let DeviceState {
                 wf, rng, sampler, out, ..
             } = st;
             sampler.sample_into(wf, mbs, rng, out);
             (out.batch.num_spins(), out.stats.forward_passes)
-        });
-        let (n, passes) = stats[0];
+        })[0];
         cluster.charge_flops_all(cost::auto_sampling_flops(mbs, n, hid));
         cluster.charge_passes_all(passes);
         cluster.sync();
@@ -357,6 +350,29 @@ where
             Backend::Mesh(_) => 0.0,
         }
     }
+}
+
+/// Runs `f` once per rank, all ranks concurrently: rank 0 on the
+/// calling thread, the rest on scoped threads.  Each rank's input is
+/// moved onto its own stack, so a rank that unwinds drops it; a peer's
+/// panic is resumed here.  Returns the results in rank order.
+fn fan_out<I, R>(ranks: impl IntoIterator<Item = I>, f: impl Fn(I) -> R + Sync) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+{
+    let mut ranks = ranks.into_iter();
+    let first = ranks.next().expect("at least one rank");
+    std::thread::scope(|scope| {
+        let f = &f;
+        let peers: Vec<_> = ranks.map(|input| scope.spawn(move || f(input))).collect();
+        let mut results = Vec::with_capacity(peers.len() + 1);
+        results.push(f(first));
+        for peer in peers {
+            results.push(peer.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        results
+    })
 }
 
 /// One rank's iteration — the only step body, whatever the placement.

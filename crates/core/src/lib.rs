@@ -33,7 +33,6 @@ pub mod cost;
 pub mod distributed;
 pub mod estimator;
 pub mod hitting;
-pub mod model_parallel;
 pub mod observables;
 pub mod trainer;
 

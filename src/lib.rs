@@ -40,13 +40,13 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`tensor`] | dense rayon-parallel kernels, [`tensor::SpinBatch`] |
+//! | [`tensor`] | dense kernels on the [`tensor::par`] worker pool, [`tensor::SpinBatch`] |
 //! | [`autodiff`] | reverse-mode tape (gradient verification oracle) |
 //! | [`hamiltonian`] | TIM, Max-Cut/QUBO, local energies, exact Lanczos |
 //! | [`nn`] | MADE and RBM neural quantum states |
 //! | [`sampler`] | exact AUTO sampling and Metropolis–Hastings MCMC |
 //! | [`optim`] | SGD, Adam, stochastic reconfiguration + CG |
-//! | [`cluster`] | virtual multi-GPU cluster (threads + cost model) |
+//! | [`cluster`] | virtual multi-GPU cluster (topology, tree allreduce, cost model) |
 //! | [`baselines`] | random cut, Goemans–Williamson, Burer–Monteiro |
 //! | [`core`] | the VQMC trainer, estimators, distributed trainer |
 //! | [`serve`] | dynamic-batching TCP inference server + client |

@@ -1,10 +1,8 @@
 //! Integration tests for the extension features built on top of the
 //! paper's core reproduction: the NADE architecture, heat-bath (Gibbs)
-//! sampling, the Sherrington–Kirkpatrick workload, model parallelism
-//! and checkpointing — each exercised through the same public API as
-//! the headline pipeline.
+//! sampling, the Sherrington–Kirkpatrick workload and checkpointing —
+//! each exercised through the same public API as the headline pipeline.
 
-use vqmc::core::model_parallel::ShardedMade;
 use vqmc::core::observables::fidelity;
 use vqmc::nn::checkpoint::Checkpoint;
 use vqmc::prelude::*;
@@ -73,33 +71,6 @@ fn sk_model_high_fidelity_with_sr() {
     // states; require high fidelity OR an energy within 2% of exact.
     let rel = (trace.final_energy() - gs.energy).abs() / gs.energy.abs();
     assert!(f > 0.9 || rel < 0.02, "fidelity {f}, energy gap {rel}");
-}
-
-/// Model parallelism composes with training: a trained dense model,
-/// sharded after the fact, reports identical amplitudes through the
-/// distributed forward pass.
-#[test]
-fn trained_model_shards_losslessly() {
-    let n = 6;
-    let h = TransverseFieldIsing::random(n, 13);
-    let config = TrainerConfig {
-        iterations: 60,
-        batch_size: 128,
-        optimizer: OptimizerChoice::paper_default(),
-        ..TrainerConfig::paper_default(2)
-    };
-    let mut t = Trainer::new(Made::new(n, 9, 4), AutoSampler::new(), config);
-    t.run(&h);
-    let made = t.into_wavefunction();
-
-    let sharded = ShardedMade::from_made(&made, 3);
-    let mut cluster = Cluster::new(Topology::new(1, 3), DeviceSpec::v100());
-    let batch = vqmc::tensor::batch::enumerate_configs(n);
-    let dense = made.log_psi(&batch);
-    let dist = sharded.log_psi_distributed(&mut cluster, &batch);
-    for s in 0..batch.batch_size() {
-        assert!((dense[s] - dist[s]).abs() < 1e-11, "sample {s}");
-    }
 }
 
 /// Checkpoint round-trip across a training run: restore and continue
