@@ -270,8 +270,11 @@ fn run_swarm(opts: &Opts, num_spins: usize) -> RunStats {
             sent += 1;
         }
 
-        // Wait for socket readiness, but never past the next arrival.
-        let timeout = if sent < total {
+        // Wait for socket readiness, but never past the next arrival;
+        // requests queued above go out now, not after the wait.
+        let timeout = if !dirty.is_empty() {
+            Duration::ZERO
+        } else if sent < total {
             let next_due = period.mul_f64(sent as f64);
             next_due
                 .checked_sub(started.elapsed())

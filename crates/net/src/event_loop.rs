@@ -23,8 +23,7 @@
 //! per-connection sequence number ([`Ticket::seq`]); completed replies
 //! park in a per-connection `BTreeMap` and only the contiguous prefix
 //! is queued to the socket.  The wire order seen by a client is
-//! therefore exactly its request order — the same contract the
-//! blocking thread-per-connection runtime provides for free.
+//! therefore exactly its request order.
 //!
 //! ## Stale completions
 //!

@@ -1,10 +1,9 @@
 //! `vqmc-net` — nonblocking serving runtime for the vqmc stack.
 //!
-//! The thread-per-connection runtime in `vqmc-serve` spends one OS
-//! thread (stack, scheduler slot, context switches) per client, which
-//! tops out around a few hundred connections.  This crate provides the
-//! pieces of a readiness-driven runtime that serves thousands of
-//! connections from one or a few event-loop threads:
+//! `vqmc-serve` runs on this crate: a readiness-driven runtime that
+//! serves thousands of connections from one or a few event-loop
+//! threads, with one file descriptor and no thread per client.  The
+//! pieces:
 //!
 //! * [`FrameDecoder`] — incremental reassembly of the length-prefixed
 //!   wire frames from arbitrarily-split reads,

@@ -1,5 +1,5 @@
-//! The dynamic batcher: a bounded coalescing queue between connection
-//! handler threads and model worker threads.
+//! The dynamic batcher: a bounded coalescing queue between the server's
+//! event loops and model worker threads.
 //!
 //! State machine (per queue):
 //!
@@ -36,9 +36,8 @@ use crate::protocol::{Request, Response};
 
 /// Single-use reply path back to whoever admitted the request.
 ///
-/// The two runtimes answer differently — the thread-per-connection
-/// handler blocks on an `mpsc` channel, the epoll runtime posts the
-/// encoded reply into an event loop's completion queue — so the
+/// The server posts the encoded reply into an event loop's completion
+/// queue; in-process callers and tests block on an `mpsc` channel.  The
 /// batcher and engine only see this closure.  Stats recording wraps
 /// here too, transparently to the execution layer.
 pub struct ReplySink(Box<dyn FnOnce(Response) + Send>);
@@ -49,8 +48,8 @@ impl ReplySink {
         ReplySink(Box::new(f))
     }
 
-    /// A channel-backed sink plus its receiver (the blocking runtime
-    /// and the in-process tests).
+    /// A channel-backed sink plus its receiver (in-process callers and
+    /// tests).
     pub fn channel() -> (Self, std::sync::mpsc::Receiver<Response>) {
         let (tx, rx) = std::sync::mpsc::channel();
         (ReplySink::from(tx), rx)
@@ -82,9 +81,9 @@ impl std::fmt::Debug for ReplySink {
 #[derive(Debug)]
 pub struct WorkItem {
     /// The decoded request (never `Ping`/`Shutdown` — those are handled
-    /// inline by the connection handler).
+    /// inline by the event loop).
     pub request: Request,
-    /// Single-use reply path back to the admitting runtime.
+    /// Single-use reply path back to whoever admitted the request.
     pub reply: ReplySink,
     /// Absolute deadline; items drained past it are answered with
     /// `DeadlineExceeded` instead of being executed.
@@ -134,7 +133,7 @@ struct State {
     open: bool,
 }
 
-/// The coalescing queue shared by connection handlers and workers.
+/// The coalescing queue shared by the event loops and workers.
 pub struct Batcher {
     config: BatcherConfig,
     state: Mutex<State>,

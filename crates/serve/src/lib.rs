@@ -23,15 +23,14 @@
 //!   `LogPsi`, `LocalEnergy`, `Shutdown`, `Reload`, `Stats`.
 //! * [`batcher`] — the coalescing bounded queue: admission control
 //!   (`Overloaded` instead of OOM), deadline propagation, graceful
-//!   drain; replies travel through runtime-agnostic [`ReplySink`]s.
+//!   drain; replies travel through single-use [`ReplySink`]s.
 //! * [`engine`] — batched execution over a hot-swappable checkpoint
 //!   slot ([`ModelSlot`]); coalesced replies are **bit-identical** to
 //!   the single-request path (property-tested), including `Sample`,
 //!   which draws each request's bits from its own seeded RNG stream
 //!   inside one combined incremental AUTO pass.
-//! * [`server`] — the TCP front end: the default nonblocking epoll
-//!   runtime (`vqmc-net` event loops + completion queues) and the
-//!   thread-per-connection baseline, both feeding the same batcher;
+//! * [`server`] — the TCP front end: nonblocking `vqmc-net` event
+//!   loops whose completion queues carry the engine's replies back;
 //!   graduated admission, atomic checkpoint hot-reload, live stats.
 //! * [`client`] — a blocking client (integration tests, `vqmc-loadgen`).
 //! * [`stats`] — lock-free serving counters behind the `Stats` frame.
@@ -49,5 +48,5 @@ pub use batcher::{Batcher, BatcherConfig, PushError, ReplySink, WorkItem};
 pub use client::{Client, ClientError};
 pub use engine::{Engine, ModelSlot, SampleRequest};
 pub use protocol::{ErrorCode, OpLatency, Request, Response, StatsSnapshot};
-pub use server::{AdmissionTier, Runtime, ServeConfig, Server};
+pub use server::{AdmissionTier, ServeConfig, Server};
 pub use stats::{ServerStats, StatOp};

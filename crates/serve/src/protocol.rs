@@ -610,9 +610,9 @@ mod tests {
         SpinBatch::from_fn(bs, n, |s, i| ((s + i + seed as usize) % 2) as u8)
     }
 
-    #[test]
-    fn request_round_trips() {
-        let reqs = [
+    /// One of every request shape (precision tagged and untagged).
+    fn requests() -> Vec<Request> {
+        vec![
             Request::Ping,
             Request::Sample {
                 count: 128,
@@ -641,8 +641,12 @@ mod tests {
                 path: "/tmp/ckpt-v2.vqmc".into(),
             },
             Request::Stats,
-        ];
-        for req in reqs {
+        ]
+    }
+
+    #[test]
+    fn request_round_trips() {
+        for req in requests() {
             let payload = encode_request(&req);
             assert_eq!(decode_request(&payload).unwrap(), req, "{req:?}");
         }
@@ -674,9 +678,9 @@ mod tests {
         assert!(decode_request(&p).is_err());
     }
 
-    #[test]
-    fn response_round_trips() {
-        let resps = [
+    /// One of every response shape.
+    fn responses() -> Vec<Response> {
+        vec![
             Response::Pong {
                 num_spins: 20,
                 kind: "made".into(),
@@ -710,10 +714,65 @@ mod tests {
                 s
             })),
             Response::error(ErrorCode::Overloaded, "queue full"),
-        ];
-        for resp in resps {
+        ]
+    }
+
+    #[test]
+    fn response_round_trips() {
+        for resp in responses() {
             let payload = encode_response(&resp);
             assert_eq!(decode_response(&payload).unwrap(), resp, "{resp:?}");
+        }
+    }
+
+    /// Decodes every single-byte replacement of `payload` (each
+    /// position × 0x00, 0x01, 0x7F, 0x80, 0xFF and the byte with its
+    /// low bit flipped); any result is fine, a panic is not.
+    fn decode_mutations<T>(payload: &[u8], decode: fn(&[u8]) -> Result<T, DecodeError>) {
+        for i in 0..payload.len() {
+            for v in [0x00, 0x01, 0x7F, 0x80, 0xFF, payload[i] ^ 0x01] {
+                let mut m = payload.to_vec();
+                m[i] = v;
+                let decoded = std::panic::catch_unwind(|| decode(&m).is_ok());
+                assert!(decoded.is_ok(), "decode panicked: byte {i} = {v:#04x} in {payload:?}");
+            }
+        }
+    }
+
+    /// The event loop decodes every frame on its own thread, so a
+    /// decoder panic would take down every connection on the loop.
+    /// Every prefix cut of an encoded frame is an error, except the cut
+    /// that drops only a request's optional trailing precision byte,
+    /// which decodes to the same request untagged; every single-byte
+    /// replacement decodes without panicking.
+    #[test]
+    fn decoders_reject_cuts_and_survive_byte_mutations() {
+        for req in requests() {
+            let payload = encode_request(&req);
+            let tagged = matches!(
+                req,
+                Request::Sample { precision: Some(_), .. }
+                    | Request::LogPsi { precision: Some(_), .. }
+                    | Request::LocalEnergy { precision: Some(_), .. }
+            );
+            for k in 0..payload.len() {
+                let decoded = decode_request(&payload[..k]);
+                let untagged_cut = tagged && k + 1 == payload.len();
+                assert_eq!(decoded.is_ok(), untagged_cut, "{req:?} cut at {k}: {decoded:?}");
+                if let Ok(cut) = decoded {
+                    // Same bytes minus the tag: the same request, untagged.
+                    assert_eq!(encode_request(&cut), &payload[..k], "{req:?}");
+                }
+            }
+            decode_mutations(&payload, decode_request);
+        }
+        for resp in responses() {
+            let payload = encode_response(&resp);
+            for k in 0..payload.len() {
+                let decoded = decode_response(&payload[..k]);
+                assert!(decoded.is_err(), "{resp:?} cut at {k} decoded: {decoded:?}");
+            }
+            decode_mutations(&payload, decode_response);
         }
     }
 

@@ -1,44 +1,39 @@
-//! The TCP server front end: two interchangeable runtimes over one
-//! execution layer (batcher → engine-replica pool).
+//! The TCP server front end: `vqmc-net` event loops over one execution
+//! layer (batcher → engine-replica pool).
 //!
 //! ```text
-//!                     ┌── Epoll (default): 1..k event-loop threads,
-//!                     │   nonblocking accept/read/write, thousands of
-//!                     │   connections, replies via completion queues
-//!  clients ──TCP──────┤
-//!                     └── Threaded: accept loop + one blocking handler
-//!                         thread per connection (the baseline the
-//!                         serving benchmark compares against)
+//!  clients ──TCP──▶ 1..k event-loop threads: nonblocking accept/read/
+//!                   write, thousands of connections, replies via
+//!                   completion queues
 //!                              │ admit (validate · seed · tier · stats)
 //!                              ▼
 //!                        [ Batcher ] ──drain──▶ engine replicas (N workers,
 //!                                               shared hot-swappable ModelSlot)
 //! ```
 //!
-//! Both runtimes share `admit`: shape validation, server-side seeding,
-//! precision resolution, the **graduated admission tier**
-//! (accept → shed-`LocalEnergy` → saturated, driven by queue depth),
-//! and latency-stats wrapping all happen before the batcher sees the
-//! item, so the execution layer is runtime-agnostic.
+//! `admit` does shape validation, server-side seeding, precision
+//! resolution, the **graduated admission tier** (accept →
+//! shed-`LocalEnergy` → saturated, driven by queue depth) and
+//! latency-stats wrapping before the batcher sees the item; the
+//! execution layer only sees a [`ReplySink`].
 //!
 //! * `Shutdown` (frame or [`Server::shutdown`]) triggers the graceful
 //!   drain: the batcher closes, workers finish everything admitted,
-//!   both runtimes stop reading, flush every queued reply byte
+//!   the event loops stop reading, flush every queued reply byte
 //!   (partial writes resume mid-frame), and exit.  Every admitted
 //!   request is answered — the drain drops nothing.
 //! * `Reload` swaps the served checkpoint atomically via the shared
 //!   [`ModelSlot`]: no connection is dropped, no request errs; each
-//!   batch runs entirely on old or new weights.  The epoll runtime
-//!   loads the checkpoint on a spawned thread so file I/O never stalls
-//!   the event loop.
+//!   batch runs entirely on old or new weights.  The checkpoint loads
+//!   on a spawned thread so file I/O never stalls an event loop.
 //! * `Stats` answers a point-in-time [`StatsSnapshot`] from lock-free
 //!   counters: queue depth, admission tier, connection gauge,
 //!   per-op/per-precision latency percentiles, batch occupancy.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,18 +50,6 @@ use crate::protocol::{
     self, decode_request, encode_response, ErrorCode, Request, Response, StatsSnapshot,
 };
 use crate::stats::{ServerStats, StatOp};
-
-/// Which connection runtime the server uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Runtime {
-    /// Readiness event loop(s): nonblocking sockets, a few threads for
-    /// any number of connections.  The default.
-    Epoll,
-    /// One blocking handler thread per connection (the scalability
-    /// baseline; also what the `thread-per-connection` benchmark arm
-    /// measures).
-    Threaded,
-}
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -90,18 +73,15 @@ pub struct ServeConfig {
     /// precision tag (old clients).  Requests that do carry one always
     /// win; the default only fills the gap.
     pub precision: Precision,
-    /// Connection runtime.
-    pub runtime: Runtime,
-    /// Event-loop threads (epoll runtime only).  Loop 0 accepts and
-    /// deals connections round-robin across all loops.
+    /// Event-loop threads.  Loop 0 accepts and deals connections
+    /// round-robin across all loops.
     pub event_loops: usize,
     /// Queue-depth fraction at which the admission tier starts
     /// shedding `LocalEnergy` requests (the most expensive op) while
     /// still accepting the rest; at a full queue everything is
     /// refused.  `1.0` disables shedding (binary accept/overloaded).
     pub shed_threshold: f64,
-    /// Connection cap for the epoll runtime (accepts beyond it are
-    /// dropped).
+    /// Connection cap (accepts beyond it are dropped).
     pub max_connections: usize,
 }
 
@@ -115,7 +95,6 @@ impl Default for ServeConfig {
             base_seed: 0,
             local_energy: LocalEnergyConfig::default(),
             precision: Precision::F64,
-            runtime: Runtime::Epoll,
             event_loops: 1,
             shed_threshold: 0.75,
             max_connections: 16 * 1024,
@@ -148,10 +127,9 @@ struct Shared {
     shed_threshold: f64,
     slot: Arc<ModelSlot>,
     stats: Arc<ServerStats>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Event-loop wakeups, poked on shutdown so drains start without
     /// waiting out a poll tick.
-    pollers: Mutex<Vec<Arc<vqmc_net::Poller>>>,
+    pollers: Vec<Arc<vqmc_net::Poller>>,
 }
 
 impl Shared {
@@ -159,7 +137,7 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.stop_accepting.store(true, Ordering::SeqCst);
         self.batcher.close();
-        for p in self.pollers.lock().unwrap().iter() {
+        for p in &self.pollers {
             let _ = p.notify();
         }
     }
@@ -202,7 +180,6 @@ fn splitmix64(mut z: u64) -> u64 {
 pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
-    accept_handle: Option<JoinHandle<()>>,
     loop_handles: Vec<JoinHandle<()>>,
     worker_handles: Vec<JoinHandle<()>>,
 }
@@ -218,35 +195,64 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
 
-        let kind = model.kind();
-        let num_spins = model.num_spins();
-        let slot = Arc::new(ModelSlot::new(Arc::new(model)));
+        // Every fallible set-up step runs before the first thread
+        // starts, so an error here leaves nothing blocked behind it.
+        let el_config = EventLoopConfig {
+            max_payload: protocol::MAX_FRAME_LEN,
+            max_connections: config.max_connections,
+            ..EventLoopConfig::default()
+        };
+        let mut listener = Some(listener);
+        let mut loops = (0..config.event_loops.max(1))
+            .map(|_| EventLoop::new(listener.take(), el_config.clone()))
+            .collect::<io::Result<Vec<_>>>()?;
+        let handoffs: Vec<_> = loops.iter().map(|l| l.handoff()).collect();
+        loops[0].set_peers(handoffs);
+
         let shared = Arc::new(Shared {
             batcher: Batcher::new(config.batcher),
             stop_accepting: AtomicBool::new(false),
             seed_counter: AtomicU64::new(0),
             base_seed: config.base_seed,
             request_timeout: config.request_timeout,
-            num_spins,
-            kind,
+            num_spins: model.num_spins(),
+            kind: model.kind(),
             precision: config.precision,
             shed_threshold: config.shed_threshold.clamp(0.0, 1.0),
-            slot: Arc::clone(&slot),
+            slot: Arc::new(ModelSlot::new(Arc::new(model))),
             stats: Arc::new(ServerStats::default()),
-            conn_handles: Mutex::new(Vec::new()),
-            pollers: Mutex::new(Vec::new()),
+            pollers: loops.iter().map(|l| l.poller()).collect(),
         });
 
-        let workers = config.workers.max(1);
-        let mut worker_handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let shared = Arc::clone(&shared);
+        let mut server = Server {
+            shared,
+            local_addr,
+            loop_handles: Vec::with_capacity(loops.len()),
+            worker_handles: Vec::with_capacity(config.workers.max(1)),
+        };
+        if let Err(e) = server.spawn_threads(loops, hamiltonian, &config) {
+            // Whatever did start sees the drain and exits.
+            server.shared.begin_shutdown();
+            return Err(e);
+        }
+        Ok(server)
+    }
+
+    /// Starts the engine workers, then one thread per event loop.
+    fn spawn_threads(
+        &mut self,
+        loops: Vec<EventLoop>,
+        hamiltonian: Option<Arc<dyn SparseRowHamiltonian>>,
+        config: &ServeConfig,
+    ) -> io::Result<()> {
+        for w in 0..config.workers.max(1) {
+            let shared = Arc::clone(&self.shared);
             let mut engine = Engine::with_slot(
-                Arc::clone(&slot),
+                Arc::clone(&shared.slot),
                 hamiltonian.clone(),
                 config.local_energy,
             );
-            worker_handles.push(
+            self.worker_handles.push(
                 std::thread::Builder::new()
                     .name(format!("vqmc-serve-worker-{w}"))
                     .spawn(move || {
@@ -257,61 +263,20 @@ impl Server {
                     })?,
             );
         }
-
-        let (accept_handle, loop_handles) = match config.runtime {
-            Runtime::Threaded => {
-                // Polled non-blocking accept: the drain signal must be
-                // able to stop the loop without a wake-up connection.
-                listener.set_nonblocking(true)?;
-                let accept_shared = Arc::clone(&shared);
-                let h = std::thread::Builder::new()
-                    .name("vqmc-serve-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))?;
-                (Some(h), Vec::new())
-            }
-            Runtime::Epoll => {
-                let n_loops = config.event_loops.max(1);
-                let el_config = EventLoopConfig {
-                    max_payload: protocol::MAX_FRAME_LEN,
-                    max_connections: config.max_connections,
-                    ..EventLoopConfig::default()
-                };
-                let mut loops = Vec::with_capacity(n_loops);
-                let mut listener = Some(listener);
-                for _ in 0..n_loops {
-                    loops.push(EventLoop::new(listener.take(), el_config.clone())?);
-                }
-                let handoffs: Vec<_> = loops.iter().map(|l| l.handoff()).collect();
-                loops[0].set_peers(handoffs);
-                {
-                    let mut pollers = shared.pollers.lock().unwrap();
-                    pollers.extend(loops.iter().map(|l| l.poller()));
-                }
-                let mut handles = Vec::with_capacity(n_loops);
-                for (i, ev) in loops.into_iter().enumerate() {
-                    let mut handler = ServeHandler {
-                        shared: Arc::clone(&shared),
-                        completions: ev.completions(),
-                    };
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("vqmc-serve-loop-{i}"))
-                            .spawn(move || {
-                                let _ = ev.run(&mut handler);
-                            })?,
-                    );
-                }
-                (None, handles)
-            }
-        };
-
-        Ok(Server {
-            shared,
-            local_addr,
-            accept_handle,
-            loop_handles,
-            worker_handles,
-        })
+        for (i, ev) in loops.into_iter().enumerate() {
+            let mut handler = ServeHandler {
+                shared: Arc::clone(&self.shared),
+                completions: ev.completions(),
+            };
+            self.loop_handles.push(
+                std::thread::Builder::new()
+                    .name(format!("vqmc-serve-loop-{i}"))
+                    .spawn(move || {
+                        let _ = ev.run(&mut handler);
+                    })?,
+            );
+        }
+        Ok(())
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -327,31 +292,15 @@ impl Server {
 
     /// Blocks until the server has fully drained and every thread has
     /// exited.  Returns only after a shutdown was initiated.
-    pub fn join(mut self) {
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        for h in self.loop_handles.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.worker_handles.drain(..) {
-            let _ = h.join();
-        }
-        let handles: Vec<_> = self
-            .shared
-            .conn_handles
-            .lock()
-            .unwrap()
-            .drain(..)
-            .collect();
-        for h in handles {
+    pub fn join(self) {
+        for h in self.loop_handles.into_iter().chain(self.worker_handles) {
             let _ = h.join();
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Runtime-agnostic admission
+// Admission
 // ---------------------------------------------------------------------
 
 /// Classifies a batchable request for the stats arrays.
@@ -408,7 +357,7 @@ fn admit(shared: &Arc<Shared>, mut request: Request, sink: ReplySink) {
             }
             *precision = Some(precision.unwrap_or(shared.precision));
         }
-        _ => unreachable!("inline requests are handled by the runtimes"),
+        _ => unreachable!("inline requests are answered by `ServeHandler::on_frame`"),
     }
 
     // Graduated admission: shed the expensive op first, then refuse
@@ -467,8 +416,8 @@ fn admit(shared: &Arc<Shared>, mut request: Request, sink: ReplySink) {
     }
 }
 
-/// Loads, validates and swaps in a checkpoint (shared by both
-/// runtimes; the epoll runtime calls it from a spawned thread).
+/// Loads, validates and swaps in a checkpoint (called from a spawned
+/// thread, so checkpoint I/O never stalls an event loop).
 fn do_reload(shared: &Shared, path: &str) -> Response {
     if shared.stop_accepting.load(Ordering::SeqCst) {
         return Response::error(ErrorCode::ShuttingDown, "server is draining");
@@ -508,7 +457,7 @@ fn do_reload(shared: &Shared, path: &str) -> Response {
 }
 
 // ---------------------------------------------------------------------
-// Epoll runtime
+// Event-loop glue
 // ---------------------------------------------------------------------
 
 /// Per-event-loop glue between `vqmc-net` and the execution layer.
@@ -570,160 +519,5 @@ impl FrameHandler for ServeHandler {
 
     fn on_close(&mut self) {
         self.shared.stats.on_disconnect();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Threaded runtime (baseline)
-// ---------------------------------------------------------------------
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop_accepting.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("vqmc-serve-conn".into())
-                    .spawn(move || connection_loop(stream, conn_shared));
-                if let Ok(h) = handle {
-                    shared.conn_handles.lock().unwrap().push(h);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
-}
-
-/// Outcome of one timeout-aware frame read.
-enum FrameRead {
-    /// A complete frame is in the buffer.
-    Frame,
-    /// EOF, drain-while-idle, or a transport error — close the
-    /// connection.
-    Close,
-}
-
-/// Reads one frame on a stream with a short read timeout, preserving
-/// partial progress across timeouts (a plain `read_exact` would lose
-/// already-consumed bytes and corrupt the framing).  While *idle*
-/// (zero bytes of the next frame read), a drain signal closes the
-/// connection; mid-frame, the read keeps waiting for the client.
-fn read_frame_idle(
-    reader: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shared: &Shared,
-) -> FrameRead {
-    let mut len_bytes = [0u8; 4];
-    match fill(reader, &mut len_bytes, shared, true) {
-        FillOutcome::Full => {}
-        FillOutcome::Close => return FrameRead::Close,
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > protocol::MAX_FRAME_LEN {
-        return FrameRead::Close;
-    }
-    buf.resize(len, 0);
-    match fill(reader, buf, shared, false) {
-        FillOutcome::Full => FrameRead::Frame,
-        FillOutcome::Close => FrameRead::Close,
-    }
-}
-
-enum FillOutcome {
-    Full,
-    Close,
-}
-
-fn fill(
-    reader: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    idle_at_start: bool,
-) -> FillOutcome {
-    use std::io::Read;
-    let mut filled = 0;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => return FillOutcome::Close, // EOF (mid-frame = truncation)
-            Ok(k) => filled += k,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let idle = idle_at_start && filled == 0;
-                if idle && shared.stop_accepting.load(Ordering::SeqCst) {
-                    return FillOutcome::Close; // draining and client idle
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return FillOutcome::Close,
-        }
-    }
-    FillOutcome::Full
-}
-
-fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
-    shared.stats.on_connect();
-    // Finite read timeout so the handler notices the drain signal even
-    // while a client holds the connection open without sending.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    // Cloning doubles the fd cost of this runtime (reader + writer per
-    // connection) — under fd exhaustion it fails, and the right answer
-    // is to drop this connection, not to panic the handler thread.
-    let Ok(mut reader) = stream.try_clone() else {
-        shared.stats.on_disconnect();
-        return;
-    };
-    let mut writer = io::BufWriter::new(stream);
-    let mut frame = Vec::new();
-
-    while let FrameRead::Frame = read_frame_idle(&mut reader, &mut frame, &shared) {
-        let response = match decode_request(&frame) {
-            Err(e) => Response::error(ErrorCode::BadRequest, e.to_string()),
-            Ok(Request::Ping) => Response::Pong {
-                num_spins: shared.num_spins as u32,
-                kind: shared.kind.into(),
-            },
-            Ok(Request::Stats) => Response::StatsReport(Box::new(shared.stats_snapshot())),
-            Ok(Request::Shutdown) => {
-                shared.begin_shutdown();
-                Response::ShutdownAck
-            }
-            // Blocking file I/O is fine here — this thread serves only
-            // this connection.
-            Ok(Request::Reload { path }) => do_reload(&shared, &path),
-            Ok(request) => handle_batched(request, &shared),
-        };
-        if protocol::write_frame(&mut writer, &encode_response(&response)).is_err() {
-            break;
-        }
-        if matches!(response, Response::ShutdownAck) {
-            // Ack delivered; the drain will close this connection.
-            break;
-        }
-        // After a drain begins, in-flight work above was still answered;
-        // stop reading further requests and release the connection.
-        if shared.stop_accepting.load(Ordering::SeqCst) {
-            break;
-        }
-    }
-    let _ = writer.flush();
-    shared.stats.on_disconnect();
-}
-
-/// Admits one batchable request and blocks until its reply arrives
-/// (each blocking connection has at most one request in flight).
-fn handle_batched(request: Request, shared: &Arc<Shared>) -> Response {
-    let (sink, rx) = ReplySink::channel();
-    admit(shared, request, sink);
-    // Workers always answer admitted items (drain included); the
-    // generous timeout only guards against a crashed worker.
-    match rx.recv_timeout(shared.request_timeout + Duration::from_secs(30)) {
-        Ok(response) => response,
-        Err(_) => Response::error(ErrorCode::Internal, "worker did not answer"),
     }
 }

@@ -4,10 +4,10 @@
 //! Everything here is plain atomics, relaxed except for one
 //! release/acquire pair — recording a latency or a batch occupancy is a
 //! handful of `fetch_add`s on shared cache lines, cheap enough to sit on
-//! the per-request hot path of both runtimes.  The pair orders a
-//! latency record after its request's admission: a snapshot reads the
-//! latency buckets (acquire) before `accepted`, so a histogram never
-//! counts more requests than the snapshot says were accepted.
+//! the per-request hot path.  The pair orders a latency record after
+//! its request's admission: a snapshot reads the latency buckets
+//! (acquire) before `accepted`, so a histogram never counts more
+//! requests than the snapshot says were accepted.
 //! Percentiles are derived from power-of-two latency buckets at
 //! snapshot time, so a reported p99 is the *upper edge* of the bucket
 //! containing the 99th-percentile request (≤ 2× the true value — the
@@ -86,7 +86,7 @@ impl LatencyHist {
 }
 
 /// The shared serving counters (one instance per server, updated by
-/// every runtime thread).
+/// every event-loop and worker thread).
 #[derive(Default)]
 pub struct ServerStats {
     accepted: AtomicU64,

@@ -1,35 +1,41 @@
-//! End-to-end tests of the epoll serving runtime: checkpoint
-//! hot-reload under load, graduated admission, live stats, pipelined
-//! in-order replies, drain-mid-burst frame integrity, and
-//! cross-runtime bit-identity against the thread-per-connection
-//! baseline.
+//! End-to-end tests of the serving event loops: checkpoint hot-reload
+//! under load, graduated admission, live stats, pipelined in-order
+//! replies, drain-mid-burst frame integrity, malformed frames on a
+//! live connection, and bit-identity of served replies against the
+//! in-process engine.
 
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use vqmc_hamiltonian::{LocalEnergyConfig, SparseRowHamiltonian, TransverseFieldIsing};
 use vqmc_nn::checkpoint::{AnyModel, Checkpoint};
 use vqmc_nn::Made;
 use vqmc_serve::protocol::{
     encode_request, read_frame, write_frame, decode_response,
 };
 use vqmc_serve::{
-    BatcherConfig, Client, ClientError, ErrorCode, Request, Response, Runtime, ServeConfig,
-    Server,
+    BatcherConfig, Client, ClientError, Engine, ErrorCode, ReplySink, Request, Response,
+    SampleRequest, ServeConfig, Server, WorkItem,
 };
-use vqmc_tensor::SpinBatch;
+use vqmc_tensor::{Precision, SpinBatch, Vector};
 
 const N: usize = 8;
 const HIDDEN: usize = 12;
 
+fn model() -> AnyModel {
+    AnyModel::Made(Made::new(N, HIDDEN, 5))
+}
+
+fn hamiltonian() -> Arc<dyn SparseRowHamiltonian> {
+    Arc::new(TransverseFieldIsing::random(N, 2021))
+}
+
 fn start(config: ServeConfig) -> Server {
-    let model = AnyModel::Made(Made::new(N, HIDDEN, 5));
-    let ham: Arc<dyn vqmc_hamiltonian::SparseRowHamiltonian> =
-        Arc::new(vqmc_hamiltonian::TransverseFieldIsing::random(N, 2021));
-    Server::start(model, Some(ham), config).expect("bind ephemeral port")
+    Server::start(model(), Some(hamiltonian()), config).expect("bind ephemeral port")
 }
 
 fn test_batch(tweak: usize) -> SpinBatch {
@@ -298,34 +304,94 @@ fn pipelined_requests_reply_in_order() {
     server.join();
 }
 
-/// The thread-per-connection baseline still works behind the same
-/// config switch, and seeded sampling is bit-identical across the two
-/// runtimes.
+/// Served replies equal the in-process [`Engine`] over the same model
+/// bit for bit, at `f64` and at `f32`: a seeded `Sample` against
+/// `run_samples_with`, `LogPsi` against `run_log_psi_with`, and
+/// `LocalEnergy` against `execute`.  The reference skips the whole
+/// front end (event loop, wire codec, admission, batcher), so a fault
+/// anywhere on the served path shows here.
 #[test]
-fn threaded_runtime_matches_epoll_bit_for_bit() {
-    let epoll = start(ServeConfig::default());
-    let threaded = start(ServeConfig {
-        runtime: Runtime::Threaded,
-        ..ServeConfig::default()
-    });
-
-    let mut a = Client::connect(epoll.local_addr()).unwrap();
-    let mut b = Client::connect(threaded.local_addr()).unwrap();
-    assert_eq!(a.ping().unwrap(), b.ping().unwrap());
-
-    let (batch_a, lp_a) = a.sample(5, Some(42)).unwrap();
-    let (batch_b, lp_b) = b.sample(5, Some(42)).unwrap();
-    assert_eq!(batch_a.as_bytes(), batch_b.as_bytes());
-    assert_eq!(lp_a, lp_b);
-    assert_eq!(
-        a.log_psi(&test_batch(1)).unwrap(),
-        b.log_psi(&test_batch(1)).unwrap()
+fn served_replies_match_in_process_engine() {
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut engine = Engine::new(
+        Arc::new(model()),
+        Some(hamiltonian()),
+        LocalEnergyConfig::default(),
     );
+    let bits = |v: &Vector| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let batch = test_batch(1);
 
-    a.shutdown().unwrap();
-    b.shutdown().unwrap();
-    epoll.join();
-    threaded.join();
+    for precision in [Precision::F64, Precision::F32] {
+        let (served, served_lp) = client.sample_with(5, Some(42), Some(precision)).unwrap();
+        match &engine.run_samples_with(precision, &[SampleRequest { count: 5, seed: 42 }])[..] {
+            [Response::Samples { batch, log_psi }] => {
+                assert_eq!(served.as_bytes(), batch.as_bytes(), "{precision:?} sample bits");
+                assert_eq!(bits(&served_lp), bits(log_psi), "{precision:?} sample logψ");
+            }
+            other => panic!("unexpected engine reply to Sample: {other:?}"),
+        }
+
+        assert_eq!(
+            bits(&client.log_psi_with(&batch, Some(precision)).unwrap()),
+            bits(&engine.run_log_psi_with(&batch, precision)),
+            "{precision:?} logψ"
+        );
+
+        let (sink, rx) = ReplySink::channel();
+        engine.execute(vec![WorkItem {
+            request: Request::LocalEnergy {
+                batch: batch.clone(),
+                precision: Some(precision),
+            },
+            reply: sink,
+            deadline: Instant::now() + Duration::from_secs(60),
+        }]);
+        match rx.recv().unwrap() {
+            Response::Values(expect) => assert_eq!(
+                bits(&client.local_energy_with(&batch, Some(precision)).unwrap()),
+                bits(&expect),
+                "{precision:?} local energy"
+            ),
+            other => panic!("unexpected engine reply to LocalEnergy: {other:?}"),
+        }
+    }
+
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A malformed payload inside an intact frame is answered with
+/// `BadRequest` on the event loop that decoded it, and the same
+/// connection keeps serving.
+#[test]
+fn mutated_frame_gets_bad_request_and_connection_survives() {
+    let server = start(ServeConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut frame = Vec::new();
+    let mut call = |payload: &[u8]| {
+        write_frame(&mut stream, payload).unwrap();
+        assert!(read_frame(&mut stream, &mut frame).unwrap(), "reply frame");
+        decode_response(&frame).unwrap()
+    };
+
+    let mut bad = encode_request(&Request::LogPsi {
+        batch: test_batch(0),
+        precision: None,
+    });
+    *bad.last_mut().unwrap() = 0x7F; // a spin byte outside {0, 1}
+    match call(&bad) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected BadRequest, got {other:?}"),
+    }
+    match call(&encode_request(&Request::Ping)) {
+        Response::Pong { num_spins, .. } => assert_eq!(num_spins as usize, N),
+        other => panic!("expected Pong after a bad frame, got {other:?}"),
+    }
+
+    drop(stream);
+    server.shutdown();
+    server.join();
 }
 
 /// Multiple event loops split connections without changing results.

@@ -1,8 +1,8 @@
-//! Concurrency contract of [`ServerStats`]: many runtime threads
+//! Concurrency contract of [`ServerStats`]: many server threads
 //! hammer the counters while other threads probe snapshots, and every
 //! snapshot must be *internally sane* — counters monotone across
 //! consecutive probes, the connection gauge never negative (recorders
-//! pair connect-before-disconnect, as both runtimes do), and histogram
+//! pair connect-before-disconnect, as the event loops do), and histogram
 //! totals consistent with the number of recorded events.  After all
 //! recorders join, the totals must be exact — relaxed atomics may
 //! reorder between cells, but nothing may be lost.
@@ -26,7 +26,7 @@ fn hammered_stats_stay_sane_under_concurrent_snapshots() {
             let stats = stats.clone();
             std::thread::spawn(move || {
                 for i in 0..rounds {
-                    // Gauge discipline mirrors the runtimes: a connect
+                    // Gauge discipline mirrors the event loops: a connect
                     // always precedes its disconnect on the same thread.
                     stats.on_connect();
                     stats.on_accepted();

@@ -47,8 +47,9 @@ COMMANDS:
                                        usable directly across machines)
   evaluate   load a checkpoint and report energy statistics
              --checkpoint <path> --problem ... --n ... [--batch N]
+             [--seed N] [--instance-seed N] [--exact true]
   sample     draw configurations from a checkpointed model
-             --checkpoint <path> [--count N]
+             --checkpoint <path> [--count N] [--seed N]
   serve      dynamic-batching TCP inference server over a checkpoint
              --checkpoint <path>       model to serve (required)
              --addr <host:port>        (default 127.0.0.1:0 = ephemeral)
@@ -59,10 +60,10 @@ COMMANDS:
              --workers <N>             engine replicas (default:
                                        VQMC_THREADS if set, else 1)
              --timeout-ms <N>          per-request deadline (default 2000)
-             --runtime epoll|threads   connection runtime (default epoll:
-                                       nonblocking event loops; threads =
-                                       one blocking thread per connection)
-             --event-loops <N>         epoll event-loop threads (default 1)
+             --seed <N>                base of the server-assigned seeds
+                                       for seedless Sample requests
+                                       (default 0)
+             --event-loops <N>         event-loop threads (default 1)
              --shed-threshold <F>      queue fraction where LocalEnergy
                                        shedding starts (default 0.75)
              --precision f64|f32       default execution precision for
@@ -78,6 +79,29 @@ COMMANDS:
   help       show this text";
 
 type Flags = BTreeMap<String, String>;
+
+/// A subcommand's entry point.
+pub type Command = fn(&Flags) -> Result<(), String>;
+
+/// Every subcommand with the flags it reads; `main` rejects any other
+/// flag.  `train` lists the mesh flags `train --ranks N` forwards to
+/// each rank.
+pub const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("train", &[
+        "problem", "n", "instance-seed", "model", "sampler", "optimizer", "iters", "hidden",
+        "batch", "seed", "checkpoint", "save-model", "save-precision", "load-model", "exact",
+        "ranks", "rank", "world", "peers", "dist-timeout-ms", "connect-timeout-ms",
+    ], train),
+    ("evaluate", &["checkpoint", "problem", "n", "instance-seed", "batch", "seed", "exact"], evaluate),
+    ("sample", &["checkpoint", "count", "seed"], sample),
+    ("serve", &[
+        "checkpoint", "addr", "port", "max-batch", "max-wait-us", "queue-cap", "workers",
+        "timeout-ms", "event-loops", "shed-threshold", "precision", "problem", "instance-seed",
+        "seed",
+    ], serve),
+    ("baselines", &["n", "instance-seed", "seed"], baselines),
+    ("scaling", &["n", "mbs", "iters"], scaling),
+];
 
 fn get<'a>(flags: &'a Flags, key: &str, default: &'a str) -> &'a str {
     flags.get(key).map(String::as_str).unwrap_or(default)
@@ -623,11 +647,6 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&w| w >= 1)
         .unwrap_or(1);
-    let runtime = match get(flags, "runtime", "epoll") {
-        "epoll" => vqmc::serve::Runtime::Epoll,
-        "threads" | "threaded" => vqmc::serve::Runtime::Threaded,
-        other => return Err(format!("unknown runtime {other:?} (epoll|threads)")),
-    };
     let shed_threshold = match flags.get("shed-threshold") {
         None => 0.75,
         Some(s) => s
@@ -647,7 +666,6 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
         request_timeout: Duration::from_millis(get_u64(flags, "timeout-ms", 2000)?),
         base_seed: get_u64(flags, "seed", 0)?,
         precision,
-        runtime,
         event_loops: get_usize(flags, "event-loops", 1)?,
         shed_threshold,
         ..ServeConfig::default()
@@ -657,13 +675,9 @@ pub fn serve(flags: &Flags) -> Result<(), String> {
 
     let server = Server::start(model, hamiltonian, config).map_err(|e| e.to_string())?;
     println!(
-        "serving {} ({} spins, max_batch {max_batch}, {workers} worker(s), {} runtime, precision {}) — listening on {}",
+        "serving {} ({} spins, max_batch {max_batch}, {workers} worker(s), precision {}) — listening on {}",
         path,
         n,
-        match runtime {
-            vqmc::serve::Runtime::Epoll => "epoll",
-            vqmc::serve::Runtime::Threaded => "threaded",
-        },
         precision.as_str(),
         server.local_addr()
     );

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (no CLI dependency): flags are
-//! `--key value` pairs validated against each subcommand's schema, with
-//! actionable error messages.
+//! `--key value` pairs checked against each subcommand's list of flag
+//! names ([`cli::COMMANDS`]), with actionable error messages.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -25,28 +25,23 @@ fn main() -> ExitCode {
         eprintln!("{}", cli::USAGE);
         return ExitCode::FAILURE;
     };
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{}", cli::USAGE);
+        return ExitCode::SUCCESS;
+    }
+    let Some(&(_, known, run)) = cli::COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        eprintln!("error: unknown command {command:?}");
+        return ExitCode::FAILURE;
+    };
     let rest: Vec<String> = args.collect();
-    let flags = match parse_flags(&rest) {
+    let flags = match parse_flags(&command, known, &rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", cli::USAGE);
             return ExitCode::FAILURE;
         }
     };
-    let result = match command.as_str() {
-        "train" => cli::train(&flags),
-        "evaluate" => cli::evaluate(&flags),
-        "sample" => cli::sample(&flags),
-        "serve" => cli::serve(&flags),
-        "baselines" => cli::baselines(&flags),
-        "scaling" => cli::scaling(&flags),
-        "help" | "--help" | "-h" => {
-            println!("{}", cli::USAGE);
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}")),
-    };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -55,8 +50,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--key value` pairs; rejects dangling flags and positionals.
-fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
+/// Parses `--key value` pairs; rejects dangling flags, positionals and
+/// flags `command` does not read.
+fn parse_flags(
+    command: &str,
+    known: &[&str],
+    args: &[String],
+) -> Result<BTreeMap<String, String>, String> {
     let mut map = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -64,6 +64,9 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected a --flag, found {key:?}"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag --{name} for {command}"));
+        }
         let Some(value) = args.get(i + 1) else {
             return Err(format!("flag --{name} is missing its value"));
         };
@@ -73,4 +76,26 @@ fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> {
         i += 2;
     }
     Ok(map)
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every `--flag` the usage text lists under a subcommand is one
+    /// that subcommand accepts.
+    #[test]
+    fn usage_lists_only_accepted_flags() {
+        let mut known: &[&str] = &[];
+        for line in super::cli::USAGE.split("COMMANDS:").nth(1).unwrap().lines() {
+            if let Some((_, flags, _)) = super::cli::COMMANDS
+                .iter()
+                .find(|(c, ..)| line.trim_start().starts_with(&format!("{c} ")))
+            {
+                known = flags;
+            }
+            for flag in line.split("--").skip(1) {
+                let name = flag.split(|c: char| !c.is_ascii_lowercase() && c != '-').next();
+                assert!(known.contains(&name.unwrap()), "--{flag} in: {line}");
+            }
+        }
+    }
 }
