@@ -1,17 +1,19 @@
 //! Sampler & architecture showdown on one fixed problem: every sampling
-//! engine (exact AUTO — naive, incremental, NADE-native — Metropolis
-//! MCMC, heat-bath Gibbs) and every wavefunction (MADE, NADE, RBM),
-//! with sample-quality diagnostics (integrated autocorrelation time,
+//! engine (exact AUTO — naive and incremental — Metropolis MCMC,
+//! heat-bath Gibbs) and both wavefunctions (MADE, RBM), with
+//! sample-quality diagnostics (integrated autocorrelation time,
 //! effective sample size) that quantify the paper's §2.2 argument.
 //!
 //! ```sh
-//! cargo run --release --example samplers_showdown -- [n]
+//! cargo run --release -p vqmc-bench --example samplers_showdown -- [n]
 //! ```
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vqmc::sampler::diagnostics::{effective_sample_size, integrated_autocorrelation_time};
-use vqmc::prelude::*;
+use vqmc_bench::gibbs::GibbsSampler;
+use vqmc_nn::{made_hidden_size, rbm_hidden_size, Made, Rbm};
+use vqmc_sampler::diagnostics::{effective_sample_size, integrated_autocorrelation_time};
+use vqmc_sampler::{AutoSampler, IncrementalAutoSampler, McmcSampler, SampleOutput, Sampler};
 
 fn main() {
     let n: usize = std::env::args()
@@ -22,7 +24,6 @@ fn main() {
     println!("== sampler showdown, n = {n}, batch = {batch} ==\n");
 
     let made = Made::new(n, made_hidden_size(n), 1);
-    let nade = Nade::new(n, made_hidden_size(n), 1);
     let rbm = Rbm::new(n, rbm_hidden_size(n), 1);
 
     println!(
@@ -30,7 +31,7 @@ fn main() {
         "engine", "passes", "proposals", "accept", "tau_int", "ESS"
     );
 
-    let report = |label: &str, out: &vqmc::sampler::SampleOutput| {
+    let report = |label: &str, out: &SampleOutput| {
         let tau = integrated_autocorrelation_time(out.log_psi.as_slice());
         let ess = effective_sample_size(out.log_psi.as_slice());
         let accept = if out.stats.proposals > 0 {
@@ -49,10 +50,6 @@ fn main() {
     report(
         "MADE + AUTO (incremental)",
         &IncrementalAutoSampler::new().sample(&made, batch, &mut rng),
-    );
-    report(
-        "NADE + AUTO (native)",
-        &NadeNativeSampler::new().sample(&nade, batch, &mut rng),
     );
     report(
         "RBM + Metropolis MCMC",

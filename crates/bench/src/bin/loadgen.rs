@@ -62,6 +62,12 @@ FLAGS:
   --shutdown true      send Shutdown to the server when done
                        (with --requests 0: send it without any load)";
 
+/// Every flag `parse_opts` reads; any other name fails the run.
+const FLAGS: &[&str] = &[
+    "addr", "mode", "connections", "requests", "rate", "op", "precision", "count", "seed",
+    "warmup", "reload", "label", "out", "stats", "shutdown",
+];
+
 #[derive(Clone)]
 struct Opts {
     addr: String,
@@ -92,6 +98,9 @@ fn parse_opts() -> Result<Opts, String> {
         if name == "help" || name == "h" {
             println!("{USAGE}");
             std::process::exit(0);
+        }
+        if !FLAGS.contains(&name) {
+            return Err(format!("unknown flag --{name}"));
         }
         let Some(value) = args.get(i + 1) else {
             return Err(format!("flag --{name} is missing its value"));
@@ -584,5 +593,24 @@ fn print_stats(probe: &mut Client) {
             .map(|(i, &c)| format!("{}:{c}", 1u32 << i))
             .collect();
         println!("  batch occupancy (size:count): {}", cells.join(" "));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn usage_lists_exactly_the_accepted_flags() {
+        let mut listed: Vec<&str> = super::USAGE
+            .split("FLAGS:")
+            .nth(1)
+            .unwrap()
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("--"))
+            .map(|flag| flag.split(' ').next().unwrap())
+            .collect();
+        let mut accepted = super::FLAGS.to_vec();
+        listed.sort_unstable();
+        accepted.sort_unstable();
+        assert_eq!(listed, accepted);
     }
 }

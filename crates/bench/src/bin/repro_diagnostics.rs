@@ -11,15 +11,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vqmc_bench::gibbs::GibbsSampler;
+use vqmc_bench::tempering::TemperingSampler;
 use vqmc_bench::{parse_scale, write_csv, Table};
 use vqmc_nn::{made_hidden_size, rbm_hidden_size, Made, Rbm};
 use vqmc_sampler::diagnostics::{
     effective_sample_size, gelman_rubin, integrated_autocorrelation_time,
 };
-use vqmc_sampler::{
-    AutoSampler, BurnIn, GibbsSampler, McmcConfig, McmcSampler, Sampler, TemperingSampler,
-    Thinning,
-};
+use vqmc_sampler::{AutoSampler, BurnIn, McmcConfig, McmcSampler, Sampler, Thinning};
 
 fn main() {
     let scale = parse_scale(&[16, 32], &[20, 50, 100, 200], 1);

@@ -14,15 +14,14 @@
 //! obviously better, and the burn-in problem is untouched.  This is
 //! exactly the paper's point: no amount of MCMC kernel engineering
 //! removes the sequential-burn-in barrier that exact autoregressive
-//! sampling sidesteps.  The `mcmc_chain_quality` test in the crate
-//! compares the two kernels' autocorrelation times.
+//! sampling sidesteps.  `repro_diagnostics` compares the two kernels'
+//! autocorrelation times.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use vqmc_nn::WaveFunction;
+use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
 use vqmc_tensor::{ops, SpinBatch, Vector};
-
-use crate::{SampleOutput, SampleStats, Sampler};
 
 /// Configuration of the Gibbs sampler.
 #[derive(Clone, Copy, Debug)]
@@ -135,6 +134,8 @@ impl<W: WaveFunction + ?Sized> Sampler<W> for GibbsSampler {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use vqmc_core::{OptimizerChoice, Trainer, TrainerConfig};
+    use vqmc_hamiltonian::{ground_state, TransverseFieldIsing};
     use vqmc_nn::Rbm;
     use vqmc_tensor::batch::{encode_config, enumerate_configs};
     use vqmc_tensor::reduce::log_sum_exp;
@@ -183,7 +184,7 @@ mod tests {
     fn heat_bath_acceptance_exceeds_metropolis_on_same_model() {
         // Gibbs accepts with σ(2Δ) ≥ min(1, e^{2Δ})/2 pointwise and in
         // practice accepts far more often once chains equilibrate.
-        use crate::{McmcConfig, McmcSampler};
+        use vqmc_sampler::{McmcConfig, McmcSampler};
         let wf = Rbm::new(10, 10, 4);
         let g = GibbsSampler::default().sample(&wf, 400, &mut StdRng::seed_from_u64(3));
         let m = McmcSampler::new(McmcConfig::default()).sample_rbm(
@@ -214,5 +215,25 @@ mod tests {
         let out = GibbsSampler::new(config).sample(&wf, 3, &mut StdRng::seed_from_u64(2));
         // 2 burn-in sweeps + 1 collection sweep = 3 sweeps of n passes.
         assert_eq!(out.stats.forward_passes, 1 + 3 * n);
+    }
+
+    /// Gibbs sampling drives RBM training just like Metropolis — the
+    /// trainer is sampler-agnostic — and both respect the variational bound.
+    #[test]
+    fn gibbs_sampling_trains_rbm() {
+        let n = 6;
+        let h = TransverseFieldIsing::random(n, 41);
+        let exact = ground_state(&h, 200, 1e-10);
+        let config = TrainerConfig {
+            iterations: 80,
+            batch_size: 128,
+            optimizer: OptimizerChoice::paper_default(),
+            ..TrainerConfig::paper_default(3)
+        };
+        let mut t = Trainer::new(Rbm::new(n, n, 2), GibbsSampler::default(), config);
+        let trace = t.run(&h);
+        assert!(trace.final_energy() < trace.records[0].energy);
+        let last = trace.records.last().unwrap();
+        assert!(last.energy >= exact.energy - 6.0 * last.std_dev / (128.0f64).sqrt() - 1e-6);
     }
 }

@@ -22,10 +22,16 @@
 //! print the table to stdout and, with `--csv PATH`, also write
 //! machine-readable CSV.
 //!
+//! The [`gibbs`] (heat-bath) and [`tempering`] (replica-exchange)
+//! samplers are MCMC comparison arms that only `repro_diagnostics`
+//! reports; the production samplers live in `vqmc-sampler`.
+//!
 //! The `benches/` directory holds criterion micro-benchmarks for the
 //! design-choice ablations DESIGN.md calls out (gemm threshold,
 //! incremental AUTO sampling, SR solve cost, collective depth).
 
+pub mod gibbs;
 pub mod harness;
+pub mod tempering;
 
 pub use harness::{mean_std, parse_scale, pm, write_csv, Scale, Table};

@@ -18,9 +18,8 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use vqmc_nn::WaveFunction;
+use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
 use vqmc_tensor::{SpinBatch, Vector};
-
-use crate::{SampleOutput, SampleStats, Sampler};
 
 /// Configuration of the parallel-tempering sampler.
 #[derive(Clone, Debug)]
@@ -272,8 +271,8 @@ mod tests {
     fn tempering_mixes_better_than_plain_metropolis_on_peaked_target() {
         // Sharpen an RBM (scale its parameters) so the landscape has
         // deep modes; compare integrated autocorrelation times.
-        use crate::diagnostics::integrated_autocorrelation_time;
-        use crate::{BurnIn, McmcConfig, McmcSampler, Thinning};
+        use vqmc_sampler::diagnostics::integrated_autocorrelation_time;
+        use vqmc_sampler::{BurnIn, McmcConfig, McmcSampler, Thinning};
         let n = 8;
         let mut wf = Rbm::new(n, n, 21);
         let mut p = wf.params();

@@ -44,7 +44,7 @@ use std::path::Path;
 
 use vqmc_tensor::{Precision, Vector};
 
-use crate::{Made, Nade, Rbm, WaveFunction};
+use crate::{Made, Rbm, WaveFunction};
 
 const MAGIC: &[u8; 4] = b"VQMC";
 /// Newest version the loader accepts; the writer emits v2 for depth-1
@@ -285,8 +285,6 @@ pub enum AnyModel {
     Made(Made),
     /// An RBM wavefunction.
     Rbm(Rbm),
-    /// A NADE autoregressive wavefunction.
-    Nade(Nade),
 }
 
 impl AnyModel {
@@ -295,7 +293,6 @@ impl AnyModel {
         match self {
             AnyModel::Made(_) => Made::KIND,
             AnyModel::Rbm(_) => Rbm::KIND,
-            AnyModel::Nade(_) => Nade::KIND,
         }
     }
 
@@ -304,7 +301,6 @@ impl AnyModel {
         match self {
             AnyModel::Made(m) => m,
             AnyModel::Rbm(m) => m,
-            AnyModel::Nade(m) => m,
         }
     }
 
@@ -316,7 +312,6 @@ impl AnyModel {
         match self {
             AnyModel::Made(m) => m,
             AnyModel::Rbm(m) => m,
-            AnyModel::Nade(m) => m,
         }
     }
 
@@ -337,7 +332,6 @@ pub fn load_any(path: impl AsRef<Path>) -> io::Result<(AnyModel, Precision)> {
     let model = match header.kind.as_str() {
         "made" => AnyModel::Made(load_body(&mut f, &header)?),
         "rbm" => AnyModel::Rbm(load_body(&mut f, &header)?),
-        "nade" => AnyModel::Nade(load_body(&mut f, &header)?),
         other => return Err(bad(&format!("unknown model kind {other:?} in checkpoint"))),
     };
     Ok((model, header.precision))
@@ -419,27 +413,6 @@ impl Checkpoint for Rbm {
     }
     fn with_shape(n: usize, hidden: &[usize]) -> io::Result<Self> {
         Ok(Rbm::new(n, require_single_layer("rbm", hidden)?, 0))
-    }
-}
-
-impl Checkpoint for Nade {
-    const KIND: &'static str = "nade";
-    fn hidden_layers(&self) -> Vec<usize> {
-        vec![self.hidden_size()]
-    }
-    fn param_count(n: usize, hidden: &[usize]) -> Option<usize> {
-        let h = *hidden.first()?;
-        if hidden.len() != 1 {
-            return None;
-        }
-        // 2·h·n + h + n
-        h.checked_mul(n)?
-            .checked_mul(2)?
-            .checked_add(h)?
-            .checked_add(n)
-    }
-    fn with_shape(n: usize, hidden: &[usize]) -> io::Result<Self> {
-        Ok(Nade::new(n, require_single_layer("nade", hidden)?, 0))
     }
 }
 
@@ -549,7 +522,7 @@ mod tests {
 
     #[test]
     fn single_layer_kinds_reject_deep_headers() {
-        // A v3 multi-layer header with an rbm/nade kind tag must be a
+        // A v3 multi-layer header with an rbm kind tag must be a
         // structured error, not a panic or a silent reshape.
         let path = tmp("deep-rbm");
         let mut bytes = Vec::new();
@@ -571,20 +544,36 @@ mod tests {
     }
 
     #[test]
-    fn rbm_and_nade_round_trip() {
+    fn nade_kind_tag_is_rejected_by_name() {
+        // A well-formed single-layer v3 file whose kind tag names no
+        // supported architecture must fail with an error that says so.
+        let path = tmp("nade-kind");
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(b"VQMC");
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(b"nade");
+        bytes.push(Precision::F64.tag());
+        bytes.extend_from_slice(&5u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&49u64.to_le_bytes()); // 2·h·n + h + n
+        bytes.extend_from_slice(&[0u8; 49 * 8]);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = load_any(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nade"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rbm_round_trip() {
         let p1 = tmp("rbm");
         let rbm = Rbm::new(5, 7, 3);
         rbm.save(&p1).unwrap();
         let r2 = Rbm::load(&p1).unwrap();
         assert_eq!(rbm.params().as_slice(), r2.params().as_slice());
         std::fs::remove_file(&p1).ok();
-
-        let p2 = tmp("nade");
-        let nade = Nade::new(5, 6, 4);
-        nade.save(&p2).unwrap();
-        let n2 = Nade::load(&p2).unwrap();
-        assert_eq!(nade.params().as_slice(), n2.params().as_slice());
-        std::fs::remove_file(&p2).ok();
     }
 
     #[test]
@@ -598,10 +587,6 @@ mod tests {
             (
                 Box::new(|p: &std::path::Path| Rbm::new(5, 5, 2).save(p).unwrap()),
                 "rbm",
-            ),
-            (
-                Box::new(|p: &std::path::Path| Nade::new(5, 4, 2).save(p).unwrap()),
-                "nade",
             ),
         ];
         for (save, expect) in savers {

@@ -37,7 +37,6 @@ pub mod init;
 pub mod layers;
 pub mod made;
 pub mod masks;
-pub mod nade;
 pub mod rbm;
 pub mod sampling;
 
@@ -45,7 +44,6 @@ use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
 
 pub use made::{Made, MadeWorkspace, MaskedLinear, MAX_LAYERS};
 pub use layers::{LayerView, MadeElem, MadeF32, MadeF32Workspace, MadeView};
-pub use nade::Nade;
 pub use rbm::Rbm;
 pub use sampling::{BatchedSampling, SamplingEngine};
 

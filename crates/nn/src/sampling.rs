@@ -14,14 +14,13 @@
 //!
 //! ```text
 //! caller ──▶ model.sample_via(engine) ──▶ engine.sample_made(self)
-//!                                        │  engine.sample_nade(self)
 //!                                        └▶ engine.sample_rbm(self)
 //! ```
 //!
 //! Adding a new architecture means one new arm here and one new engine
 //! branch in `vqmc-sampler` — the compiler walks every consumer for us.
 
-use crate::{Made, Nade, Rbm, WaveFunction};
+use crate::{Made, Rbm, WaveFunction};
 
 /// The architecture-specific arms of a batched sampling call.
 ///
@@ -31,8 +30,6 @@ use crate::{Made, Nade, Rbm, WaveFunction};
 pub trait SamplingEngine {
     /// Sample from a MADE wavefunction (exact AUTO, fused panel pass).
     fn sample_made(&mut self, wf: &Made);
-    /// Sample from a NADE wavefunction (exact AUTO, native recursion).
-    fn sample_nade(&mut self, wf: &Nade);
     /// Sample from an RBM wavefunction (MCMC fallback — RBMs are
     /// unnormalised, so exact sampling is unavailable).
     fn sample_rbm(&mut self, wf: &Rbm);
@@ -49,12 +46,6 @@ pub trait BatchedSampling: WaveFunction {
 impl BatchedSampling for Made {
     fn sample_via(&self, engine: &mut dyn SamplingEngine) {
         engine.sample_made(self);
-    }
-}
-
-impl BatchedSampling for Nade {
-    fn sample_via(&self, engine: &mut dyn SamplingEngine) {
-        engine.sample_nade(self);
     }
 }
 
@@ -77,9 +68,6 @@ mod tests {
         fn sample_made(&mut self, _wf: &Made) {
             self.arm = Some("made");
         }
-        fn sample_nade(&mut self, _wf: &Nade) {
-            self.arm = Some("nade");
-        }
         fn sample_rbm(&mut self, _wf: &Rbm) {
             self.arm = Some("rbm");
         }
@@ -89,7 +77,6 @@ mod tests {
     fn each_model_routes_to_its_own_arm() {
         let cases: Vec<(Box<dyn BatchedSampling>, &str)> = vec![
             (Box::new(Made::new(4, 5, 1)), "made"),
-            (Box::new(Nade::new(4, 5, 1)), "nade"),
             (Box::new(Rbm::new(4, 4, 1)), "rbm"),
         ];
         for (model, expect) in cases {

@@ -143,50 +143,6 @@ impl Sampler<Made> for IncrementalAutoSampler {
     }
 }
 
-/// Exact sampler using NADE's native `O(bs·n·h)` recursion — the
-/// architecture-specific analogue of [`IncrementalAutoSampler`], and
-/// like it a thin wrapper over the unified batch engine
-/// ([`crate::batch::NadeBatchSampler`]), whose pooled scratch keeps the
-/// steady-state training loop allocation-free.  Bit-identical to
-/// [`vqmc_nn::Nade::sample_native`] given the same RNG.
-#[derive(Debug, Default)]
-pub struct NadeNativeSampler {
-    engine: crate::batch::NadeBatchSampler,
-}
-
-impl NadeNativeSampler {
-    /// A fresh sampler (scratch buffers grow on first use).
-    pub fn new() -> Self {
-        NadeNativeSampler::default()
-    }
-}
-
-impl Clone for NadeNativeSampler {
-    /// Clones start cold: scratch is per-instance.
-    fn clone(&self) -> Self {
-        NadeNativeSampler::new()
-    }
-}
-
-impl Sampler<vqmc_nn::Nade> for NadeNativeSampler {
-    fn sample_into(
-        &mut self,
-        wf: &vqmc_nn::Nade,
-        batch_size: usize,
-        rng: &mut StdRng,
-        out: &mut SampleOutput,
-    ) {
-        self.engine
-            .sample_stream(wf, batch_size, rng, &mut out.batch, &mut out.log_psi);
-        out.stats = SampleStats {
-            forward_passes: wf.num_spins(),
-            configurations_evaluated: batch_size * wf.num_spins(),
-            proposals: 0,
-            accepted: 0,
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

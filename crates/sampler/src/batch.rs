@@ -7,8 +7,8 @@
 //! ```text
 //! Trainer ─────────┐
 //! DistributedTrainer ├─▶ BatchedSampling ─▶ BatchSampler ─┬▶ MadeBatchSampler (row path or fused panel)
-//! serve::Engine ───┤       (vqmc-nn)                      ├▶ NadeBatchSampler (native recursion)
-//! CLI evaluate/sample ┘                                   └▶ McmcSampler      (RBM fallback)
+//! serve::Engine ───┤       (vqmc-nn)                      └▶ McmcSampler      (RBM fallback)
+//! CLI evaluate/sample ┘
 //! ```
 //!
 //! Two call shapes, same arithmetic:
@@ -31,7 +31,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vqmc_nn::{
-    BatchedSampling, Made, MadeElem, MadeF32, MadeView, Nade, Rbm, SamplingEngine, WaveFunction,
+    BatchedSampling, Made, MadeElem, MadeF32, MadeView, Rbm, SamplingEngine, WaveFunction,
 };
 use vqmc_tensor::simd::KernelElem;
 use vqmc_tensor::{ops, par, Matrix, Precision, SpinBatch, Vector};
@@ -201,8 +201,8 @@ pub struct MadeBatchSampler {
     /// Execution precision (DESIGN.md §4.1.1).  `F32` runs the panel
     /// path on the `Kernels<f32>` table — `f32` panels and weights, `f64`
     /// logit accumulation, so the RNG draw loop and `logπ` pipeline are
-    /// *shared verbatim* with the f64 arm; NADE/RBM stay f64 (no f32
-    /// twins — documented fallback).
+    /// *shared verbatim* with the f64 arm; RBM stays f64 (no f32
+    /// twin — documented fallback).
     precision: Precision,
     /// Per-row hidden pre-activations (`rows · h`, row path).
     z1: Vec<f64>,
@@ -722,127 +722,6 @@ fn panel_pass<E: PanelElem>(
     });
 }
 
-/// The coalesced NADE sampler: the model's native `O(h)`-per-site
-/// recursion over the combined batch, each request's rows drawn from
-/// its own seeded RNG stream.
-///
-/// Invariant (property-tested): rows `[offset_r, offset_r + count_r)`
-/// are bit-identical — configurations *and* `logψ` — to a solo
-/// `Nade::sample_native(count_r, StdRng::seed_from_u64(seed_r))`.  The
-/// recursion reuses `sample_native`'s exact scalar `σ` / `ln σ` ops in
-/// the same `(site, row-within-request)` order, so the identity is
-/// bitwise, not just numerical (the vectorised slice kernels are only
-/// ≤ 2 ULP-equal to the scalar ops and would break it).
-#[derive(Debug, Default)]
-pub struct NadeBatchSampler {
-    /// Per-row shared hidden pre-activations (`rows · h`).
-    a: Vec<f64>,
-    /// `σ(a)` scratch for one row.
-    hidden: Vec<f64>,
-    /// Per-row accumulated `log π`.
-    log_prob: Vec<f64>,
-    /// Per-request RNG streams (rebuilt each coalesced call).
-    rngs: Vec<StdRng>,
-    /// Per-request row counts (pooled mirror of the request list).
-    counts: Vec<usize>,
-}
-
-impl NadeBatchSampler {
-    /// A fresh sampler (scratch buffers grow on first use).
-    pub fn new() -> Self {
-        NadeBatchSampler::default()
-    }
-
-    /// Draws every request inside one combined native recursion, each
-    /// request's rows from its own seeded RNG stream.
-    pub fn sample_coalesced(
-        &mut self,
-        wf: &Nade,
-        reqs: &[SampleRequest],
-        out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
-    ) {
-        self.rngs.clear();
-        let mut counts = std::mem::take(&mut self.counts);
-        counts.clear();
-        for req in reqs {
-            self.rngs.push(StdRng::seed_from_u64(req.seed));
-            counts.push(req.count);
-        }
-        self.sample_core(wf, &counts, None, out_batch, out_log_psi);
-        self.counts = counts;
-    }
-
-    /// Draws one batch from a caller-owned RNG stream (the training
-    /// path — pooled-scratch equivalent of [`Nade::sample_native`]).
-    pub fn sample_stream(
-        &mut self,
-        wf: &Nade,
-        count: usize,
-        rng: &mut StdRng,
-        out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
-    ) {
-        self.sample_core(wf, &[count], Some(rng), out_batch, out_log_psi);
-    }
-
-    fn sample_core(
-        &mut self,
-        wf: &Nade,
-        counts: &[usize],
-        mut external: Option<&mut StdRng>,
-        out_batch: &mut SpinBatch,
-        out_log_psi: &mut Vector,
-    ) {
-        let n = wf.num_spins();
-        let h = wf.hidden_size();
-        let rows: usize = counts.iter().sum();
-        out_batch.resize(rows, n);
-        out_batch.fill(0);
-        let b = wf.b().as_slice();
-        self.a.clear();
-        self.a.reserve(rows * h);
-        for _ in 0..rows {
-            self.a.extend_from_slice(b);
-        }
-        self.hidden.clear();
-        self.hidden.resize(h, 0.0);
-        self.log_prob.clear();
-        self.log_prob.resize(rows, 0.0);
-        let (v, c, w_t) = (wf.v(), wf.c(), wf.w_t());
-        for i in 0..n {
-            let v_row = v.row(i);
-            let w_col = w_t.row(i);
-            let mut s = 0;
-            for (q, &count) in counts.iter().enumerate() {
-                let rng: &mut StdRng = match external.as_deref_mut() {
-                    Some(r) => r,
-                    None => &mut self.rngs[q],
-                };
-                for _ in 0..count {
-                    let a_row = &mut self.a[s * h..(s + 1) * h];
-                    for (hk, &ak) in self.hidden.iter_mut().zip(a_row.iter()) {
-                        *hk = ops::sigmoid(ak);
-                    }
-                    let logit = vqmc_tensor::vector::dot(v_row, &self.hidden) + c[i];
-                    if rng.gen::<f64>() < ops::sigmoid(logit) {
-                        out_batch.set(s, i, 1);
-                        self.log_prob[s] += ops::log_sigmoid(logit);
-                        vqmc_tensor::vector::axpy(a_row, 1.0, w_col);
-                    } else {
-                        self.log_prob[s] += ops::log_one_minus_sigmoid(logit);
-                    }
-                    s += 1;
-                }
-            }
-        }
-        out_log_psi.resize(rows);
-        for (o, &lp) in out_log_psi.iter_mut().zip(&self.log_prob) {
-            *o = 0.5 * lp;
-        }
-    }
-}
-
 /// Exact-AUTO accounting in the paper's Algorithm-1 unit: the
 /// equivalent work of one logical forward pass per bit.
 fn auto_stats(n: usize, rows: usize) -> SampleStats {
@@ -860,7 +739,6 @@ fn auto_stats(n: usize, rows: usize) -> SampleStats {
 #[derive(Debug, Default)]
 pub struct BatchSampler {
     made: MadeBatchSampler,
-    nade: NadeBatchSampler,
     mcmc: McmcSampler,
 }
 
@@ -879,9 +757,8 @@ impl BatchSampler {
     }
 
     /// Selects the execution precision for subsequent passes.  Only
-    /// the MADE panel sampler has an f32 arm; NADE and RBM have no f32
-    /// twins and silently run f64 (the serving layer documents this
-    /// fallback).
+    /// the MADE panel sampler has an f32 arm; RBM has no f32 twin and
+    /// silently runs f64 (the serving layer documents this fallback).
     pub fn set_precision(&mut self, precision: Precision) {
         self.made.set_precision(precision);
     }
@@ -900,7 +777,6 @@ impl BatchSampler {
     ) -> SampleStats {
         let mut call = RequestCall {
             made: &mut self.made,
-            nade: &mut self.nade,
             mcmc: &self.mcmc,
             reqs,
             out_batch,
@@ -923,7 +799,6 @@ impl BatchSampler {
     ) {
         let mut call = StreamCall {
             made: &mut self.made,
-            nade: &mut self.nade,
             mcmc: &self.mcmc,
             count,
             rng,
@@ -948,7 +823,6 @@ impl BatchSampler {
 /// [`SamplingEngine`] arms for a coalesced multi-request call.
 struct RequestCall<'a> {
     made: &'a mut MadeBatchSampler,
-    nade: &'a mut NadeBatchSampler,
     mcmc: &'a McmcSampler,
     reqs: &'a [SampleRequest],
     out_batch: &'a mut SpinBatch,
@@ -965,12 +839,6 @@ impl RequestCall<'_> {
 impl SamplingEngine for RequestCall<'_> {
     fn sample_made(&mut self, wf: &Made) {
         self.made
-            .sample_coalesced(wf, self.reqs, self.out_batch, self.out_log_psi);
-        self.stats = auto_stats(wf.num_spins(), self.rows());
-    }
-
-    fn sample_nade(&mut self, wf: &Nade) {
-        self.nade
             .sample_coalesced(wf, self.reqs, self.out_batch, self.out_log_psi);
         self.stats = auto_stats(wf.num_spins(), self.rows());
     }
@@ -1005,7 +873,6 @@ impl SamplingEngine for RequestCall<'_> {
 /// [`SamplingEngine`] arms for a single caller-owned RNG stream.
 struct StreamCall<'a> {
     made: &'a mut MadeBatchSampler,
-    nade: &'a mut NadeBatchSampler,
     mcmc: &'a McmcSampler,
     count: usize,
     rng: &'a mut StdRng,
@@ -1015,17 +882,6 @@ struct StreamCall<'a> {
 impl SamplingEngine for StreamCall<'_> {
     fn sample_made(&mut self, wf: &Made) {
         self.made.sample_stream(
-            wf,
-            self.count,
-            self.rng,
-            &mut self.out.batch,
-            &mut self.out.log_psi,
-        );
-        self.out.stats = auto_stats(wf.num_spins(), self.count);
-    }
-
-    fn sample_nade(&mut self, wf: &Nade) {
-        self.nade.sample_stream(
             wf,
             self.count,
             self.rng,
@@ -1086,16 +942,6 @@ mod tests {
         let out = bs.sample_stream(&made, 10, &mut rng);
         assert_eq!(out.batch.batch_size(), 10);
         assert_eq!(out.stats.forward_passes, 6);
-
-        let nade = Nade::new(6, 5, 1);
-        let out = bs.sample_stream(&nade, 10, &mut StdRng::seed_from_u64(3));
-        assert_eq!(out.batch.batch_size(), 10);
-        // Bit-identical to the model's own native sampler.
-        let (nb, nlp) = nade.sample_native(10, &mut StdRng::seed_from_u64(3));
-        assert_eq!(out.batch.as_bytes(), nb.as_bytes());
-        for s in 0..10 {
-            assert_eq!(out.log_psi[s].to_bits(), nlp[s].to_bits());
-        }
 
         let rbm = Rbm::new(6, 6, 1);
         let out = bs.sample_stream(&rbm, 10, &mut StdRng::seed_from_u64(3));

@@ -25,21 +25,15 @@ pub mod auto;
 pub mod batch;
 pub mod diagnostics;
 pub mod efficiency;
-pub mod gibbs;
 pub mod mcmc;
-pub mod tempering;
 
 use rand::rngs::StdRng;
 use vqmc_nn::WaveFunction;
 use vqmc_tensor::{SpinBatch, Vector};
 
-pub use auto::{AutoSampler, IncrementalAutoSampler, NadeNativeSampler};
-pub use batch::{
-    BatchSampler, MadeBatchSampler, NadeBatchSampler, PanelLayout, SampleRequest,
-};
-pub use gibbs::{GibbsConfig, GibbsSampler};
+pub use auto::{AutoSampler, IncrementalAutoSampler};
+pub use batch::{BatchSampler, MadeBatchSampler, PanelLayout, SampleRequest};
 pub use mcmc::{BurnIn, McmcConfig, McmcSampler, RbmFastMcmc, Thinning};
-pub use tempering::{TemperingConfig, TemperingSampler};
 
 /// The product of one sampling call.
 ///

@@ -10,10 +10,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vqmc_nn::{Made, Nade};
-use vqmc_sampler::{
-    BatchSampler, MadeBatchSampler, NadeBatchSampler, PanelLayout, SampleRequest,
-};
+use vqmc_nn::Made;
+use vqmc_sampler::{BatchSampler, MadeBatchSampler, PanelLayout, SampleRequest};
 use vqmc_tensor::{par, SpinBatch, Vector};
 
 /// Request sizes derived from a seed (the vendored proptest stub has no
@@ -65,64 +63,6 @@ proptest! {
                 prop_assert_eq!(log_psi[offset + s].to_bits(), solo_lp[s].to_bits());
             }
             offset += req.count;
-        }
-    }
-
-    /// NADE: the coalesced batched path is bit-identical per request to
-    /// the model's own solo `sample_native` — the batched path must be
-    /// a pure re-ordering of the same scalar arithmetic.
-    #[test]
-    fn nade_coalesced_requests_match_sample_native(
-        n in 3usize..12,
-        h in 2usize..14,
-        model_seed in 0u64..500,
-        nreq in 2usize..5,
-        seed0 in 0u64..10_000,
-    ) {
-        let wf = Nade::new(n, h, model_seed);
-        let reqs = request_list(nreq, seed0);
-
-        let mut sampler = NadeBatchSampler::new();
-        let mut batch = SpinBatch::default();
-        let mut log_psi = Vector::default();
-        sampler.sample_coalesced(&wf, &reqs, &mut batch, &mut log_psi);
-
-        let mut offset = 0;
-        for req in &reqs {
-            let (solo_b, solo_lp) =
-                wf.sample_native(req.count, &mut StdRng::seed_from_u64(req.seed));
-            for s in 0..req.count {
-                prop_assert_eq!(batch.sample(offset + s), solo_b.sample(s));
-                prop_assert_eq!(log_psi[offset + s].to_bits(), solo_lp[s].to_bits());
-            }
-            offset += req.count;
-        }
-    }
-
-    /// NADE single-stream (the training shape) equals `sample_native`
-    /// on the same RNG stream.
-    #[test]
-    fn nade_stream_matches_sample_native(
-        n in 3usize..12,
-        h in 2usize..14,
-        model_seed in 0u64..500,
-        count in 1usize..40,
-        seed in 0u64..10_000,
-    ) {
-        let wf = Nade::new(n, h, model_seed);
-        let mut batch = SpinBatch::default();
-        let mut log_psi = Vector::default();
-        NadeBatchSampler::new().sample_stream(
-            &wf,
-            count,
-            &mut StdRng::seed_from_u64(seed),
-            &mut batch,
-            &mut log_psi,
-        );
-        let (nb, nlp) = wf.sample_native(count, &mut StdRng::seed_from_u64(seed));
-        prop_assert_eq!(batch.as_bytes(), nb.as_bytes());
-        for s in 0..count {
-            prop_assert_eq!(log_psi[s].to_bits(), nlp[s].to_bits());
         }
     }
 

@@ -13,9 +13,9 @@
 //!   requests is bitwise identical to K sequential calls.
 //! * `Sample` — delegated to `vqmc-sampler`'s unified
 //!   [`BatchSampler`]: the engine owns **no** sampling implementation
-//!   of its own.  Exact-AUTO models (MADE's fused panel pass, NADE's
-//!   native recursion) draw all requests in one combined incremental
-//!   pass, each request's bits from its *own* seeded RNG stream —
+//!   of its own.  The exact-AUTO model (MADE, through its fused panel
+//!   pass) draws all requests in one combined incremental pass, each
+//!   request's bits from its *own* seeded RNG stream —
 //!   bit-identical to sampling each request alone, while the
 //!   transcendental and `relu·dot` kernel work runs at the combined
 //!   batch size (the paper's batch-parallelism lever, §4).  RBM falls
@@ -226,9 +226,9 @@ impl Engine {
     }
 
     /// Refreshes the cached f32 forward weights when the model has an
-    /// f32 twin (MADE); returns `false` for models that don't (RBM,
-    /// NADE), which run the f64 path regardless of requested precision
-    /// — precision is a kernel choice, not an API guarantee.
+    /// f32 twin (MADE); returns `false` for a model that doesn't (RBM),
+    /// which runs the f64 path regardless of requested precision —
+    /// precision is a kernel choice, not an API guarantee.
     fn ensure_f32_weights(&mut self) -> bool {
         let AnyModel::Made(m) = self.model.as_ref() else {
             return false;
@@ -433,7 +433,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vqmc_nn::{Made, Nade, Rbm};
+    use vqmc_nn::{Made, Rbm};
     use vqmc_sampler::{IncrementalAutoSampler, Sampler};
     use vqmc_tensor::batch::enumerate_configs;
 
@@ -647,45 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn nade_and_rbm_sampling_is_deterministic_per_seed() {
-        for model in [
-            AnyModel::Nade(Nade::new(6, 5, 2)),
-            AnyModel::Rbm(Rbm::new(6, 6, 2)),
-        ] {
-            let mut engine =
-                Engine::new(Arc::new(model), None, LocalEnergyConfig::default());
-            let reqs = [SampleRequest { count: 6, seed: 42 }];
-            let a = engine.run_samples(&reqs);
-            let b = engine.run_samples(&reqs);
-            assert_eq!(a, b, "same seed must reproduce");
-        }
-    }
-
-    #[test]
-    fn nade_coalesced_replies_match_native_sampling() {
-        let nade = Nade::new(7, 6, 9);
-        let mut engine = Engine::new(
-            Arc::new(AnyModel::Nade(nade.clone())),
-            None,
-            LocalEnergyConfig::default(),
-        );
-        let reqs = [
-            SampleRequest { count: 4, seed: 31 },
-            SampleRequest { count: 11, seed: 32 },
-        ];
-        let replies = engine.run_samples(&reqs);
-        for (req, reply) in reqs.iter().zip(replies) {
-            let (sb, slp) =
-                nade.sample_native(req.count, &mut StdRng::seed_from_u64(req.seed));
-            match reply {
-                Response::Samples { batch, log_psi } => {
-                    assert_eq!(batch.as_bytes(), sb.as_bytes(), "seed {}", req.seed);
-                    for s in 0..req.count {
-                        assert_eq!(log_psi[s].to_bits(), slp[s].to_bits());
-                    }
-                }
-                other => panic!("expected Samples, got {other:?}"),
-            }
-        }
+    fn rbm_sampling_is_deterministic_per_seed() {
+        let model = AnyModel::Rbm(Rbm::new(6, 6, 2));
+        let mut engine = Engine::new(Arc::new(model), None, LocalEnergyConfig::default());
+        let reqs = [SampleRequest { count: 6, seed: 42 }];
+        let a = engine.run_samples(&reqs);
+        let b = engine.run_samples(&reqs);
+        assert_eq!(a, b, "same seed must reproduce");
     }
 }

@@ -140,7 +140,7 @@ pub enum Response {
     Pong {
         /// Number of spins of the served model.
         num_spins: u32,
-        /// Model kind tag (`"made"` / `"rbm"` / `"nade"`).
+        /// Model kind tag (`"made"` / `"rbm"`).
         kind: String,
     },
     /// Reply to [`Request::Sample`].

@@ -19,8 +19,8 @@ COMMANDS:
   train      train a wavefunction on a problem instance
              --problem tim|maxcut|sk   (default tim)
              --n <spins>               (default 16)
-             --model made|nade|rbm     (default made)
-             --sampler auto|mcmc|gibbs (default: auto for made/nade, mcmc for rbm)
+             --model made|rbm          (default made)
+             --sampler auto|mcmc       (default: auto for made, mcmc for rbm)
              --optimizer adam|sgd|sr   (default adam)
              --iters <N>               (default 300)
              --hidden <N[,N...]>       hidden widths, comma-separated for a
@@ -301,92 +301,54 @@ pub fn train(flags: &Flags) -> Result<(), String> {
             .ok_or_else(|| format!("--save-precision wants f64|f32, got {s:?}"))?,
     };
 
-    // Dispatch over (model, sampler). Each arm owns its concrete types;
-    // each returns the run's final energy plus a deferred save closure.
-    type SaveFn = Box<dyn FnOnce(&str) -> Result<(), String>>;
-    let (final_energy, save): (f64, SaveFn) =
-        match (model, sampler_name) {
-            ("made", "auto") => {
-                let hs = hidden.clone().unwrap_or_else(|| vec![made_hidden_size(n)]);
-                let wf = init_model(flags, n, || Made::with_hidden(n, &hs, model_seed))?;
-                let mut t = Trainer::new(wf, IncrementalAutoSampler::new(), config);
-                let trace = t.run(h);
-                report_trace(&trace);
-                let wf = t.into_wavefunction();
-                (
-                    trace.final_energy(),
-                    Box::new(move |p: &str| {
-                        wf.save_with_precision(p, save_precision).map_err(|e| e.to_string())
-                    }),
-                )
-            }
-            ("made", "mcmc") => {
-                let hs = hidden.clone().unwrap_or_else(|| vec![made_hidden_size(n)]);
-                let wf = init_model(flags, n, || Made::with_hidden(n, &hs, model_seed))?;
-                let mut t = Trainer::new(wf, McmcSampler::default(), config);
-                let trace = t.run(h);
-                report_trace(&trace);
-                let wf = t.into_wavefunction();
-                (
-                    trace.final_energy(),
-                    Box::new(move |p: &str| {
-                        wf.save_with_precision(p, save_precision).map_err(|e| e.to_string())
-                    }),
-                )
-            }
-            ("nade", "auto") => {
-                let h1 = single_hidden(&hidden, "nade", made_hidden_size(n))?;
-                let wf = init_model(flags, n, || Nade::new(n, h1, model_seed))?;
-                let mut t = Trainer::new(wf, NadeNativeSampler::new(), config);
-                let trace = t.run(h);
-                report_trace(&trace);
-                let wf = t.into_wavefunction();
-                (
-                    trace.final_energy(),
-                    Box::new(move |p: &str| {
-                        wf.save_with_precision(p, save_precision).map_err(|e| e.to_string())
-                    }),
-                )
-            }
-            ("rbm", "mcmc") => {
-                let h1 = single_hidden(&hidden, "rbm", rbm_hidden_size(n))?;
-                let wf = init_model(flags, n, || Rbm::new(n, h1, model_seed))?;
-                let mut t = Trainer::new(wf, RbmFastMcmc(McmcSampler::default()), config);
-                let trace = t.run(h);
-                report_trace(&trace);
-                let wf = t.into_wavefunction();
-                (
-                    trace.final_energy(),
-                    Box::new(move |p: &str| {
-                        wf.save_with_precision(p, save_precision).map_err(|e| e.to_string())
-                    }),
-                )
-            }
-            ("rbm", "gibbs") => {
-                let h1 = single_hidden(&hidden, "rbm", rbm_hidden_size(n))?;
-                let wf = init_model(flags, n, || Rbm::new(n, h1, model_seed))?;
-                let mut t = Trainer::new(wf, GibbsSampler::default(), config);
-                let trace = t.run(h);
-                report_trace(&trace);
-                let wf = t.into_wavefunction();
-                (
-                    trace.final_energy(),
-                    Box::new(move |p: &str| {
-                        wf.save_with_precision(p, save_precision).map_err(|e| e.to_string())
-                    }),
-                )
-            }
-            (m, s) => {
-                return Err(format!(
-                    "unsupported combination --model {m} --sampler {s} \
-                     (made+auto, made+mcmc, nade+auto, rbm+mcmc, rbm+gibbs)"
-                ))
-            }
-        };
+    // Dispatch over (model, sampler): each arm builds its model and
+    // sampler, and `train_and_save` runs the rest.
+    match (model, sampler_name) {
+        ("made", "auto") => {
+            let hs = hidden.unwrap_or_else(|| vec![made_hidden_size(n)]);
+            let wf = init_model(flags, n, || Made::with_hidden(n, &hs, model_seed))?;
+            train_and_save(flags, h, wf, IncrementalAutoSampler::new(), config, save_precision)
+        }
+        ("made", "mcmc") => {
+            let hs = hidden.unwrap_or_else(|| vec![made_hidden_size(n)]);
+            let wf = init_model(flags, n, || Made::with_hidden(n, &hs, model_seed))?;
+            train_and_save(flags, h, wf, McmcSampler::default(), config, save_precision)
+        }
+        ("rbm", "mcmc") => {
+            let h1 = single_hidden(&hidden, "rbm", rbm_hidden_size(n))?;
+            let wf = init_model(flags, n, || Rbm::new(n, h1, model_seed))?;
+            let sampler = RbmFastMcmc(McmcSampler::default());
+            train_and_save(flags, h, wf, sampler, config, save_precision)
+        }
+        (m, s) => Err(format!(
+            "unsupported combination --model {m} --sampler {s} (made+auto, made+mcmc, rbm+mcmc)"
+        )),
+    }
+}
 
-    maybe_exact(flags, h, final_energy);
+/// The body every `train` arm shares: run the trainer, report its
+/// trace, compare against the exact energy when asked, and write the
+/// checkpoint when asked.
+fn train_and_save<W, S>(
+    flags: &Flags,
+    h: &dyn SparseRowHamiltonian,
+    wf: W,
+    sampler: S,
+    config: TrainerConfig,
+    save_precision: vqmc::tensor::Precision,
+) -> Result<(), String>
+where
+    W: Checkpoint + WaveFunction,
+    S: Sampler<W>,
+{
+    let mut t = Trainer::new(wf, sampler, config);
+    let trace = t.run(h);
+    report_trace(&trace);
+    maybe_exact(flags, h, trace.final_energy());
     if let Some(path) = flags.get("checkpoint").or_else(|| flags.get("save-model")) {
-        save(path)?;
+        t.wavefunction()
+            .save_with_precision(path, save_precision)
+            .map_err(|e| e.to_string())?;
         println!("checkpoint written to {path}");
     }
     Ok(())
@@ -548,7 +510,7 @@ pub fn evaluate(flags: &Flags) -> Result<(), String> {
         ));
     }
     // Evaluate through the unified batched sampling layer: exact AUTO
-    // for checkpointed MADE/NADE (normalised), MCMC fallback for RBM —
+    // for checkpointed MADE (normalised), MCMC fallback for RBM —
     // the dispatch lives in the sampler, not here.
     let out = sample_checkpoint(&model, batch_size, get_u64(flags, "seed", 0)?);
     let wf = model.as_wavefunction();

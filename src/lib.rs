@@ -79,14 +79,13 @@ pub mod prelude {
         ground_state, Graph, MaxCut, Qubo, SparseRowHamiltonian, TransverseFieldIsing,
     };
     pub use crate::nn::{
-        made_hidden_size, rbm_hidden_size, Autoregressive, BatchedSampling, Made, Nade, Rbm,
+        made_hidden_size, rbm_hidden_size, Autoregressive, BatchedSampling, Made, Rbm,
         WaveFunction,
     };
     pub use crate::optim::{Adam, Optimizer, Sgd, SrConfig};
     pub use crate::sampler::{
-        AutoSampler, BatchSampler, BurnIn, GibbsConfig, GibbsSampler, IncrementalAutoSampler,
-        McmcConfig, McmcSampler, NadeNativeSampler, RbmFastMcmc, SampleRequest, Sampler,
-        TemperingConfig, TemperingSampler, Thinning,
+        AutoSampler, BatchSampler, BurnIn, IncrementalAutoSampler, McmcConfig, McmcSampler,
+        RbmFastMcmc, SampleRequest, Sampler, Thinning,
     };
     pub use crate::tensor::{Matrix, SpinBatch, Vector};
 }

@@ -1,55 +1,11 @@
 //! Integration tests for the extension features built on top of the
-//! paper's core reproduction: the NADE architecture, heat-bath (Gibbs)
-//! sampling, the Sherrington–Kirkpatrick workload and checkpointing —
-//! each exercised through the same public API as the headline pipeline.
+//! paper's core reproduction: the Sherrington–Kirkpatrick workload,
+//! checkpointing and sampler diagnostics — each exercised through the
+//! same public API as the headline pipeline.
 
 use vqmc::core::observables::fidelity;
 use vqmc::nn::checkpoint::Checkpoint;
 use vqmc::prelude::*;
-
-/// NADE + native exact sampling trains to the TIM ground state through
-/// the identical Trainer API — the stack is architecture-agnostic.
-#[test]
-fn nade_trains_to_ground_state() {
-    let n = 5;
-    let h = TransverseFieldIsing::random(n, 77);
-    let exact = ground_state(&h, 200, 1e-12);
-    let config = TrainerConfig {
-        iterations: 220,
-        batch_size: 256,
-        optimizer: OptimizerChoice::paper_default(),
-        ..TrainerConfig::paper_default(9)
-    };
-    let mut t = Trainer::new(Nade::new(n, 12, 3), NadeNativeSampler::new(), config);
-    let trace = t.run(&h);
-    let rel = (trace.final_energy() - exact.energy) / exact.energy.abs();
-    assert!(
-        rel.abs() < 0.06,
-        "NADE reached {} vs exact {} (rel {rel})",
-        trace.final_energy(),
-        exact.energy
-    );
-}
-
-/// Gibbs sampling drives RBM training just like Metropolis — the
-/// trainer is sampler-agnostic — and both respect the variational bound.
-#[test]
-fn gibbs_sampling_trains_rbm() {
-    let n = 6;
-    let h = TransverseFieldIsing::random(n, 41);
-    let exact = ground_state(&h, 200, 1e-10);
-    let config = TrainerConfig {
-        iterations: 80,
-        batch_size: 128,
-        optimizer: OptimizerChoice::paper_default(),
-        ..TrainerConfig::paper_default(3)
-    };
-    let mut t = Trainer::new(Rbm::new(n, n, 2), GibbsSampler::default(), config);
-    let trace = t.run(&h);
-    assert!(trace.final_energy() < trace.records[0].energy);
-    let last = trace.records.last().unwrap();
-    assert!(last.energy >= exact.energy - 6.0 * last.std_dev / (128.0f64).sqrt() - 1e-6);
-}
 
 /// The SK spin glass end to end: SR training reaches high fidelity with
 /// the exact ground state.
